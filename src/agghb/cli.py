@@ -173,6 +173,7 @@ def cmd_verify(args) -> int:
     _emit("mode", report.mode)
     if report.certificate is not None:
         _emit("reference_certificate", report.certificate)
+        _emit("reference_certified", report.certified)
     for row in report.rows:
         _emit(
             "check",

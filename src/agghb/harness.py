@@ -297,11 +297,59 @@ def tune(
 
 @dataclass(frozen=True)
 class Reference:
-    """Best-known minimizer with the achieved gradient norm as certificate."""
+    """Best-known minimizer with the achieved gradient norm as certificate.
+
+    ``certified`` records whether that norm reached the requested tolerance;
+    bounds checked against an uncertified reference prove nothing.
+    """
 
     x: np.ndarray
     f: float
     grad_norm: float
+    certified: bool
+
+
+NEWTON_MAX_ITERS = 100
+ARMIJO_C = 1e-4
+
+
+def _newton(problem: Problem, x: np.ndarray, grad_tol: float) -> np.ndarray:
+    """Damped Newton with Armijo backtracking on ``problem.value``.
+
+    Returns the last iterate once its gradient norm reaches ``grad_tol``, or
+    earlier on a singular Hessian, a non-descent direction or a failed line
+    search.
+    """
+    f = problem.value(x)
+    g = problem.gradient(x)
+    for _ in range(NEWTON_MAX_ITERS):
+        if np.linalg.norm(g) <= grad_tol:
+            return x
+        try:
+            d = -np.linalg.solve(problem.hessian(x), g)
+        except np.linalg.LinAlgError:
+            return x
+        slope = float(g @ d)
+        if not slope < 0.0:
+            return x
+        # Near the optimum the predicted decrease drops below the rounding
+        # error of f; a full step is then accepted unless f visibly rises, and
+        # the gradient norm alone measures progress.
+        noise = 64.0 * np.finfo(float).eps * max(1.0, abs(f))
+        t = 1.0
+        while True:
+            x_new = x + t * d
+            f_new = problem.value(x_new)
+            if f_new <= f + ARMIJO_C * t * slope:
+                break
+            if t == 1.0 and -slope <= noise and f_new <= f + noise:
+                break
+            t *= 0.5
+            if t < 1e-10:
+                return x
+        x, f = x_new, f_new
+        g = problem.gradient(x)
+    return x
 
 
 def reference_solution(
@@ -309,10 +357,13 @@ def reference_solution(
 ) -> Reference:
     """High-accuracy optimum of a convex problem.
 
-    Uses the closed form when the problem carries one; otherwise runs plain
-    gradient descent with step 1/L until the gradient norm falls below
-    ``grad_tol`` or the iteration cap is hit.  The returned gradient norm is
-    the error certificate either way.
+    Uses the closed form when the problem carries one.  Otherwise, when the
+    problem has a ``hessian`` (logistic regression), runs damped Newton from
+    x = 0 until the gradient norm falls below ``grad_tol``.  Plain gradient
+    descent with step 1/L, capped at ``max_iters`` steps, is the fallback for
+    problems without a Hessian and continues from where a failed Newton
+    solve stopped.  The returned gradient norm is the error certificate, and
+    ``certified`` says whether it reached ``grad_tol``.
     """
     if not problem.convex:
         raise ValueError(
@@ -321,9 +372,14 @@ def reference_solution(
     if problem.reference_opt is not None:
         x_star, f_star = problem.reference_opt
         gnorm = float(np.linalg.norm(problem.gradient(x_star)))
-        return Reference(x=np.asarray(x_star, dtype=float), f=f_star, grad_norm=gnorm)
+        return Reference(
+            x=np.asarray(x_star, dtype=float), f=f_star, grad_norm=gnorm,
+            certified=gnorm <= grad_tol,
+        )
 
     x = np.zeros(problem.dim)
+    if problem.hessian is not None:
+        x = _newton(problem, x, grad_tol)
     gamma = 1.0 / problem.L
     g = problem.gradient(x)
     for _ in range(max_iters):
@@ -333,7 +389,9 @@ def reference_solution(
         x = x - gamma * g
         g = problem.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    return Reference(x=x, f=problem.value(x), grad_norm=gnorm)
+    return Reference(
+        x=x, f=problem.value(x), grad_norm=gnorm, certified=gnorm <= grad_tol
+    )
 
 
 @dataclass(frozen=True)
@@ -351,6 +409,7 @@ class VerificationReport:
     rows: tuple[CheckRow, ...]
     passed: bool
     certificate: float | None  # reference gradient norm, convex modes only
+    certified: bool | None  # whether that norm reached its tolerance
 
 
 def bound_checkpoints(budget: int) -> list[int]:
@@ -372,7 +431,10 @@ def verify_bounds(
     Non-convex mode compares the best squared gradient norm over each prefix
     with its ceiling; convex modes compare the weighted-average suboptimality
     with its ceiling, allowing twice the reference certificate as slack for
-    the imperfectly known optimum.
+    the imperfectly known optimum.  A convex report whose reference is not
+    ``certified`` does not pass, whatever its rows say: the slack is then
+    no longer small.  Without a given ``reference``, one is computed with
+    :func:`reference_solution`.
     """
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
@@ -387,7 +449,7 @@ def verify_bounds(
     recorded = len(trace.f) - 1  # last recorded iterate index
 
     rows = []
-    certificate = None
+    certificate = certified = None
     if mode == "theory-ncvx":
         if problem.f_lower is None:
             raise ValueError(
@@ -416,6 +478,7 @@ def verify_bounds(
         if reference is None:
             reference = reference_solution(problem)
         certificate = reference.grad_norm
+        certified = reference.certified
         slack = 2.0 * certificate
         r0_sq = float(np.linalg.norm(trace.x0 - reference.x) ** 2)
         inputs = theory.BoundInputs(
@@ -438,8 +501,9 @@ def verify_bounds(
     return VerificationReport(
         mode=mode,
         rows=tuple(rows),
-        passed=all(r.passed for r in rows),
+        passed=all(r.passed for r in rows) and certified is not False,
         certificate=certificate,
+        certified=certified,
     )
 
 
@@ -480,16 +544,12 @@ def build_problem(name: str, params: dict) -> Problem:
             raise ValueError(f"problem {name!r} needs a 'data' parameter")
         parsed = load_libsvm(resolve_data_path(data_path))
         data = to_dataset(parsed.records, n_features=params.get("n_features"))
-        from .problems import spectral_norm  # local import to avoid cycle noise
-
-        sn, _ = spectral_norm(data.features)
-        base_L = 1.01 * sn / (4.0 * data.M)
         if name == "logreg-l2":
             l2 = params.get("l2", 0.0)
-            l2 = base_L / 1e5 if l2 == "auto" else float(l2)
+            l2 = data.logistic_L / 1e5 if l2 == "auto" else float(l2)
             return logreg_l2(data, l2)
         lam = params.get("lambda", 0.0)
-        lam = base_L / 1e3 if lam == "auto" else float(lam)
+        lam = data.logistic_L / 1e3 if lam == "auto" else float(lam)
         return logreg_nonconvex(data, lam)
     raise ValueError(f"unknown problem id {name!r}")
 

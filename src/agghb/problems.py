@@ -10,6 +10,7 @@ bound on the objective.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,6 +51,14 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[1]
 
+    @cached_property
+    def logistic_L(self) -> float:
+        """Gradient Lipschitz constant of the mean logistic loss on this data,
+        lambda_max(A'A)/(4M), with the spectral norm estimate inflated by 1%
+        so it stays a true upper bound.  Computed once per dataset."""
+        sn, _ = spectral_norm(self.features)
+        return 1.01 * sn / (4.0 * self.M)
+
 
 @dataclass(frozen=True)
 class Problem:
@@ -58,7 +67,9 @@ class Problem:
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when one
     exists; ``f_lower`` is any valid lower bound on the objective (used for
     suboptimality gaps).  ``convex`` marks objectives for which a reference
-    solution may be computed by descent.
+    solution may be computed by descent.  ``hessian``, when set, returns the
+    dense Hessian matrix at a point; the reference solver then uses Newton's
+    method.
     """
 
     name: str
@@ -71,6 +82,7 @@ class Problem:
     reference_opt: tuple[np.ndarray, float] | None = None
     f_lower: float | None = None
     params: dict = field(default_factory=dict)
+    hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -172,13 +184,18 @@ def rosenbrock() -> Problem:
 
 
 def _feature_operator(data: Dataset):
-    """Matvec pair (A @ x, A.T @ r) with a dense fast path for narrow matrices."""
+    """Products with A: (A @ x, A.T @ r, A.T diag(w) A as a dense n x n
+    matrix), with a dense fast path for narrow matrices."""
     if data.n <= _DENSE_FALLBACK_COLS:
         A = data.features.toarray()
-        return (lambda x: A @ x), (lambda r: A.T @ r)
+        return (lambda x: A @ x), (lambda r: A.T @ r), (lambda w: (A.T * w) @ A)
     A = data.features
     AT = A.T.tocsr()
-    return (lambda x: A @ x), (lambda r: AT @ r)
+    return (
+        (lambda x: A @ x),
+        (lambda r: AT @ r),
+        (lambda w: (AT @ sp.diags(w) @ A).toarray()),
+    )
 
 
 def _logistic_loss_mean(z: np.ndarray) -> float:
@@ -189,16 +206,16 @@ def _logistic_loss_mean(z: np.ndarray) -> float:
 def logreg_l2(data: Dataset, l2: float) -> Problem:
     """Mean logistic loss plus (l2/2) ||x||^2.
 
-    L = lambda_max(A'A)/(4M) + l2 and mu = l2.  The spectral norm estimate is
-    inflated by 1% so L stays a true upper bound.
+    L = lambda_max(A'A)/(4M) + l2 (see :attr:`Dataset.logistic_L`) and
+    mu = l2.  The Hessian is A' diag(s(1 - s)) A / M + l2 I with
+    s = expit(y * Ax).
     """
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
-    matvec, rmatvec = _feature_operator(data)
+    matvec, rmatvec, weighted_gram = _feature_operator(data)
     y = data.labels
     M = data.M
-    sn, _ = spectral_norm(data.features)
-    L = 1.01 * sn / (4.0 * M) + l2
+    L = data.logistic_L + l2
 
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
@@ -211,6 +228,13 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         s = expit(-z)
         return -rmatvec(y * s) / M + l2 * x
 
+    def hessian(x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        s = expit(y * matvec(x))
+        H = weighted_gram(s * (1.0 - s)) / M
+        H[np.diag_indices_from(H)] += l2
+        return H
+
     return Problem(
         name="logreg-l2",
         dim=data.n,
@@ -221,6 +245,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         convex=True,
         f_lower=0.0,
         params={"l2": l2, "M": M},
+        hessian=hessian,
     )
 
 
@@ -232,11 +257,10 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    matvec, rmatvec = _feature_operator(data)
+    matvec, rmatvec, _ = _feature_operator(data)
     y = data.labels
     M = data.M
-    sn, _ = spectral_norm(data.features)
-    L = 1.01 * sn / (4.0 * M) + 2.0 * lam
+    L = data.logistic_L + 2.0 * lam
 
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from agghb.libsvm import load_libsvm, parse_libsvm, to_dataset
+from agghb.problems import _DENSE_FALLBACK_COLS, Dataset
 
 AUSTRALIAN_M, AUSTRALIAN_N = 690, 14
 
@@ -83,3 +85,15 @@ def small_dataset():
     """Tiny dataset for cheap unit tests (40 samples, 6 features)."""
     text = synthetic_libsvm_text(M=40, n=6, seed=11)
     return to_dataset(parse_libsvm(text).records)
+
+
+@pytest.fixture(scope="session")
+def wide_dataset():
+    """Sparse dataset wide enough for the CSR branch of the logistic
+    objectives (200 samples, 80 features, about 15% nonzero)."""
+    rng = np.random.default_rng(5)
+    M, n = 200, 80
+    assert n > _DENSE_FALLBACK_COLS
+    dense = rng.standard_normal((M, n)) * (rng.random((M, n)) < 0.15)
+    z = dense @ rng.standard_normal(n) + rng.standard_normal(M)
+    return Dataset(features=sp.csr_matrix(dense), labels=np.where(z > 0, 1.0, -1.0))

@@ -203,6 +203,26 @@ class TestVerify:
         kv = parse_kv(out)
         assert kv["all_passed"] == ["true"]
         assert len(kv["check"]) == 2  # K = 10, 100
+        assert "reference_certificate" not in kv and "reference_certified" not in kv
+
+    def test_convex_trace_reports_certified_reference(self, capsys, tmp_path):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        out_path = tmp_path / "cvx.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "logreg-l2", "--data", str(data),
+            "--l2", "auto", "--betas", "0.9,0.95", "--gammas", "theory-cvx",
+            "--iters", "100", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(out_path))
+        assert code == EXIT_OK
+        keys = [line.partition("=")[0] for line in out.splitlines()]
+        assert keys[:3] == ["mode", "reference_certificate", "reference_certified"]
+        kv = parse_kv(out)
+        assert float(kv["reference_certificate"][0]) <= 1e-10
+        assert kv["reference_certified"] == ["true"]
+        assert kv["all_passed"] == ["true"]
 
     def test_tuned_trace_exit_two(self, capsys, tmp_path):
         trace = self._write_trace(capsys, tmp_path, gammas="tune")

@@ -1,8 +1,11 @@
 """Tests for the run driver, tuner, reference solver, verifier, and trace I/O."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import agghb.problems
 from agghb.harness import (
     RunConfig,
     Trace,
@@ -19,6 +22,7 @@ from agghb.harness import (
     tune,
     verify_bounds,
 )
+from agghb.libsvm import load_libsvm, to_dataset
 from agghb.problems import Problem, logreg_l2, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
@@ -247,6 +251,44 @@ class TestReferenceSolution:
         with pytest.raises(ValueError, match="not convex"):
             reference_solution(rosenbrock())
 
+    @pytest.mark.parametrize(
+        "dataset, l2",
+        [("small_dataset", 0.0), ("small_dataset", 1e-3), ("wide_dataset", 1e-3)],
+    )
+    def test_newton_matches_gradient_descent_oracle(self, request, dataset, l2):
+        problem = logreg_l2(request.getfixturevalue(dataset), l2=l2)
+        assert problem.hessian is not None
+        newton = reference_solution(problem)
+        plain = reference_solution(dataclasses.replace(problem, hessian=None))
+        assert newton.certified and plain.certified
+        assert newton.grad_norm <= 1e-10 and plain.grad_norm <= 1e-10
+        assert newton.f == pytest.approx(plain.f, rel=1e-12)
+
+    def test_newton_certifies_below_rounding_level_of_value(self, small_dataset):
+        # At 1e-14 the last Newton step changes f by less than its rounding
+        # error; max_iters=0 leaves no gradient-descent fallback to finish.
+        problem = logreg_l2(small_dataset, l2=1e-3)
+        ref = reference_solution(problem, grad_tol=1e-14, max_iters=0)
+        assert ref.certified and ref.grad_norm <= 1e-14
+
+    def test_failed_newton_falls_back_to_gradient_descent(self, small_dataset):
+        problem = logreg_l2(small_dataset, l2=1e-3)
+        singular = dataclasses.replace(
+            problem, hessian=lambda x: np.zeros((problem.dim, problem.dim))
+        )
+        ascent = dataclasses.replace(problem, hessian=lambda x: -np.eye(problem.dim))
+        expected = reference_solution(problem).f
+        for broken in (singular, ascent):
+            ref = reference_solution(broken)
+            assert ref.certified
+            assert ref.f == pytest.approx(expected, rel=1e-12)
+
+    def test_iteration_cap_leaves_reference_uncertified(self, small_dataset):
+        problem = dataclasses.replace(logreg_l2(small_dataset, l2=0.0), hessian=None)
+        ref = reference_solution(problem, max_iters=5)
+        assert not ref.certified
+        assert ref.grad_norm > 1e-10
+
 
 class TestVerifyBounds:
     def test_checkpoints(self):
@@ -265,7 +307,23 @@ class TestVerifyBounds:
         assert report.passed
         assert report.mode == "theory-cvx"
         assert [r.K for r in report.rows] == [10, 100, 1000]
-        assert report.certificate is not None
+        assert report.certificate is not None and report.certified
+
+    def test_uncertified_reference_fails_convex_report(self, small_dataset):
+        problem = logreg_l2(small_dataset, l2=1e-3)
+        cfg = RunConfig(
+            problem=problem.name, optimizer="hb", betas=(0.9,),
+            stepsize_mode="theory-cvx", iters=100,
+        )
+        trace = run(cfg, problem)
+        good = verify_bounds(trace, problem)
+        assert good.passed and good.certified
+        cut = reference_solution(dataclasses.replace(problem, hessian=None), max_iters=5)
+        assert not cut.certified
+        report = verify_bounds(trace, problem, reference=cut)
+        assert not report.passed
+        assert report.certified is False
+        assert report.certificate == cut.grad_norm
 
     def test_nonconvex_bound_holds_on_quadratic(self):
         problem = quadratic(np.diag(np.arange(1.0, 6.0)), np.zeros(5))
@@ -275,6 +333,7 @@ class TestVerifyBounds:
         )
         report = verify_bounds(run(cfg, problem), problem)
         assert report.passed
+        assert report.certificate is None and report.certified is None
         for row in report.rows:
             assert row.observed <= row.bound
 
@@ -403,6 +462,31 @@ class TestBuildProblem:
         p = build_problem("logreg-l2", {"data": str(path), "l2": "auto"})
         assert p.mu > 0
         assert p.mu == pytest.approx((p.L - p.mu) / 1e5, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [("logreg-l2", {"l2": "auto"}), ("logreg-l2", {"l2": 0.0}),
+         ("logreg-ncvx", {"lambda": "auto"})],
+    )
+    def test_logreg_build_computes_spectral_norm_once(
+        self, tmp_path, monkeypatch, name, params
+    ):
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        original = agghb.problems.spectral_norm
+        calls = []
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return original(A, *args, **kwargs)
+
+        monkeypatch.setattr(agghb.problems, "spectral_norm", counting)
+        p = build_problem(name, {"data": str(path), **params})
+        assert calls == [(30, 5)]
+        sn, _ = original(to_dataset(load_libsvm(path).records).features)
+        base = 1.01 * sn / (4.0 * 30)
+        reg = p.params.get("l2", 2.0 * p.params.get("lambda", 0.0))
+        assert p.L == base + reg  # bit-identical to the uncached formula
 
     def test_logreg_requires_data(self):
         with pytest.raises(ValueError, match="data"):

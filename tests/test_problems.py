@@ -18,6 +18,19 @@ from agghb.problems import (
 from conftest import synthetic_libsvm_text
 
 
+def fd_hessian_check(problem, x, rel=1e-5):
+    """Compare the Hessian with central differences of the gradient."""
+    h = 1e-5 * (1.0 + np.linalg.norm(x))
+    approx = np.column_stack([
+        (problem.gradient(x + h * e) - problem.gradient(x - h * e)) / (2.0 * h)
+        for e in np.eye(problem.dim)
+    ])
+    exact = problem.hessian(x)
+    assert exact.shape == (problem.dim, problem.dim)
+    np.testing.assert_allclose(exact, exact.T, rtol=0, atol=1e-15)
+    assert np.linalg.norm(approx - exact) <= rel * np.linalg.norm(exact)
+
+
 def fd_check(problem, x, rel=1e-5):
     h = 1e-6 * (1.0 + np.linalg.norm(x))
     approx = finite_diff_gradient(problem, x, h)
@@ -144,6 +157,15 @@ class TestLogregL2:
     def test_negative_l2_rejected(self):
         with pytest.raises(ValueError):
             logreg_l2(tiny_dataset(), l2=-1.0)
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    def test_hessian_matches_finite_differences(self, request, dataset, l2):
+        # small_dataset takes the dense fallback, wide_dataset the CSR branch.
+        p = logreg_l2(request.getfixturevalue(dataset), l2=l2)
+        x = 0.3 * np.random.default_rng(1).standard_normal(p.dim)
+        fd_hessian_check(p, np.zeros(p.dim))
+        fd_hessian_check(p, x)
 
     def test_strong_convexity_audit(self):
         data = tiny_dataset()
