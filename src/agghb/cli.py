@@ -8,7 +8,6 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import harness, theory
@@ -88,6 +87,14 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
+    # Kept so that invocations written for the former thread-pooled sweep
+    # still parse.
+    p.add_argument("--jobs", type=int, default=1,
+                   help="ignored: the tuning sweep advances all grid points "
+                        "together in one process")
+
+
 def cmd_run(args) -> int:
     problem = harness.build_problem(args.problem, _problem_params(args))
     betas = args.betas
@@ -114,7 +121,7 @@ def cmd_run(args) -> int:
     )
 
     if mode == "tune":
-        config, sweep = harness.tune(config, problem, jobs=args.jobs)
+        config, sweep = harness.tune(config, problem)
         for entry in sweep:
             _emit("sweep", f"a={entry.a!r} final_f={entry.final_f!r} "
                            f"diverged={'true' if entry.diverged else 'false'}")
@@ -146,7 +153,7 @@ def cmd_tune(args) -> int:
         seed=args.seed,
         problem_params=_problem_params(args),
     )
-    best, sweep = harness.tune(config, problem, jobs=args.jobs)
+    best, sweep = harness.tune(config, problem)
     for entry in sweep:
         _emit("sweep", f"a={entry.a!r} gamma={entry.gamma!r} final_f={entry.final_f!r} "
                        f"diverged={'true' if entry.diverged else 'false'}")
@@ -263,13 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated stepsizes, or one of: "
                             "theory-ncvx, theory-cvx, tune")
     p_run.add_argument("--out", default="trace.csv", help="trace CSV path")
-    p_run.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel jobs for tuning (default: available cores)")
+    _add_jobs_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_tune = sub.add_parser("tune", help="grid-search the stepsize scale a in gamma=a/L")
     _add_problem_flags(p_tune)
-    p_tune.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_jobs_flag(p_tune)
     p_tune.set_defaults(func=cmd_tune)
 
     p_verify = sub.add_parser("verify", help="check an exported trace against its bound")

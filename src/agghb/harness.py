@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -129,6 +128,21 @@ def default_start(problem: Problem, seed: int) -> np.ndarray:
     return np.zeros(problem.dim)
 
 
+def start_point(config: RunConfig, problem: Problem) -> np.ndarray:
+    """Starting point of a run: ``problem_params["x0"]`` when given, else
+    :func:`default_start`.  Refused unless it is a finite vector of the
+    problem's dimension."""
+    if "x0" in config.problem_params:
+        x0 = np.asarray(config.problem_params["x0"], dtype=float)
+    else:
+        x0 = default_start(problem, config.seed)
+    if x0.shape[0] != problem.dim:
+        raise ValueError(f"x0 has dimension {x0.shape[0]}, problem has {problem.dim}")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError("starting point contains non-finite values")
+    return x0
+
+
 def resolve_gammas(config: RunConfig, problem: Problem) -> tuple[float, ...]:
     """Materialize the stepsizes a run will use."""
     if config.stepsize_mode in ("explicit", "tuned"):
@@ -173,12 +187,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     """Execute a configured run and record metrics at every iterate."""
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
-    if "x0" in config.problem_params:
-        x0 = np.asarray(config.problem_params["x0"], dtype=float)
-    else:
-        x0 = default_start(problem, config.seed)
-    if x0.shape[0] != problem.dim:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, problem has {problem.dim}")
+    x0 = start_point(config, problem)
 
     snapshot = _constants_snapshot(acfg, problem, horizon=config.iters)
     track_avg = config.stepsize_mode == "theory-cvx"
@@ -253,34 +262,81 @@ class SweepEntry:
     diverged: bool
 
 
-def tune(
-    base: RunConfig, problem: Problem, jobs: int = 1
-) -> tuple[RunConfig, list[SweepEntry]]:
+def _columnwise(problem: Problem):
+    """A batched objective made of one ``value`` and ``gradient`` call per
+    column, for problems built without ``batch_objective``."""
+
+    def objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = np.empty(X.shape[1])
+        G = np.empty(X.shape)
+        for j in range(X.shape[1]):
+            f[j] = problem.value(X[:, j])
+            G[:, j] = problem.gradient(X[:, j])
+        return f, G
+
+    return objective
+
+
+def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]]:
     """Grid-search the uniform stepsize gamma = a/L over a in 2^-6 .. 2^8.
 
-    Best is the lowest final objective among non-diverged runs, ties broken
-    toward the smaller stepsize.  Returns the resolved config (mode "tuned")
-    and the full sweep table.
+    All grid points advance together: the iterates are the columns of one
+    X (d, P) and the momentum buffers one V (m, d, P), each step makes one
+    ``problem.batch_objective`` call (or one ``value`` and ``gradient`` call
+    per column when the problem has none), and every column follows
+    :func:`run`'s recurrence and divergence rule.  A point diverges when its
+    objective or gradient turns non-finite, or a step makes its iterate or
+    buffers non-finite; its column is then dropped.  Best is the lowest
+    final objective among non-diverged points, ties broken toward the
+    smaller stepsize.  Returns the resolved config (mode "tuned") and the
+    full sweep table.
     """
     if base.stepsize_mode != "tune":
         raise ValueError("tune() expects a config with stepsize mode 'tune'")
     m = len(base.betas)
+    configs = [AggConfig(betas=base.betas, gammas=(a / problem.L,) * m) for a in TUNING_GRID]
+    x0 = start_point(base, problem)
+    objective = problem.batch_objective or _columnwise(problem)
 
-    def run_point(a: float) -> SweepEntry:
-        gammas = (a / problem.L,) * m
-        cfg = replace(base, stepsize_mode="explicit", gammas=gammas)
-        trace = run(cfg, problem)
-        final_f = float(trace.f[-1]) if not trace.diverged else float("inf")
-        return SweepEntry(
-            a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged
-        )
+    P = len(TUNING_GRID)
+    live = np.arange(P)  # grid indices of the columns still advancing
+    gamma = np.array([c.gammas[0] for c in configs])
+    beta = np.array(base.betas)[:, None, None]
+    X = np.repeat(x0.reshape(-1, 1), P, axis=1)
+    V = np.zeros((m,) + X.shape)
+    final_f = np.full(P, np.inf)
+    diverged = np.zeros(P, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(base.iters + 1):
+            f, G = objective(X)
+            last = k == base.iters
+            if not last:
+                V *= beta
+                V += G
+                update = gamma * V[0]
+                for i in range(1, m):
+                    update += gamma * V[i]
+                X -= update / m
+            # A non-finite gradient entry makes its buffers, and through them
+            # the new iterate, non-finite, so X covers G except at the last
+            # iterate, where no step is taken.  One finite scalar clears the
+            # common case.
+            checked = G if last else X
+            if not np.isfinite(f.sum() + checked.sum()):
+                bad = ~(np.isfinite(f) & np.isfinite(checked).all(axis=0))
+                diverged[live[bad]] = True
+                keep = ~bad
+                live, gamma, f = live[keep], gamma[keep], f[keep]
+                X, V = X[:, keep], V[:, :, keep]
+            if last:
+                final_f[live] = f
+            if live.size == 0:
+                break
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            sweep = list(pool.map(run_point, TUNING_GRID))
-    else:
-        sweep = [run_point(a) for a in TUNING_GRID]
-
+    sweep = [
+        SweepEntry(a=a, gamma=c.gammas[0], final_f=float(fv), diverged=bool(d))
+        for a, c, fv, d in zip(TUNING_GRID, configs, final_f, diverged)
+    ]
     best = None
     for entry in sweep:  # grid order is ascending, so ties keep the smaller a
         if entry.diverged:

@@ -21,6 +21,11 @@ from scipy.special import expit
 # dense matvecs beat sparse ones on such narrow matrices.
 _DENSE_FALLBACK_COLS = 64
 
+# The batched logistic objectives work through the columns of X in blocks
+# whose M x width temporaries stay near this size, so a wide sweep on many
+# samples does not grow the resident set by M x P doubles per temporary.
+_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -69,7 +74,10 @@ class Problem:
     suboptimality gaps).  ``convex`` marks objectives for which a reference
     solution may be computed by descent.  ``hessian``, when set, returns the
     dense Hessian matrix at a point; the reference solver then uses Newton's
-    method.
+    method.  ``batch_objective``, when set, evaluates many points at once:
+    the columns of X (dim, P) map to their values f (P,) and gradients
+    G (dim, P), as ``value`` and ``gradient`` would up to rounding; the
+    stepsize sweep advances all its grid points through it.
     """
 
     name: str
@@ -83,6 +91,7 @@ class Problem:
     f_lower: float | None = None
     params: dict = field(default_factory=dict)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    batch_objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -114,6 +123,10 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
     def gradient(x: np.ndarray) -> np.ndarray:
         return Q @ np.asarray(x, dtype=float) - b
 
+    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        QX = Q @ X
+        return 0.5 * np.einsum("ij,ij->j", X, QX) - b @ X, QX - b[:, None]
+
     reference = None
     f_lower = None
     if lam_min > 1e-12 * lam_max:
@@ -133,6 +146,7 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         reference_opt=reference,
         f_lower=f_lower,
         params={"dim": Q.shape[0]},
+        batch_objective=batch_objective,
     )
 
 
@@ -158,6 +172,12 @@ def rosenbrock() -> Problem:
             ]
         )
 
+    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x, y = X[0], X[1]
+        r = y - x * x
+        f = (1.0 - x) ** 2 + 100.0 * r ** 2
+        return f, np.stack((-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r))
+
     # Hessian entries: hxx = 2 - 400 y + 1200 x^2, hxy = -400 x, hyy = 200.
     xs = np.linspace(-2.0, 2.0, 81)
     ys = np.linspace(-2.0, 2.0, 81)
@@ -180,6 +200,7 @@ def rosenbrock() -> Problem:
         reference_opt=(np.array([1.0, 1.0]), 0.0),
         f_lower=0.0,
         params={"L_is_local_estimate": True},
+        batch_objective=batch_objective,
     )
 
 
@@ -201,6 +222,33 @@ def _feature_operator(data: Dataset):
 def _logistic_loss_mean(z: np.ndarray) -> float:
     # log(1 + exp(-z)) evaluated as logaddexp(0, -z): stable for any |z|.
     return float(np.mean(np.logaddexp(0.0, -z)))
+
+
+def _logistic_batch(data: Dataset, matvec, rmatvec):
+    """Mean logistic loss and its gradient at every column of X (n, P).
+
+    Each block of columns shares z = y * AX and one exp(-|z|) per entry:
+    log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
+    expit(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
+    otherwise; both forms stay finite for any finite z.
+    """
+    y = data.labels[:, None]
+    M = data.M
+    width = max(1, _BLOCK_BYTES // (8 * M))
+
+    def loss_and_grad(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f = np.empty(X.shape[1])
+        G = np.empty(X.shape)
+        for lo in range(0, X.shape[1], width):
+            cols = slice(lo, lo + width)
+            z = y * matvec(X[:, cols])
+            e = np.exp(-np.abs(z))
+            f[cols] = np.mean(np.maximum(-z, 0.0) + np.log1p(e), axis=0)
+            s = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+            G[:, cols] = -rmatvec(y * s) / M
+        return f, G
+
+    return loss_and_grad
 
 
 def logreg_l2(data: Dataset, l2: float) -> Problem:
@@ -235,6 +283,12 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         H[np.diag_indices_from(H)] += l2
         return H
 
+    loss_and_grad = _logistic_batch(data, matvec, rmatvec)
+
+    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, G = loss_and_grad(X)
+        return f + 0.5 * l2 * np.einsum("ij,ij->j", X, X), G + l2 * X
+
     return Problem(
         name="logreg-l2",
         dim=data.n,
@@ -246,6 +300,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         f_lower=0.0,
         params={"l2": l2, "M": M},
         hessian=hessian,
+        batch_objective=batch_objective,
     )
 
 
@@ -275,6 +330,14 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         reg = 2.0 * lam * x / (1.0 + x * x) ** 2
         return -rmatvec(y * s) / M + reg
 
+    loss_and_grad = _logistic_batch(data, matvec, rmatvec)
+
+    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, G = loss_and_grad(X)
+        xsq = X * X
+        reg = 2.0 * lam * X / (1.0 + xsq) ** 2
+        return f + lam * np.sum(xsq / (1.0 + xsq), axis=0), G + reg
+
     return Problem(
         name="logreg-ncvx",
         dim=data.n,
@@ -285,6 +348,7 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         convex=False,
         f_lower=0.0,
         params={"lambda": lam, "M": M},
+        batch_objective=batch_objective,
     )
 
 

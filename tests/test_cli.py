@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
 
 from conftest import synthetic_libsvm_text
 
@@ -263,6 +263,21 @@ class TestTuneCommand:
         kv = parse_kv(out)
         assert len(kv["sweep"]) == 15
         assert "best_gamma" in kv
+
+    @pytest.mark.parametrize("command", ["tune", "run"])
+    def test_jobs_is_ignored(self, capsys, tmp_path, command):
+        argv = [command, "--problem", "rosenbrock", "--betas", "0.9,0.99",
+                "--iters", "300"]
+        if command == "run":
+            argv += ["--gammas", "tune", "--out", str(tmp_path / "t.csv")]
+        outputs = []
+        for jobs in ("1", "4"):
+            code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
+            assert code == EXIT_OK
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(parse_kv(outputs[0])["sweep"]) == 15
+        assert build_parser().parse_args(argv).jobs == 1
 
 
 class TestParseCheck:

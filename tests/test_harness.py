@@ -8,6 +8,7 @@ import pytest
 import agghb.problems
 from agghb.harness import (
     RunConfig,
+    SweepEntry,
     Trace,
     TuningError,
     VerificationRefused,
@@ -23,7 +24,7 @@ from agghb.harness import (
     verify_bounds,
 )
 from agghb.libsvm import load_libsvm, to_dataset
-from agghb.problems import Problem, logreg_l2, quadratic, rosenbrock
+from agghb.problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
 
@@ -213,14 +214,17 @@ class TestTune:
         assert len(exc.value.sweep) == 15
         assert all(e.diverged for e in exc.value.sweep)
 
-    def test_parallel_matches_serial(self):
-        problem = quadratic(np.diag([1.0, 3.0]), np.array([0.5, -0.5]))
-        base = self._base(betas=(0.9,), optimizer="hb", iters=50,
-                          params={"x0": [1.0, 1.0]})
-        best1, sweep1 = tune(base, problem, jobs=1)
-        best4, sweep4 = tune(base, problem, jobs=4)
-        assert best1 == best4
-        assert sweep1 == sweep4
+    def test_all_diverged_raises_on_batched_path(self):
+        problem = dataclasses.replace(identity_quadratic(), L=1e-12)
+        assert problem.batch_objective is not None
+        with pytest.raises(TuningError) as exc:
+            tune(self._base(iters=400), problem)
+        assert len(exc.value.sweep) == 15
+        assert all(e.diverged for e in exc.value.sweep)
+
+    def test_wrong_dimension_x0_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            tune(self._base(params={"x0": [1.0, 2.0]}), identity_quadratic(3))
 
     def test_requires_tune_mode(self):
         cfg = RunConfig(
@@ -229,6 +233,78 @@ class TestTune:
         )
         with pytest.raises(ValueError, match="mode 'tune'"):
             tune(cfg, identity_quadratic())
+
+
+def serial_sweep(base, problem):
+    """The per-point sweep ``tune`` replaced: one full ``run`` per grid point."""
+    m = len(base.betas)
+    sweep = []
+    for a in TUNING_GRID:
+        gammas = (a / problem.L,) * m
+        cfg = dataclasses.replace(base, stepsize_mode="explicit", gammas=gammas)
+        trace = run(cfg, problem)
+        final_f = float(trace.f[-1]) if not trace.diverged else float("inf")
+        sweep.append(SweepEntry(
+            a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged
+        ))
+    return sweep
+
+
+def _logreg(dataset, l2):
+    def build(request):
+        data = request.getfixturevalue(dataset)
+        return logreg_l2(data, data.logistic_L / 1e5 if l2 == "auto" else l2)
+    return build
+
+
+class TestTuneMatchesSerialRuns:
+    """The batched sweep against :func:`serial_sweep` as oracle.
+
+    The two paths round differently (gemm against gemv, one shared
+    exp(-|z|) against separate logaddexp and expit), and large-stepsize
+    logistic points amplify that until they differ at the first digit, so
+    values are compared only at points within 1e-6 (relative) of the oracle
+    minimum.  The paths can then also break a near-tie differently; the
+    batched pick must tie the oracle minimum.
+    """
+
+    @pytest.mark.parametrize("case", [
+        ("quadratic", lambda request: quadratic(
+            np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.5, -0.5])), (0.9,), 300, 6),
+        ("quadratic-columnwise", lambda request: dataclasses.replace(
+            quadratic(np.diag([1.0, 3.0]), np.array([0.5, -0.5])),
+            batch_objective=None), (0.9, 0.5), 300, 6),
+        ("rosenbrock", lambda request: rosenbrock(), (0.9, 0.95, 0.99, 0.999), 5000, 5),
+        ("logreg-l2-zero-dense", _logreg("australian_dataset", 0.0), (0.9, 0.95, 0.99), 600, 0),
+        ("logreg-l2-auto-dense", _logreg("australian_dataset", "auto"), (0.9, 0.95, 0.99), 600, 0),
+        ("logreg-l2-zero-csr", _logreg("wide_dataset", 0.0), (0.9, 0.95, 0.99), 300, 0),
+        ("logreg-l2-auto-csr", _logreg("wide_dataset", "auto"), (0.9, 0.95, 0.99), 300, 0),
+        ("logreg-ncvx", lambda request: logreg_nonconvex(
+            request.getfixturevalue("australian_dataset"), 1e-3), (0.9, 0.95), 600, 0),
+    ], ids=lambda case: case[0])
+    def test_batched_matches_serial(self, request, case):
+        _, build, betas, iters, n_diverged = case
+        problem = build(request)
+        base = RunConfig(
+            problem=problem.name, optimizer="hb" if len(betas) == 1 else "agghb",
+            betas=betas, stepsize_mode="tune", iters=iters, seed=0,
+        )
+        best, sweep = tune(base, problem)
+        oracle = serial_sweep(base, problem)
+
+        assert [(e.a, e.gamma) for e in sweep] == [(o.a, o.gamma) for o in oracle]
+        assert [e.diverged for e in sweep] == [o.diverged for o in oracle]
+        assert sum(e.diverged for e in sweep) == n_diverged
+        finite = [o for o in oracle if not o.diverged]
+        f_min = min(o.final_f for o in finite)
+        for e, o in zip(sweep, oracle):
+            if not o.diverged and o.final_f - f_min <= 1e-6 * abs(f_min):
+                assert abs(e.final_f - o.final_f) <= 1e-12 * abs(o.final_f), (e, o)
+
+        oracle_best = min(finite, key=lambda o: o.final_f)  # first minimum: smallest a
+        if best.gammas[0] != oracle_best.gamma:
+            picked = next(o for o in oracle if o.gamma == best.gammas[0])
+            assert abs(picked.final_f - f_min) <= 1e-12 * abs(f_min)
 
 
 class TestReferenceSolution:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import agghb.problems
 from agghb.libsvm import parse_libsvm, to_dataset
 from agghb.problems import (
     Dataset,
@@ -319,3 +320,49 @@ class TestShippedProblemAudits:
                 ydir /= max(1.0, np.linalg.norm(ydir))
                 lhs = np.linalg.norm(p.gradient(x) - p.gradient(ydir))
                 assert lhs <= 1.01 * p.L * np.linalg.norm(x - ydir) + 1e-12
+
+
+class TestBatchObjective:
+    """``batch_objective`` against per-column ``value`` and ``gradient``."""
+
+    @staticmethod
+    def _assert_matches_columns(p, X):
+        f, G = p.batch_objective(X)
+        assert f.shape == (X.shape[1],) and G.shape == X.shape
+        for j in range(X.shape[1]):
+            fj, gj = p.value(X[:, j]), p.gradient(X[:, j])
+            assert abs(f[j] - fj) <= 1e-12 * abs(fj)
+            assert np.linalg.norm(G[:, j] - gj) <= 1e-12 * np.linalg.norm(gj)
+
+    @staticmethod
+    def _points(dim, P, seed):
+        X = np.random.default_rng(seed).standard_normal((dim, P))
+        X[:, 1::3] *= 1e3  # margins |z| >= 700, where exp(-|z|) underflows
+        return X
+
+    def test_quadratic_and_rosenbrock(self):
+        rng = np.random.default_rng(31)
+        B = rng.standard_normal((6, 6))
+        for p in (quadratic(B @ B.T + np.eye(6), np.arange(6.0)), rosenbrock()):
+            self._assert_matches_columns(p, self._points(p.dim, 15, seed=32))
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    @pytest.mark.parametrize("build", [
+        lambda d: logreg_l2(d, 0.0),
+        lambda d: logreg_l2(d, 1e-3),
+        lambda d: logreg_nonconvex(d, 1e-2),
+    ], ids=["l2-zero", "l2", "ncvx"])
+    def test_logistic_on_both_feature_branches(self, request, dataset, build):
+        data = request.getfixturevalue(dataset)
+        p = build(data)
+        X = self._points(p.dim, 15, seed=33)
+        z = data.labels[:, None] * (data.features @ X)
+        assert np.abs(z).max() >= 700.0
+        self._assert_matches_columns(p, X)
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_logistic_column_blocks_with_remainder(self, request, dataset, monkeypatch):
+        data = request.getfixturevalue(dataset)
+        monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8 * data.M * 4)
+        for p in (logreg_l2(data, 1e-3), logreg_nonconvex(data, 1e-2)):
+            self._assert_matches_columns(p, self._points(p.dim, 11, seed=34))
