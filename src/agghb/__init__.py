@@ -4,13 +4,9 @@ from .optim import (
     AggConfig,
     AveragingState,
     DivergenceError,
-    HeavyBallState,
     OptimizerState,
     averaging_update,
-    hb_init,
-    hb_step,
     init,
-    momentum_expansion,
     step,
     virtual_iterate,
     virtual_step_size,

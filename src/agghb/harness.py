@@ -10,6 +10,7 @@ bounds later from the exported files alone.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -19,15 +20,11 @@ import numpy as np
 
 from . import theory
 from .libsvm import load_libsvm, to_dataset
-from .optim import (
-    AggConfig,
-    AveragingState,
-    DivergenceError,
-    averaging_update,
-    init,
-    step,
-    virtual_iterate,
-    virtual_step_size,
+# init, step, virtual_iterate and averaging_update are not used here; they stay
+# importable from this module, where bench/tracer.py patches them.
+from .optim import (  # noqa: F401
+    AggConfig, AveragingState, average_inplace, averaging_update, init, step,
+    step_inplace, virtual_coefficients, virtual_iterate, virtual_step_size, weighted_sum,
 )
 from .problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
@@ -183,8 +180,34 @@ def _constants_snapshot(
     }
 
 
+def _value_and_grad(problem: Problem):
+    """``problem.value_and_grad``, or one ``value`` and one ``gradient`` call
+    for problems built without it."""
+    if problem.value_and_grad is not None:
+        return problem.value_and_grad
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        g = np.asarray(problem.gradient(x), dtype=float)
+        if g.shape != x.shape:
+            raise ValueError(f"gradient shape {g.shape} != iterate shape {x.shape}")
+        return problem.value(x), g
+
+    return objective
+
+
 def run(config: RunConfig, problem: Problem) -> Trace:
-    """Execute a configured run and record metrics at every iterate."""
+    """Execute a configured run and record metrics at every iterate.
+
+    The iterate x (d,) and the momentum buffers V (m, d) are updated in
+    place by :func:`optim.step_inplace`, and each iterate makes one
+    ``problem.value_and_grad`` call (``value`` plus ``gradient`` for problems
+    without it); theory-cvx adds one ``value`` call at the averaged iterate.
+    The run stops early, flagged ``diverged``, at the first non-finite
+    objective or gradient, or when a step makes the iterate or buffers
+    non-finite.  After every step the momentum-corrected iterate is checked
+    against its pure gradient recursion, and the largest relative defect is
+    kept as ``max_virtual_residual``.
+    """
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
     x0 = start_point(config, problem)
@@ -192,54 +215,66 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     snapshot = _constants_snapshot(acfg, problem, horizon=config.iters)
     track_avg = config.stepsize_mode == "theory-cvx"
     x_star = problem.reference_opt[0] if problem.reference_opt is not None else None
+    objective = _value_and_grad(problem)
 
     t0 = time.perf_counter()
-    state = init(acfg, x0)
-    avg = None
+    x = x0.copy()
+    V = np.zeros((acfg.m, x.shape[0]))
+    betas = np.array(acfg.betas)[:, None]
     if track_avg:
         rho = 1.0 / (1.0 - problem.mu * snapshot["F"] / 2.0)
-        avg = AveragingState.fresh(rho, problem.dim)
+        xbar = AveragingState.fresh(rho, problem.dim).xbar  # refuses rho < 1
+        weight_sum = 0.0
 
     vstep = virtual_step_size(acfg)
-    x_tilde = virtual_iterate(state)
+    vcoefs = virtual_coefficients(acfg)
+    x_tilde = x.copy()
     max_residual = 0.0
 
-    ks, fs, gnorms = [], [], []
+    fs, gnorms = [], []
     dists = [] if x_star is not None else None
     favgs = [] if track_avg else None
     diverged = False
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iters + 1):
-            f_k = problem.value(state.x)
-            g_k = problem.gradient(state.x)
-            ks.append(k)
+            f_k, g_k = objective(x)
             fs.append(f_k)
-            gnorms.append(float(np.linalg.norm(g_k)))
+            gnorms.append(math.sqrt(g_k @ g_k))
             if dists is not None:
-                dists.append(float(np.linalg.norm(state.x - x_star)))
+                e = x - x_star
+                dists.append(math.sqrt(e @ e))
             if track_avg:
-                avg = averaging_update(avg, state.x)
-                favgs.append(problem.value(avg.xbar))
-            if not np.isfinite(f_k) or not np.all(np.isfinite(g_k)):
+                weight_sum = average_inplace(xbar, weight_sum, rho, x)
+                favgs.append(problem.value(xbar))
+            # One scalar clears the common case; the elementwise test runs
+            # only when the sum is not finite, which overflow alone can cause.
+            if not math.isfinite(f_k + g_k.sum()) and not (
+                math.isfinite(f_k) and np.isfinite(g_k).all()
+            ):
                 diverged = True
                 break
             if k == config.iters:
                 break
-            try:
-                state = step(state, g_k)
-            except DivergenceError:
+            # g_k may be a view of x, which the step overwrites; it is read
+            # only before that.
+            prev_norm = math.sqrt(x_tilde @ x_tilde)
+            predicted = x_tilde - vstep * g_k
+            step_inplace(x, V, g_k, betas, gammas)
+            # A non-finite buffer entry always reaches x through the averaged
+            # update, so x alone decides in the common case.
+            if not math.isfinite(x.sum()) and not (
+                np.isfinite(x).all() and np.isfinite(V).all()
+            ):
                 diverged = True
                 break
-            prev_norm = float(np.linalg.norm(x_tilde))
-            predicted = x_tilde - vstep * g_k
-            x_tilde = virtual_iterate(state)
-            residual = float(np.linalg.norm(x_tilde - predicted)) / (1.0 + prev_norm)
-            max_residual = max(max_residual, residual)
+            x_tilde = x - weighted_sum(vcoefs, V) / acfg.m
+            e = x_tilde - predicted
+            max_residual = max(max_residual, math.sqrt(e @ e) / (1.0 + prev_norm))
 
     wall = time.perf_counter() - t0
     return Trace(
-        ks=np.asarray(ks, dtype=int),
+        ks=np.arange(len(fs)),
         f=np.asarray(fs, dtype=float),
         grad_norm=np.asarray(gnorms, dtype=float),
         dist_opt=None if dists is None else np.asarray(dists, dtype=float),
@@ -263,18 +298,17 @@ class SweepEntry:
 
 
 def _columnwise(problem: Problem):
-    """A batched objective made of one ``value`` and ``gradient`` call per
+    """A batched objective made of one :func:`_value_and_grad` call per
     column, for problems built without ``batch_objective``."""
+    objective = _value_and_grad(problem)
 
-    def objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f = np.empty(X.shape[1])
-        G = np.empty(X.shape)
+    def batch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, G = np.empty(X.shape[1]), np.empty(X.shape)
         for j in range(X.shape[1]):
-            f[j] = problem.value(X[:, j])
-            G[:, j] = problem.gradient(X[:, j])
+            f[j], G[:, j] = objective(X[:, j])
         return f, G
 
-    return objective
+    return batch
 
 
 def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]]:
@@ -282,8 +316,8 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
 
     All grid points advance together: the iterates are the columns of one
     X (d, P) and the momentum buffers one V (m, d, P), each step makes one
-    ``problem.batch_objective`` call (or one ``value`` and ``gradient`` call
-    per column when the problem has none), and every column follows
+    ``problem.batch_objective`` call (or one objective call per column, as
+    in :func:`run`, when the problem has none), and every column follows
     :func:`run`'s recurrence and divergence rule.  A point diverges when its
     objective or gradient turns non-finite, or a step makes its iterate or
     buffers non-finite; its column is then dropped.  Best is the lowest
@@ -311,12 +345,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             f, G = objective(X)
             last = k == base.iters
             if not last:
-                V *= beta
-                V += G
-                update = gamma * V[0]
-                for i in range(1, m):
-                    update += gamma * V[i]
-                X -= update / m
+                step_inplace(X, V, G, beta, (gamma,) * m)
             # A non-finite gradient entry makes its buffers, and through them
             # the new iterate, non-finite, so X covers G except at the last
             # iterate, where no step is taken.  One finite scalar clears the
@@ -345,10 +374,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             best = entry
     if best is None:
         raise TuningError("every stepsize in the tuning grid diverged", sweep)
-    best_cfg = replace(
-        base, stepsize_mode="tuned", gammas=(best.gamma,) * m
-    )
-    return best_cfg, sweep
+    return replace(base, stepsize_mode="tuned", gammas=(best.gamma,) * m), sweep
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,11 @@ With ``m = 1`` this is exactly the classical heavy-ball recurrence, and with
 all ``beta_i = 0`` it collapses to gradient descent with step
 ``(1/m) * sum_i gamma_i``.
 
-States are plain immutable values; every update returns a new state, so a
-state can be shared between threads or replayed freely.
+The buffers are one (m, d) array.  :func:`step_inplace` is the step
+arithmetic on such arrays, updated in place; it also advances a batch of
+iterates, with X (d, P) and buffers V (m, d, P).  :func:`step` applies it to
+copies, so an :class:`OptimizerState` is never modified and can be replayed
+freely.
 """
 
 from __future__ import annotations
@@ -74,13 +77,14 @@ class AggConfig:
 class OptimizerState:
     """Iterate, momentum buffers, and step counter of one run.
 
-    After ``init`` the buffers are zero; the buffers stored at counter ``k``
-    are the ones that produced ``x`` (i.e. the values as of step ``k - 1``),
+    ``buffers`` is one (m, d) array, row ``i`` holding ``V_i``.  After
+    ``init`` the buffers are zero; the buffers stored at counter ``k`` are
+    the ones that produced ``x`` (i.e. the values as of step ``k - 1``),
     which is what the virtual-iterate formula reads.
     """
 
     x: np.ndarray
-    buffers: tuple[np.ndarray, ...]
+    buffers: np.ndarray
     k: int
     config: AggConfig
 
@@ -92,13 +96,36 @@ def init(config: AggConfig, x0: np.ndarray) -> OptimizerState:
     size ``(1/m) * sum_i gamma_i``, since every buffer becomes the bare
     gradient.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim != 1:
-        x0 = x0.reshape(-1)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting point contains non-finite values")
-    zeros = tuple(np.zeros_like(x0) for _ in range(config.m))
-    return OptimizerState(x=x0.copy(), buffers=zeros, k=0, config=config)
+    buffers = np.zeros((config.m, x0.shape[0]))
+    return OptimizerState(x=x0.copy(), buffers=buffers, k=0, config=config)
+
+
+def weighted_sum(coefs, V: np.ndarray) -> np.ndarray:
+    """``sum_i coefs[i] * V[i]`` over the leading axis of ``V``, accumulated in
+    index order."""
+    acc = coefs[0] * V[0]
+    for i in range(1, len(V)):
+        acc += coefs[i] * V[i]
+    return acc
+
+
+def step_inplace(
+    x: np.ndarray, V: np.ndarray, grad: np.ndarray, betas: np.ndarray, gammas
+) -> None:
+    """One aggregated step on ``x`` and its buffers ``V``, both updated in place.
+
+    ``V`` holds the m buffers along its leading axis: (m, d) for one iterate
+    ``x`` (d,), or (m, d, P) for P iterates as the columns of ``x`` (d, P).
+    ``betas`` has shape (m, 1) or (m, 1, 1) to broadcast against ``V``, and
+    ``gammas[i]`` is a float or a (P,) row of per-column stepsizes.  ``grad``
+    is read before ``x`` is written, so it may be a view of ``x``.
+    """
+    V *= betas
+    V += grad
+    x -= weighted_sum(gammas, V) / len(V)
 
 
 def step(state: OptimizerState, grad: np.ndarray) -> OptimizerState:
@@ -110,19 +137,16 @@ def step(state: OptimizerState, grad: np.ndarray) -> OptimizerState:
         raise DivergenceError(f"non-finite gradient at iteration {state.k}", state=state)
 
     cfg = state.config
-    new_buffers = tuple(
-        b * v + grad for b, v in zip(cfg.betas, state.buffers)
-    )
-    update = np.zeros_like(state.x)
-    for g, v in zip(cfg.gammas, new_buffers):
-        update += g * v
-    new_x = state.x - update / cfg.m
-
-    if not np.all(np.isfinite(new_x)) or not all(
-        np.all(np.isfinite(v)) for v in new_buffers
-    ):
+    x, V = state.x.copy(), state.buffers.copy()
+    step_inplace(x, V, grad, np.array(cfg.betas)[:, None], cfg.gammas)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(V))):
         raise DivergenceError(f"iterate diverged at iteration {state.k}", state=state)
-    return OptimizerState(x=new_x, buffers=new_buffers, k=state.k + 1, config=cfg)
+    return OptimizerState(x=x, buffers=V, k=state.k + 1, config=cfg)
+
+
+def virtual_coefficients(config: AggConfig) -> tuple[float, ...]:
+    """Buffer weights ``beta_i gamma_i / (1 - beta_i)`` of the virtual iterate."""
+    return tuple(b * g / (1.0 - b) for b, g in zip(config.betas, config.gammas))
 
 
 def virtual_iterate(state: OptimizerState) -> np.ndarray:
@@ -135,30 +159,12 @@ def virtual_iterate(state: OptimizerState) -> np.ndarray:
     directly; on a fresh state it returns ``x0``.
     """
     cfg = state.config
-    offset = np.zeros_like(state.x)
-    for b, g, v in zip(cfg.betas, cfg.gammas, state.buffers):
-        offset += (b * g / (1.0 - b)) * v
-    return state.x - offset / cfg.m
+    return state.x - weighted_sum(virtual_coefficients(cfg), state.buffers) / cfg.m
 
 
 def virtual_step_size(config: AggConfig) -> float:
     """Effective stepsize (1/m) sum_i gamma_i / (1 - beta_i) of the virtual recursion."""
     return sum(g / (1.0 - b) for b, g in zip(config.betas, config.gammas)) / config.m
-
-
-def momentum_expansion(grad_history: list[np.ndarray], beta: float) -> np.ndarray:
-    """Geometric-weight sum ``sum_l beta^l * grad[-1 - l]`` over a gradient history.
-
-    A momentum buffer with decay ``beta``, fed the gradients in
-    ``grad_history`` in order, must equal this value exactly; it serves as an
-    independent check of buffer contents.
-    """
-    if len(grad_history) == 0:
-        raise ValueError("empty gradient history")
-    acc = np.zeros_like(np.asarray(grad_history[0], dtype=float))
-    for g in grad_history:
-        acc = beta * acc + np.asarray(g, dtype=float)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -181,46 +187,23 @@ class AveragingState:
         return cls(xbar=np.zeros(dim), weight_sum=0.0, rho=float(rho))
 
 
+def average_inplace(xbar: np.ndarray, weight_sum: float, rho: float, x_k: np.ndarray) -> float:
+    """Fold ``x_k`` into the average ``xbar`` in place; returns the new weight sum.
+
+    Normalized recurrence: previous weights shrink by 1/rho, the new point
+    gets weight 1.
+    """
+    w = weight_sum / rho + 1.0
+    xbar *= w - 1.0
+    xbar += x_k
+    xbar /= w
+    return w
+
+
 def averaging_update(avg: AveragingState, x_k: np.ndarray) -> AveragingState:
     """Fold the next iterate into the running weighted average."""
     if avg.rho < 1.0:
         raise ValueError(f"weight ratio rho must be >= 1, got {avg.rho}")
-    x_k = np.asarray(x_k, dtype=float)
-    # Normalized recurrence: previous weights shrink by 1/rho, new point gets weight 1.
-    w = avg.weight_sum / avg.rho + 1.0
-    xbar = (avg.xbar * (w - 1.0) + x_k) / w
+    xbar = avg.xbar.copy()
+    w = average_inplace(xbar, avg.weight_sum, avg.rho, np.asarray(x_k, dtype=float))
     return AveragingState(xbar=xbar, weight_sum=w, rho=avg.rho)
-
-
-@dataclass(frozen=True)
-class HeavyBallState:
-    """State of the classical single-buffer recurrence V <- beta*V + g, x <- x - gamma*V."""
-
-    x: np.ndarray
-    v: np.ndarray
-    k: int
-    beta: float
-    gamma: float
-
-
-def hb_init(x0: np.ndarray, beta: float, gamma: float) -> HeavyBallState:
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(x0)):
-        raise ValueError("starting point contains non-finite values")
-    if not (0.0 <= beta < 1.0):
-        raise ValueError(f"momentum parameter {beta} outside [0, 1)")
-    if not (gamma > 0.0):
-        raise ValueError(f"stepsize {gamma} must be positive")
-    return HeavyBallState(x=x0.copy(), v=np.zeros_like(x0), k=0, beta=beta, gamma=gamma)
-
-
-def hb_step(state: HeavyBallState, grad: np.ndarray) -> HeavyBallState:
-    """One heavy-ball update; the direct recurrence, independent of the aggregated machine."""
-    grad = np.asarray(grad, dtype=float)
-    if not np.all(np.isfinite(grad)):
-        raise DivergenceError(f"non-finite gradient at iteration {state.k}")
-    v = state.beta * state.v + grad
-    x = state.x - state.gamma * v
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(f"iterate diverged at iteration {state.k}")
-    return HeavyBallState(x=x, v=v, k=state.k + 1, beta=state.beta, gamma=state.gamma)

@@ -74,7 +74,10 @@ class Problem:
     suboptimality gaps).  ``convex`` marks objectives for which a reference
     solution may be computed by descent.  ``hessian``, when set, returns the
     dense Hessian matrix at a point; the reference solver then uses Newton's
-    method.  ``batch_objective``, when set, evaluates many points at once:
+    method.  ``value_and_grad``, when set, returns ``(value(x), gradient(x))``
+    from one pass over the data; ``harness.run`` makes one such call per
+    iterate and falls back to ``value`` plus ``gradient`` without it.
+    ``batch_objective``, when set, evaluates many points at once:
     the columns of X (dim, P) map to their values f (P,) and gradients
     G (dim, P), as ``value`` and ``gradient`` would up to rounding; the
     stepsize sweep advances all its grid points through it.
@@ -92,6 +95,7 @@ class Problem:
     params: dict = field(default_factory=dict)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     batch_objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -123,6 +127,11 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
     def gradient(x: np.ndarray) -> np.ndarray:
         return Q @ np.asarray(x, dtype=float) - b
 
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        Qx = Q @ x
+        return float(0.5 * x @ Qx - b @ x), Qx - b
+
     def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         QX = Q @ X
         return 0.5 * np.einsum("ij,ij->j", X, QX) - b @ X, QX - b[:, None]
@@ -147,6 +156,7 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         f_lower=f_lower,
         params={"dim": Q.shape[0]},
         batch_objective=batch_objective,
+        value_and_grad=value_and_grad,
     )
 
 
@@ -159,18 +169,11 @@ def rosenbrock() -> Problem:
     standard trajectories live.
     """
 
-    def value(p: np.ndarray) -> float:
+    def value_and_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
         x, y = np.float64(p[0]), np.float64(p[1])  # np scalars: overflow -> inf, not OverflowError
-        return float((1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2)
-
-    def gradient(p: np.ndarray) -> np.ndarray:
-        x, y = np.float64(p[0]), np.float64(p[1])
-        return np.array(
-            [
-                -2.0 * (1.0 - x) - 400.0 * x * (y - x * x),
-                200.0 * (y - x * x),
-            ]
-        )
+        r = y - x * x
+        f = float((1.0 - x) ** 2 + 100.0 * r ** 2)
+        return f, np.array([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r])
 
     def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x, y = X[0], X[1]
@@ -192,8 +195,8 @@ def rosenbrock() -> Problem:
     return Problem(
         name="rosenbrock",
         dim=2,
-        value=value,
-        gradient=gradient,
+        value=lambda p: value_and_grad(p)[0],
+        gradient=lambda p: value_and_grad(p)[1],
         L=L_local,
         mu=0.0,
         convex=False,
@@ -201,54 +204,74 @@ def rosenbrock() -> Problem:
         f_lower=0.0,
         params={"L_is_local_estimate": True},
         batch_objective=batch_objective,
+        value_and_grad=value_and_grad,
     )
 
 
 def _feature_operator(data: Dataset):
-    """Products with A: (A @ x, A.T @ r, A.T diag(w) A as a dense n x n
-    matrix), with a dense fast path for narrow matrices."""
+    """Products with the label-signed features B = diag(y) A:
+    (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix),
+    with a dense fast path for narrow matrices.  The labels are +-1, so
+    B @ x equals y * (A @ x) exactly."""
     if data.n <= _DENSE_FALLBACK_COLS:
-        A = data.features.toarray()
-        return (lambda x: A @ x), (lambda r: A.T @ r), (lambda w: (A.T * w) @ A)
-    A = data.features
-    AT = A.T.tocsr()
+        B = data.labels[:, None] * data.features.toarray()
+        return (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
+    B = sp.csr_matrix(sp.diags(data.labels) @ data.features)
+    BT = B.T.tocsr()
     return (
-        (lambda x: A @ x),
-        (lambda r: AT @ r),
-        (lambda w: (AT @ sp.diags(w) @ A).toarray()),
+        (lambda x: B @ x),
+        (lambda r: BT @ r),
+        (lambda w: (BT @ sp.diags(w) @ B).toarray()),
     )
 
 
-def _logistic_loss_mean(z: np.ndarray) -> float:
-    # log(1 + exp(-z)) evaluated as logaddexp(0, -z): stable for any |z|.
-    return float(np.mean(np.logaddexp(0.0, -z)))
+def _logistic(z: np.ndarray, grad: bool = True):
+    """Mean over axis 0 of log(1 + exp(-z)), and expit(-z) when ``grad``.
 
-
-def _logistic_batch(data: Dataset, matvec, rmatvec):
-    """Mean logistic loss and its gradient at every column of X (n, P).
-
-    Each block of columns shares z = y * AX and one exp(-|z|) per entry:
+    Both come from one exp(-|z|) per entry:
     log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
     expit(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
     otherwise; both forms stay finite for any finite z.
     """
-    y = data.labels[:, None]
+    e = np.exp(-np.abs(z))
+    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0) / len(z)  # np.mean, less overhead
+    if not grad:
+        return loss, None
+    return loss, np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+
+
+def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
+    """``value``, ``value_and_grad`` and ``batch_objective`` of the mean
+    logistic loss plus ``penalty``, which maps x (n,) or X (n, P) to its
+    value (one per column) and its gradient.
+
+    Each point, and each block of columns of X, forms z = y * Ax once and
+    one exp(-|z|) per entry (see :func:`_logistic`).  Blocks hold
+    ``_BLOCK_BYTES // (8 M)`` columns.
+    """
     M = data.M
     width = max(1, _BLOCK_BYTES // (8 * M))
 
-    def loss_and_grad(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f = np.empty(X.shape[1])
-        G = np.empty(X.shape)
+    def value(x: np.ndarray) -> float:
+        x = np.asarray(x, dtype=float)
+        return float(_logistic(matvec(x), grad=False)[0] + penalty(x)[0])
+
+    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
+        x = np.asarray(x, dtype=float)
+        loss, s = _logistic(matvec(x))
+        reg, reg_grad = penalty(x)
+        return float(loss + reg), reg_grad - rmatvec(s) / M
+
+    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        f, G = penalty(X)
         for lo in range(0, X.shape[1], width):
             cols = slice(lo, lo + width)
-            z = y * matvec(X[:, cols])
-            e = np.exp(-np.abs(z))
-            f[cols] = np.mean(np.maximum(-z, 0.0) + np.log1p(e), axis=0)
-            s = np.where(z >= 0.0, e, 1.0) / (1.0 + e)
-            G[:, cols] = -rmatvec(y * s) / M
+            loss, s = _logistic(matvec(X[:, cols]))
+            f[cols] += loss
+            G[:, cols] -= rmatvec(s) / M
         return f, G
 
-    return loss_and_grad
+    return value, value_and_grad, batch_objective
 
 
 def logreg_l2(data: Dataset, l2: float) -> Problem:
@@ -261,46 +284,30 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
     matvec, rmatvec, weighted_gram = _feature_operator(data)
-    y = data.labels
-    M = data.M
-    L = data.logistic_L + l2
-
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        z = y * matvec(x)
-        return _logistic_loss_mean(z) + 0.5 * l2 * float(x @ x)
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = y * matvec(x)
-        s = expit(-z)
-        return -rmatvec(y * s) / M + l2 * x
+    value, value_and_grad, batch_objective = _logistic_objectives(
+        data, matvec, rmatvec,
+        lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
+    )
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        s = expit(y * matvec(x))
-        H = weighted_gram(s * (1.0 - s)) / M
+        s = expit(matvec(np.asarray(x, dtype=float)))
+        H = weighted_gram(s * (1.0 - s)) / data.M
         H[np.diag_indices_from(H)] += l2
         return H
-
-    loss_and_grad = _logistic_batch(data, matvec, rmatvec)
-
-    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, G = loss_and_grad(X)
-        return f + 0.5 * l2 * np.einsum("ij,ij->j", X, X), G + l2 * X
 
     return Problem(
         name="logreg-l2",
         dim=data.n,
         value=value,
-        gradient=gradient,
-        L=L,
+        gradient=lambda x: value_and_grad(x)[1],
+        L=data.logistic_L + l2,
         mu=l2,
         convex=True,
         f_lower=0.0,
-        params={"l2": l2, "M": M},
+        params={"l2": l2, "M": data.M},
         hessian=hessian,
         batch_objective=batch_objective,
+        value_and_grad=value_and_grad,
     )
 
 
@@ -312,43 +319,27 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    matvec, rmatvec, _ = _feature_operator(data)
-    y = data.labels
-    M = data.M
-    L = data.logistic_L + 2.0 * lam
 
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        z = y * matvec(x)
-        xsq = x * x
-        return _logistic_loss_mean(z) + lam * float(np.sum(xsq / (1.0 + xsq)))
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        z = y * matvec(x)
-        s = expit(-z)
-        reg = 2.0 * lam * x / (1.0 + x * x) ** 2
-        return -rmatvec(y * s) / M + reg
-
-    loss_and_grad = _logistic_batch(data, matvec, rmatvec)
-
-    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, G = loss_and_grad(X)
+    def penalty(X: np.ndarray):
         xsq = X * X
-        reg = 2.0 * lam * X / (1.0 + xsq) ** 2
-        return f + lam * np.sum(xsq / (1.0 + xsq), axis=0), G + reg
+        return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
+    matvec, rmatvec, _ = _feature_operator(data)
+    value, value_and_grad, batch_objective = _logistic_objectives(
+        data, matvec, rmatvec, penalty
+    )
     return Problem(
         name="logreg-ncvx",
         dim=data.n,
         value=value,
-        gradient=gradient,
-        L=L,
+        gradient=lambda x: value_and_grad(x)[1],
+        L=data.logistic_L + 2.0 * lam,
         mu=0.0,
         convex=False,
         f_lower=0.0,
-        params={"lambda": lam, "M": M},
+        params={"lambda": lam, "M": data.M},
         batch_objective=batch_objective,
+        value_and_grad=value_and_grad,
     )
 
 

@@ -20,7 +20,7 @@ from agghb.harness import (
     verify_bounds,
 )
 from agghb.libsvm import LibsvmFormatError, LibsvmRecord, load_libsvm, parse_libsvm, serialize_libsvm
-from agghb.optim import AggConfig, hb_init, hb_step, init, step
+from agghb.optim import AggConfig, init, step
 from agghb.problems import (
     finite_diff_gradient,
     logreg_l2,
@@ -32,6 +32,7 @@ from agghb.problems import (
 from agghb.theory import effective_betas
 
 from conftest import AUSTRALIAN_M, AUSTRALIAN_N
+from oracles import hb_init, hb_step
 
 BETA_SETS = ((0.9,), (0.9, 0.95), (0.9, 0.95, 0.99))
 CONVERGENCE_FLOOR = 1e-12  # objective values below this are float residue

@@ -27,6 +27,7 @@ from agghb.libsvm import load_libsvm, to_dataset
 from agghb.problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
+from oracles import plain_run
 
 
 def identity_quadratic(dim=1):
@@ -177,6 +178,171 @@ class TestRun:
             assert key in trace.constants
 
 
+def _hand_built(gradient, with_value_and_grad=False):
+    """f(x) = ||x||^2 / 2 as a ``Problem`` built by hand, L = 1."""
+    def value(x):
+        return 0.5 * float(x @ x)
+
+    return Problem(
+        name="hand", dim=2, value=value, gradient=gradient, L=1.0, convex=True,
+        value_and_grad=(lambda x: (value(x), gradient(x))) if with_value_and_grad else None,
+    )
+
+
+def _poisoned_gradient(x):
+    """The identity gradient, NaN once the iterate has shrunk below 0.5."""
+    return x if abs(x[0]) > 0.5 else np.full_like(x, np.nan)
+
+
+class TestRunMatchesPlainLoop:
+    """``run`` against :func:`oracles.plain_run`, which keeps the former loop
+    (tuple buffers, separate value and gradient calls, elementwise checks)."""
+
+    @staticmethod
+    def _assert_identical(trace, oracle):
+        assert len(trace.f) == len(oracle.f)
+        for name in ("f", "grad_norm", "dist_opt", "f_avg"):
+            got, want = getattr(trace, name), getattr(oracle, name)
+            if want is None:
+                assert got is None, name
+            else:
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        np.testing.assert_array_equal(trace.ks, oracle.ks)
+        assert trace.diverged == oracle.diverged
+        assert trace.max_virtual_residual == oracle.max_virtual_residual
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    @pytest.mark.parametrize("betas", [(0.9,), (0.9, 0.5), (0.9, 0.95, 0.99)])
+    def test_quadratic_bit_identical(self, mode, betas):
+        problem = quadratic(np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]),
+                            np.array([1.0, -1.0, 0.5]))
+        cfg = RunConfig(
+            problem="quadratic", optimizer="hb" if len(betas) == 1 else "agghb",
+            betas=betas, stepsize_mode=mode, iters=500, seed=3,
+        )
+        trace = run(cfg, problem)
+        assert not trace.diverged and trace.dist_opt is not None
+        self._assert_identical(trace, plain_run(cfg, problem))
+
+    def test_rosenbrock_bit_identical(self):
+        problem = rosenbrock()
+        cfg = RunConfig(
+            problem="rosenbrock", optimizer="agghb", betas=(0.9, 0.99),
+            stepsize_mode="theory-ncvx", iters=2000,
+        )
+        self._assert_identical(run(cfg, problem), plain_run(cfg, problem))
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_hand_built_problem_bit_identical(self, mode):
+        # The identity gradient returns the iterate itself, which run updates
+        # in place; the fallback objective must copy it.
+        problem = _hand_built(lambda x: x)
+        assert problem.value_and_grad is None
+        cfg = RunConfig(
+            problem="hand", optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode=mode, iters=200, problem_params={"x0": [1.0, -2.0]},
+        )
+        trace = run(cfg, problem)
+        assert not trace.diverged
+        self._assert_identical(trace, plain_run(cfg, problem))
+
+    @pytest.mark.parametrize("with_value_and_grad", [False, True])
+    def test_non_finite_gradient_truncates_identically(self, with_value_and_grad):
+        problem = _hand_built(_poisoned_gradient, with_value_and_grad)
+        cfg = RunConfig(
+            problem="hand", optimizer="hb", betas=(0.5,), stepsize_mode="explicit",
+            gammas=(0.1,), iters=100, problem_params={"x0": [1.0, 1.0]},
+        )
+        trace = run(cfg, problem)
+        assert trace.diverged and 1 < len(trace.f) < 101
+        assert np.isnan(trace.grad_norm[-1])
+        self._assert_identical(trace, plain_run(cfg, problem))
+
+    @pytest.mark.parametrize("gamma, x0, length", [
+        (1e150, 1.0, 3),  # f overflows at the iterate the step produced
+        (1e300, 1e10, 1),  # the step overflows while f and the gradient are finite
+    ])
+    def test_overflowing_step_truncates_identically(self, gamma, x0, length):
+        problem = identity_quadratic()
+        cfg = RunConfig(
+            problem="quadratic", optimizer="hb", betas=(0.9,),
+            stepsize_mode="explicit", gammas=(gamma,), iters=50,
+            problem_params={"x0": [x0]},
+        )
+        trace = run(cfg, problem)
+        assert trace.diverged and len(trace.f) == length
+        self._assert_identical(trace, plain_run(cfg, problem))
+
+    @pytest.mark.parametrize("dataset", ["australian_dataset", "wide_dataset"])
+    @pytest.mark.parametrize("kind", ["l2-zero", "l2-auto", "ncvx"])
+    def test_logistic_within_1e12(self, request, dataset, kind):
+        data = request.getfixturevalue(dataset)
+        if kind == "ncvx":
+            problem, mode = logreg_nonconvex(data, data.logistic_L / 1e3), "theory-ncvx"
+        else:
+            l2 = 0.0 if kind == "l2-zero" else data.logistic_L / 1e5
+            problem, mode = logreg_l2(data, l2), "theory-cvx"
+        cfg = RunConfig(
+            problem=problem.name, optimizer="agghb", betas=(0.9, 0.95, 0.99),
+            stepsize_mode=mode, iters=500,
+        )
+        trace, oracle = run(cfg, problem), plain_run(cfg, problem)
+        assert not trace.diverged and not oracle.diverged
+        assert len(trace.f) == len(oracle.f) == 501
+        for name in ("f", "grad_norm", "f_avg"):
+            got, want = getattr(trace, name), getattr(oracle, name)
+            if want is None:
+                assert got is None and mode == "theory-ncvx"
+                continue
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+        # rounding noise in both, so only the contract is compared
+        assert max(trace.max_virtual_residual, oracle.max_virtual_residual) <= 1e-10
+
+
+class TestRunObjectiveCalls:
+    """One ``value_and_grad`` call per iterate, ``value`` only for the average."""
+
+    @staticmethod
+    def _counted(problem, calls):
+        def wrap(name):
+            fn = getattr(problem, name)
+
+            def counted(x):
+                calls[name] += 1
+                return fn(x)
+            return counted
+
+        names = ("value", "gradient", "value_and_grad")
+        return dataclasses.replace(problem, **{n: wrap(n) for n in names})
+
+    @pytest.mark.parametrize("mode, value_calls", [("theory-ncvx", 0), ("theory-cvx", 1)])
+    @pytest.mark.parametrize("build", [
+        lambda request: quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)),
+        lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3),
+    ], ids=["quadratic", "logreg-l2"])
+    def test_calls_per_iterate(self, request, build, mode, value_calls):
+        calls = dict.fromkeys(("value", "gradient", "value_and_grad"), 0)
+        problem = self._counted(build(request), calls)
+        K = 37
+        cfg = RunConfig(
+            problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode=mode, iters=K,
+        )
+        assert len(run(cfg, problem).f) == K + 1
+        assert calls == {
+            "value": value_calls * (K + 1), "gradient": 0, "value_and_grad": K + 1,
+        }
+
+    def test_hand_built_gradient_shape_checked(self):
+        problem = _hand_built(lambda x: x[:1])
+        cfg = RunConfig(
+            problem="hand", optimizer="hb", betas=(0.5,), stepsize_mode="explicit",
+            gammas=(0.1,), iters=5, problem_params={"x0": [1.0, 1.0]},
+        )
+        with pytest.raises(ValueError, match="gradient shape"):
+            run(cfg, problem)
+
+
 class TestTune:
     def _base(self, betas=(0.0,), iters=10, optimizer="gd", params=None):
         return RunConfig(
@@ -236,13 +402,14 @@ class TestTune:
 
 
 def serial_sweep(base, problem):
-    """The per-point sweep ``tune`` replaced: one full ``run`` per grid point."""
+    """The per-point sweep ``tune`` replaced: one full :func:`plain_run` per
+    grid point, so the oracle shares no step arithmetic with ``tune``."""
     m = len(base.betas)
     sweep = []
     for a in TUNING_GRID:
         gammas = (a / problem.L,) * m
         cfg = dataclasses.replace(base, stepsize_mode="explicit", gammas=gammas)
-        trace = run(cfg, problem)
+        trace = plain_run(cfg, problem)
         final_f = float(trace.f[-1]) if not trace.diverged else float("inf")
         sweep.append(SweepEntry(
             a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged

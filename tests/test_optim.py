@@ -8,14 +8,13 @@ from agghb.optim import (
     AveragingState,
     DivergenceError,
     averaging_update,
-    hb_init,
-    hb_step,
     init,
-    momentum_expansion,
     step,
     virtual_iterate,
     virtual_step_size,
 )
+
+from oracles import hb_init, hb_step, momentum_expansion
 
 
 class TestAggConfig:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 import agghb.problems
 from agghb.libsvm import parse_libsvm, to_dataset
@@ -366,3 +367,54 @@ class TestBatchObjective:
         monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8 * data.M * 4)
         for p in (logreg_l2(data, 1e-3), logreg_nonconvex(data, 1e-2)):
             self._assert_matches_columns(p, self._points(p.dim, 11, seed=34))
+
+
+class TestValueAndGrad:
+    """``value_and_grad`` against ``value`` and ``gradient``, and for the
+    logistic objectives against logaddexp/expit formulas written out here."""
+
+    @staticmethod
+    def _assert_matches(p, x):
+        f, g = p.value_and_grad(x)
+        f_ref, g_ref = p.value(x), p.gradient(x)
+        assert isinstance(f, float) and g.shape == x.shape
+        assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+        return f, g
+
+    @staticmethod
+    def _points(dim, seed):
+        rng = np.random.default_rng(seed)
+        # the large points give margins |z| >= 700, where exp(-|z|) underflows
+        return [rng.standard_normal(dim) * scale for scale in (0.1, 1.0, 1e3, 1e3)]
+
+    def test_quadratic_and_rosenbrock(self):
+        rng = np.random.default_rng(41)
+        B = rng.standard_normal((6, 6))
+        for p in (quadratic(B @ B.T + np.eye(6), np.arange(6.0)), rosenbrock()):
+            for x in self._points(p.dim, seed=42):
+                self._assert_matches(p, x)
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    @pytest.mark.parametrize("kind", ["l2-zero", "l2", "ncvx"])
+    def test_logistic_on_both_feature_branches(self, request, dataset, kind):
+        data = request.getfixturevalue(dataset)
+        A, y, M = data.features.toarray(), data.labels, data.M
+        reg = {"l2-zero": 0.0, "l2": 1e-3, "ncvx": 1e-2}[kind]
+        p = logreg_nonconvex(data, reg) if kind == "ncvx" else logreg_l2(data, reg)
+        big = 0.0
+        for x in self._points(p.dim, seed=43):
+            f, g = self._assert_matches(p, x)
+            z = y * (A @ x)
+            big = max(big, np.abs(z).max())
+            f_ref = float(np.mean(np.logaddexp(0.0, -z)))
+            g_ref = -A.T @ (y * expit(-z)) / M
+            if kind == "ncvx":
+                f_ref += reg * float(np.sum(x * x / (1.0 + x * x)))
+                g_ref += 2.0 * reg * x / (1.0 + x * x) ** 2
+            else:
+                f_ref += 0.5 * reg * float(x @ x)
+                g_ref += reg * x
+            assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+            assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+        assert big >= 700.0
