@@ -2,7 +2,7 @@
 
 Output is line-oriented ``key=value`` text, stable across runs so results
 can be diffed.  Exit codes: 0 success, 1 usage or I/O error, 2 bound
-verification failure.
+verification failure or refusal.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import harness, theory
-from .libsvm import LibsvmFormatError, load_libsvm
+from .libsvm import load_libsvm
 from .optim import AggConfig
 
 EXIT_OK = 0
@@ -49,7 +49,7 @@ def _problem_params(args) -> dict:
     params: dict = {}
     if args.problem in ("logreg-l2", "logreg-ncvx"):
         if args.data is None:
-            raise SystemExit2(f"--problem {args.problem} requires --data")
+            raise ValueError(f"--problem {args.problem} requires --data")
         params["data"] = args.data
         if args.n_features is not None:
             params["n_features"] = args.n_features
@@ -59,14 +59,10 @@ def _problem_params(args) -> dict:
             params["lambda"] = args.lam
     else:
         if args.data is not None:
-            raise SystemExit2(f"--data makes no sense with --problem {args.problem}")
+            raise ValueError(f"--data makes no sense with --problem {args.problem}")
         if args.problem == "quadratic":
             params["dim"] = args.quad_dim
     return params
-
-
-class SystemExit2(Exception):
-    """Usage-level error carrying a message for exit code 1."""
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
@@ -87,16 +83,9 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    # Kept so that invocations written for the former thread-pooled sweep
-    # still parse.
-    p.add_argument("--jobs", type=int, default=1,
-                   help="ignored: the tuning sweep advances all grid points "
-                        "together in one process")
-
-
 def cmd_run(args) -> int:
-    problem = harness.build_problem(args.problem, _problem_params(args))
+    params = _problem_params(args)
+    problem = harness.build_problem(args.problem, params)
     betas = args.betas
     optimizer = _infer_optimizer(betas)
 
@@ -117,7 +106,7 @@ def cmd_run(args) -> int:
         gammas=gammas,
         iters=args.iters,
         seed=args.seed,
-        problem_params=_problem_params(args),
+        problem_params=params,
     )
 
     if mode == "tune":
@@ -162,21 +151,9 @@ def cmd_tune(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        trace = harness.read_trace(args.trace)
-    except (FileNotFoundError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        problem = harness.build_problem(trace.config.problem, trace.config.problem_params)
-        report = harness.verify_bounds(trace, problem)
-    except harness.VerificationRefused as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+    trace = harness.read_trace(args.trace)
+    problem = harness.build_problem(trace.config.problem, trace.config.problem_params)
+    report = harness.verify_bounds(trace, problem)
     _emit("mode", report.mode)
     if report.certificate is not None:
         _emit("reference_certificate", report.certificate)
@@ -229,20 +206,14 @@ def cmd_constants(args) -> int:
 
 
 def cmd_parse_check(args) -> int:
-    try:
-        result = load_libsvm(harness.resolve_data_path(args.data))
-    except (LibsvmFormatError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = load_libsvm(harness.resolve_data_path(args.data))
     n = result.n_features
     if args.n_features is not None:
         if args.n_features < result.n_features:
-            print(
-                f"error: --n-features {args.n_features} is below the largest "
-                f"seen index {result.n_features}",
-                file=sys.stderr,
+            raise ValueError(
+                f"--n-features {args.n_features} is below the largest "
+                f"seen index {result.n_features}"
             )
-            return EXIT_USAGE
         n = args.n_features
     _emit("records", len(result.records))
     _emit("n_features", n)
@@ -270,12 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated stepsizes, or one of: "
                             "theory-ncvx, theory-cvx, tune")
     p_run.add_argument("--out", default="trace.csv", help="trace CSV path")
-    _add_jobs_flag(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_tune = sub.add_parser("tune", help="grid-search the stepsize scale a in gamma=a/L")
     _add_problem_flags(p_tune)
-    _add_jobs_flag(p_tune)
     p_tune.set_defaults(func=cmd_tune)
 
     p_verify = sub.add_parser("verify", help="check an exported trace against its bound")
@@ -306,10 +275,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError, LibsvmFormatError, harness.TuningError) as exc:
+    except harness.VerificationRefused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (ValueError, FileNotFoundError, harness.TuningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -180,29 +181,14 @@ def _constants_snapshot(
     }
 
 
-def _value_and_grad(problem: Problem):
-    """``problem.value_and_grad``, or one ``value`` and one ``gradient`` call
-    for problems built without it."""
-    if problem.value_and_grad is not None:
-        return problem.value_and_grad
-
-    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
-        g = np.asarray(problem.gradient(x), dtype=float)
-        if g.shape != x.shape:
-            raise ValueError(f"gradient shape {g.shape} != iterate shape {x.shape}")
-        return problem.value(x), g
-
-    return objective
-
-
 def run(config: RunConfig, problem: Problem) -> Trace:
     """Execute a configured run and record metrics at every iterate.
 
     The iterate x (d,) and the momentum buffers V (m, d) are updated in
     place by :func:`optim.step_inplace`, and each iterate makes one
-    ``problem.value_and_grad`` call (``value`` plus ``gradient`` for problems
-    without it); theory-cvx adds one ``value`` call at the averaged iterate.
-    The run stops early, flagged ``diverged``, at the first non-finite
+    ``problem.value_and_grad`` call, whose first gradient must have the
+    iterate's shape; theory-cvx adds one ``value`` call at the averaged
+    iterate.  The run stops early, flagged ``diverged``, at the first non-finite
     objective or gradient, or when a step makes the iterate or buffers
     non-finite.  After every step the momentum-corrected iterate is checked
     against its pure gradient recursion, and the largest relative defect is
@@ -215,7 +201,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     snapshot = _constants_snapshot(acfg, problem, horizon=config.iters)
     track_avg = config.stepsize_mode == "theory-cvx"
     x_star = problem.reference_opt[0] if problem.reference_opt is not None else None
-    objective = _value_and_grad(problem)
+    objective = problem.value_and_grad
 
     t0 = time.perf_counter()
     x = x0.copy()
@@ -239,6 +225,8 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iters + 1):
             f_k, g_k = objective(x)
+            if k == 0 and g_k.shape != x.shape:
+                raise ValueError(f"gradient shape {g_k.shape} != iterate shape {x.shape}")
             fs.append(f_k)
             gnorms.append(math.sqrt(g_k @ g_k))
             if dists is not None:
@@ -297,27 +285,12 @@ class SweepEntry:
     diverged: bool
 
 
-def _columnwise(problem: Problem):
-    """A batched objective made of one :func:`_value_and_grad` call per
-    column, for problems built without ``batch_objective``."""
-    objective = _value_and_grad(problem)
-
-    def batch(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        f, G = np.empty(X.shape[1]), np.empty(X.shape)
-        for j in range(X.shape[1]):
-            f[j], G[:, j] = objective(X[:, j])
-        return f, G
-
-    return batch
-
-
 def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]]:
     """Grid-search the uniform stepsize gamma = a/L over a in 2^-6 .. 2^8.
 
     All grid points advance together: the iterates are the columns of one
     X (d, P) and the momentum buffers one V (m, d, P), each step makes one
-    ``problem.batch_objective`` call (or one objective call per column, as
-    in :func:`run`, when the problem has none), and every column follows
+    ``problem.batch_objective`` call, and every column follows
     :func:`run`'s recurrence and divergence rule.  A point diverges when its
     objective or gradient turns non-finite, or a step makes its iterate or
     buffers non-finite; its column is then dropped.  Best is the lowest
@@ -330,7 +303,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     m = len(base.betas)
     configs = [AggConfig(betas=base.betas, gammas=(a / problem.L,) * m) for a in TUNING_GRID]
     x0 = start_point(base, problem)
-    objective = problem.batch_objective or _columnwise(problem)
+    objective = problem.batch_objective
 
     P = len(TUNING_GRID)
     live = np.arange(P)  # grid indices of the columns still advancing
@@ -515,8 +488,9 @@ def verify_bounds(
     with its ceiling, allowing twice the reference certificate as slack for
     the imperfectly known optimum.  A convex report whose reference is not
     ``certified`` does not pass, whatever its rows say: the slack is then
-    no longer small.  Without a given ``reference``, one is computed with
-    :func:`reference_solution`.
+    no longer small.  A prefix beyond the trace's last row, as after a
+    divergence, observes infinity and fails.  Without a given ``reference``,
+    one is computed with :func:`reference_solution`.
     """
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
@@ -527,10 +501,10 @@ def verify_bounds(
     budget = trace.config.iters
     acfg = AggConfig(betas=trace.config.betas, gammas=trace.gammas)
     consts = theory.constants(acfg, horizon=budget)
-    checkpoints = bound_checkpoints(budget)
     recorded = len(trace.f) - 1  # last recorded iterate index
 
-    rows = []
+    # Each mode sets the series it bounds, observed[K] at prefix K, with the
+    # bound function and slack for it.
     certificate = certified = None
     if mode == "theory-ncvx":
         if problem.f_lower is None:
@@ -541,19 +515,10 @@ def verify_bounds(
         inputs = theory.BoundInputs(
             L=problem.L, mu=problem.mu, delta0=delta0, r0_sq=0.0
         )
-        sq = trace.grad_norm ** 2
-        for K in checkpoints:
-            bound = theory.bound_nonconvex(K, inputs, consts, acfg.m)
-            if trace.diverged and K > recorded:
-                observed = float("inf")  # run truncated before this prefix
-            else:
-                observed = float(np.min(sq[1 : K + 1]))
-            rows.append(
-                CheckRow(
-                    K=K, observed=observed, bound=bound, slack=0.0,
-                    passed=observed <= bound,
-                )
-            )
+        # best squared gradient norm over k = 1 .. K
+        observed = np.minimum.accumulate(np.r_[np.inf, trace.grad_norm[1:] ** 2])
+        bound = partial(theory.bound_nonconvex, inputs=inputs, consts=consts, m=acfg.m)
+        slack = 0.0
     else:
         if trace.f_avg is None:
             raise ValueError("trace carries no averaged-iterate objective values")
@@ -561,24 +526,21 @@ def verify_bounds(
             reference = reference_solution(problem)
         certificate = reference.grad_norm
         certified = reference.certified
-        slack = 2.0 * certificate
         r0_sq = float(np.linalg.norm(trace.x0 - reference.x) ** 2)
         inputs = theory.BoundInputs(
             L=problem.L, mu=problem.mu, delta0=0.0, r0_sq=r0_sq
         )
-        F = consts.F
-        for K in checkpoints:
-            bound = theory.bound_convex(K, inputs, F)
-            if trace.diverged and K > recorded:
-                observed = float("inf")
-            else:
-                observed = float(trace.f_avg[K]) - reference.f
-            rows.append(
-                CheckRow(
-                    K=K, observed=observed, bound=bound, slack=slack,
-                    passed=observed <= bound + slack,
-                )
-            )
+        observed = trace.f_avg - reference.f
+        bound = partial(theory.bound_convex, inputs=inputs, F=consts.F)
+        slack = 2.0 * certificate
+
+    rows = []
+    for K in bound_checkpoints(budget):
+        obs = float(observed[K]) if K <= recorded else float("inf")
+        ceiling = bound(K)
+        rows.append(CheckRow(
+            K=K, observed=obs, bound=ceiling, slack=slack, passed=obs <= ceiling + slack,
+        ))
 
     return VerificationReport(
         mode=mode,
@@ -681,7 +643,8 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Load a trace previously written by :func:`export_trace`."""
+    """Load a trace previously written by :func:`export_trace`; a sidecar
+    that lacks a key or a ``RunConfig`` field is a ``ValueError`` naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -706,26 +669,29 @@ def read_trace(path: str | Path) -> Trace:
         except ValueError:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
 
-    meta = json.loads(meta_path.read_text())
-    cfg_dict = dict(meta["config"])
-    cfg_dict["betas"] = tuple(cfg_dict["betas"])
-    if cfg_dict.get("gammas") is not None:
-        cfg_dict["gammas"] = tuple(cfg_dict["gammas"])
-    config = RunConfig(**cfg_dict)
-
     has_dist = all(d is not None for d in dists) and len(dists) > 0
     has_favg = all(v is not None for v in favgs) and len(favgs) > 0
-    return Trace(
-        ks=np.asarray(ks, dtype=int),
-        f=np.asarray(fs, dtype=float),
-        grad_norm=np.asarray(gnorms, dtype=float),
-        dist_opt=np.asarray(dists, dtype=float) if has_dist else None,
-        f_avg=np.asarray(favgs, dtype=float) if has_favg else None,
-        config=config,
-        gammas=tuple(meta["gammas"]),
-        constants=meta["constants"],
-        x0=np.asarray(meta["x0"], dtype=float),
-        wall_time=meta["wall_time"],
-        diverged=meta["diverged"],
-        max_virtual_residual=meta["max_virtual_residual"],
-    )
+    meta = json.loads(meta_path.read_text())
+    try:
+        cfg_dict = dict(meta["config"])
+        cfg_dict["betas"] = tuple(cfg_dict["betas"])
+        if cfg_dict.get("gammas") is not None:
+            cfg_dict["gammas"] = tuple(cfg_dict["gammas"])
+        return Trace(
+            ks=np.asarray(ks, dtype=int),
+            f=np.asarray(fs, dtype=float),
+            grad_norm=np.asarray(gnorms, dtype=float),
+            dist_opt=np.asarray(dists, dtype=float) if has_dist else None,
+            f_avg=np.asarray(favgs, dtype=float) if has_favg else None,
+            config=RunConfig(**cfg_dict),
+            gammas=tuple(meta["gammas"]),
+            constants=meta["constants"],
+            x0=np.asarray(meta["x0"], dtype=float),
+            wall_time=meta["wall_time"],
+            diverged=meta["diverged"],
+            max_virtual_residual=meta["max_virtual_residual"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"metadata sidecar {meta_path} lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:  # e.g. a config without one of RunConfig's fields
+        raise ValueError(f"metadata sidecar {meta_path} is malformed: {exc}") from None

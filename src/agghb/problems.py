@@ -69,24 +69,25 @@ class Dataset:
 class Problem:
     """Smooth objective with analytic gradient and known constants.
 
-    ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when one
-    exists; ``f_lower`` is any valid lower bound on the objective (used for
-    suboptimality gaps).  ``convex`` marks objectives for which a reference
-    solution may be computed by descent.  ``hessian``, when set, returns the
-    dense Hessian matrix at a point; the reference solver then uses Newton's
-    method.  ``value_and_grad``, when set, returns ``(value(x), gradient(x))``
-    from one pass over the data; ``harness.run`` makes one such call per
-    iterate and falls back to ``value`` plus ``gradient`` without it.
-    ``batch_objective``, when set, evaluates many points at once:
-    the columns of X (dim, P) map to their values f (P,) and gradients
-    G (dim, P), as ``value`` and ``gradient`` would up to rounding; the
-    stepsize sweep advances all its grid points through it.
+    ``value_and_grad`` returns ``(value(x), gradient(x))`` from one pass over
+    the data; ``harness.run`` makes one such call per iterate.
+    ``batch_objective`` evaluates many points at once: the columns of
+    X (dim, P) map to their values f (P,) and gradients G (dim, P), as
+    ``value`` and ``gradient`` would up to rounding; the stepsize sweep
+    advances all its grid points through it.  ``reference_opt`` is an
+    exactly-known minimizer ``(x_*, f(x_*))`` when one exists; ``f_lower`` is
+    any valid lower bound on the objective (used for suboptimality gaps).
+    ``convex`` marks objectives for which a reference solution may be
+    computed by descent.  ``hessian``, when set, returns the dense Hessian
+    matrix at a point; the reference solver then uses Newton's method.
     """
 
     name: str
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    batch_objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     L: float
     mu: float = 0.0
     convex: bool = False
@@ -94,8 +95,6 @@ class Problem:
     f_lower: float | None = None
     params: dict = field(default_factory=dict)
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
-    batch_objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]] | None = None
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -124,9 +123,6 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ (Q @ x) - b @ x)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return Q @ np.asarray(x, dtype=float) - b
-
     def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
         Qx = Q @ x
@@ -148,7 +144,7 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         name="quadratic",
         dim=Q.shape[0],
         value=value,
-        gradient=gradient,
+        gradient=lambda x: value_and_grad(x)[1],
         L=lam_max,
         mu=mu,
         convex=True,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, build_parser, main
+from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 from conftest import synthetic_libsvm_text
 
@@ -38,9 +38,14 @@ class TestHelp:
             main(["frobnicate"])
         assert exc.value.code != 0
 
-    def test_unknown_flag_rejected(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--betas", "0.5", "--bogus", "1"],
+        ["run", "--problem", "quadratic", "--betas", "0.9", "--gammas", "0.1",
+         "--jobs", "1"],
+    ], ids=["constants-bogus", "run-jobs"])
+    def test_unknown_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(["constants", "--betas", "0.5", "--bogus", "1"])
+            main(argv)
         assert exc.value.code != 0
 
 
@@ -72,7 +77,6 @@ class TestRun:
         code, out, _ = run_cli(
             capsys, "run", "--problem", "quadratic", "--betas", "0",
             "--gammas", "tune", "--iters", "30", "--out", str(tmp_path / "t.csv"),
-            "--jobs", "1",
         )
         assert code == EXIT_OK
         kv = parse_kv(out)
@@ -124,7 +128,7 @@ class TestDocumentedConfigurations:
         code, stdout, _ = run_cli(
             capsys, "run", "--problem", "rosenbrock",
             "--betas", "0.9,0.95,0.99,0.999", "--gammas", "tune",
-            "--iters", "5000", "--out", str(out), "--jobs", "1",
+            "--iters", "5000", "--out", str(out),
         )
         assert code == EXIT_OK
         kv = parse_kv(stdout)
@@ -138,7 +142,7 @@ class TestDocumentedConfigurations:
         code, stdout, _ = run_cli(
             capsys, "run", "--problem", "logreg-l2", "--data",
             str(australian_file), "--betas", "0.9,0.95,0.99",
-            "--gammas", "tune", "--out", str(out), "--jobs", "1",
+            "--gammas", "tune", "--out", str(out),
         )
         assert code == EXIT_OK
         kv = parse_kv(stdout)
@@ -252,32 +256,32 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "sidecar" in err
 
+    @pytest.mark.parametrize("drop, key", [
+        (lambda meta: meta.pop("gammas"), "gammas"),
+        (lambda meta: meta["config"].pop("problem"), "problem"),
+    ], ids=["gammas", "config.problem"])
+    def test_sidecar_missing_key_exit_one(self, capsys, tmp_path, drop, key):
+        trace = self._write_trace(capsys, tmp_path)
+        meta_path = trace.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        drop(meta)
+        meta_path.write_text(json.dumps(meta))
+        code, _, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE
+        # the path holds the test's id, so only the message's end names the key
+        assert err.startswith("error: metadata sidecar") and err.rstrip().endswith(f"'{key}'")
+
 
 class TestTuneCommand:
     def test_prints_best(self, capsys):
         code, out, _ = run_cli(
             capsys, "tune", "--problem", "quadratic", "--betas", "0",
-            "--iters", "20", "--jobs", "1",
+            "--iters", "20",
         )
         assert code == EXIT_OK
         kv = parse_kv(out)
         assert len(kv["sweep"]) == 15
         assert "best_gamma" in kv
-
-    @pytest.mark.parametrize("command", ["tune", "run"])
-    def test_jobs_is_ignored(self, capsys, tmp_path, command):
-        argv = [command, "--problem", "rosenbrock", "--betas", "0.9,0.99",
-                "--iters", "300"]
-        if command == "run":
-            argv += ["--gammas", "tune", "--out", str(tmp_path / "t.csv")]
-        outputs = []
-        for jobs in ("1", "4"):
-            code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
-            assert code == EXIT_OK
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
-        assert len(parse_kv(outputs[0])["sweep"]) == 15
-        assert build_parser().parse_args(argv).jobs == 1
 
 
 class TestParseCheck:

@@ -282,6 +282,8 @@ class TestFiniteDiffGradient:
         p = Problem(
             name="flat", dim=2, value=lambda x: 3.0,
             gradient=lambda x: np.zeros(2), L=1.0,
+            value_and_grad=lambda x: (3.0, np.zeros(2)),
+            batch_objective=lambda X: (np.full(X.shape[1], 3.0), np.zeros_like(X)),
         )
         np.testing.assert_array_equal(
             finite_diff_gradient(p, np.ones(2), 1e-6), np.zeros(2)
