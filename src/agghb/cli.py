@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import harness, theory
 from .libsvm import load_libsvm
 from .optim import AggConfig
@@ -215,15 +217,14 @@ def cmd_parse_check(args) -> int:
                 f"seen index {result.n_features}"
             )
         n = args.n_features
-    _emit("records", len(result.records))
+    _emit("records", result.labels.size)
     _emit("n_features", n)
     _emit("n_inferred", result.n_features)
     _emit("reordered_lines", result.reordered)
-    labels = sorted({rec.label for rec in result.records})
-    counts = {
-        lab: sum(1 for rec in result.records if rec.label == lab) for lab in labels
-    }
-    _emit("labels", " ".join(f"{lab:g}:{counts[lab]}" for lab in labels))
+    labels, counts = np.unique(result.labels, return_counts=True)
+    _emit("labels", " ".join(
+        f"{lab:g}:{count}" for lab, count in zip(labels.tolist(), counts.tolist())
+    ))
     return EXIT_OK
 
 

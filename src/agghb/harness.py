@@ -587,7 +587,7 @@ def build_problem(name: str, params: dict) -> Problem:
         if data_path is None:
             raise ValueError(f"problem {name!r} needs a 'data' parameter")
         parsed = load_libsvm(resolve_data_path(data_path))
-        data = to_dataset(parsed.records, n_features=params.get("n_features"))
+        data = to_dataset(parsed, n_features=params.get("n_features"))
         if name == "logreg-l2":
             l2 = params.get("l2", 0.0)
             l2 = data.logistic_L / 1e5 if l2 == "auto" else float(l2)

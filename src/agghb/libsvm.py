@@ -5,6 +5,23 @@ The format is one sample per line: a numeric label followed by
 lines are skipped and ``#`` starts a comment (whole-line or trailing).
 Files ending in ``.gz`` are transparently decompressed.
 
+A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
+``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
+CSR matrix without another pass over the samples.  Text is parsed in blocks
+of :data:`BLOCK_LINES` lines.  Each block first takes a columnar path: it
+splits every line into tokens, every ``index:value`` token once at its
+colon, converts all labels, indices and values with numpy's string
+conversion (which applies Python's ``int``/``float`` to each string) and
+checks the strict rules on whole arrays: one ``:`` per token, index >= 1,
+finite labels and values, and indices strictly increasing within a row.  A
+block holding a ``#``, failing any check, or whose conversion raises
+(including ``OverflowError`` for an index beyond int64) is parsed again by
+the line-by-line parser.  That parser alone reports errors with their line
+number and re-sorts lines whose indices arrive out of order; the tests use
+it as the oracle for the columnar path.  Parsing by blocks keeps the token
+strings of only one block alive at a time, which holds peak memory near the
+size of the result instead of that of every token of the file.
+
 All failure modes raise :class:`LibsvmFormatError` carrying the offending
 line number; the parser never raises anything else on malformed input.
 """
@@ -12,14 +29,22 @@ line number; the parser never raises anything else on malformed input.
 from __future__ import annotations
 
 import gzip
+import re
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .problems import Dataset
+
+BLOCK_LINES = 4096
+# Largest file index that is still a CSR column index and column count.
+MAX_INDEX = np.iinfo(np.int64).max
+# A token with two or more colons, in tokens joined by single spaces.
+_MULTI_COLON = re.compile(r":[^ :]*:")
 
 
 class LibsvmFormatError(ValueError):
@@ -38,29 +63,84 @@ class LibsvmRecord:
     entries: tuple[tuple[int, float], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParseResult:
-    records: tuple[LibsvmRecord, ...]
+    """Parsed samples in compressed-row form.
+
+    Sample ``i`` has raw label ``labels[i]`` and its entries at positions
+    ``indptr[i]:indptr[i + 1]`` of ``indices`` (0-based columns, strictly
+    increasing) and ``values``.
+    """
+
+    labels: np.ndarray  # (M,) float64
+    indptr: np.ndarray  # (M + 1,) int64
+    indices: np.ndarray  # (nnz,) int64
+    values: np.ndarray  # (nnz,) float64
     n_features: int     # max 1-based index seen (0 when no entries at all)
     reordered: int      # lines whose indices arrived out of order
 
+    @property
+    def records(self) -> tuple[LibsvmRecord, ...]:
+        """The samples as records with 1-based indices, for :func:`serialize_libsvm`."""
+        cols = (self.indices + 1).tolist()
+        vals = self.values.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(
+            LibsvmRecord(label=label, entries=tuple(zip(cols[a:b], vals[a:b])))
+            for label, a, b in zip(self.labels.tolist(), bounds, bounds[1:])
+        )
 
-def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
-    """Parse LIBSVM text into records plus the inferred feature count."""
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
 
-    records: list[LibsvmRecord] = []
-    n_features = 0
+def _result(labels, counts, indices, values, reordered: int) -> ParseResult:
+    """Assemble a parse from per-row entry counts and flat 0-based entries."""
+    indices = np.asarray(indices, dtype=np.int64)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return ParseResult(
+        labels=np.asarray(labels, dtype=float),
+        indptr=indptr,
+        indices=indices,
+        values=np.asarray(values, dtype=float),
+        n_features=int(indices.max()) + 1 if indices.size else 0,
+        reordered=reordered,
+    )
+
+
+def _parse_columnar(lines: Sequence[str]) -> ParseResult | None:
+    """Parse a block of lines with whole-array conversions and checks, or
+    return None when the block needs the line parser."""
+    if any("#" in line for line in lines):
+        return None
+    rows = [tokens for tokens in map(str.split, lines) if tokens]
+    entries = list(chain.from_iterable(tokens[1:] for tokens in rows))
+    joined = " ".join(entries)
+    if joined.count(":") != len(entries) or _MULTI_COLON.search(joined):
+        return None  # some token has no ':' or more than one
+    parts = joined.replace(" ", ":").split(":") if entries else []
+    try:
+        labels = np.array([tokens[0] for tokens in rows], dtype=float)
+        idx = np.array(parts[0::2], dtype=np.int64)
+        values = np.array(parts[1::2], dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
+    if not (np.isfinite(labels).all() and np.isfinite(values).all()):
+        return None
+    if idx.size:
+        row = np.repeat(np.arange(len(rows)), counts)
+        if idx.min() < 1 or np.any((np.diff(row) == 0) & (np.diff(idx) <= 0)):
+            return None
+    return _result(labels, counts, idx - 1, values, reordered=0)
+
+
+def _parse_lines(lines: Iterable[str], first_line: int = 1) -> ParseResult:
+    """Parse line by line, raising the first error with its line number."""
+    labels: list[float] = []
+    counts: list[int] = []
+    indices: list[int] = []
+    values: list[float] = []
     reordered = 0
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines, start=first_line):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -89,6 +169,10 @@ def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
                 ) from None
             if idx < 1:
                 raise LibsvmFormatError(f"token {tok!r} has index < 1", lineno)
+            if idx > MAX_INDEX:
+                raise LibsvmFormatError(
+                    f"token {tok!r} has index > {MAX_INDEX}", lineno
+                )
             try:
                 val = float(val_s)
             except ValueError:
@@ -103,15 +187,43 @@ def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
                 out_of_order = True
             seen.add(idx)
             entries.append((idx, val))
-            n_features = max(n_features, idx)
 
         if out_of_order:
             entries.sort(key=lambda e: e[0])
             reordered += 1
-        records.append(LibsvmRecord(label=label, entries=tuple(entries)))
+        labels.append(label)
+        counts.append(len(entries))
+        indices.extend(idx - 1 for idx, _ in entries)  # columns are 0-based
+        values.extend(val for _, val in entries)
 
-    return ParseResult(
-        records=tuple(records), n_features=n_features, reordered=reordered
+    return _result(labels, counts, indices, values, reordered)
+
+
+def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
+    """Parse LIBSVM text into compressed-row samples."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+
+    blocks = []
+    for start in range(0, len(lines), BLOCK_LINES):
+        block = lines[start:start + BLOCK_LINES]
+        parsed = _parse_columnar(block)
+        blocks.append(parsed if parsed is not None
+                      else _parse_lines(block, first_line=start + 1))
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return _parse_lines(())
+    return _result(
+        np.concatenate([b.labels for b in blocks]),
+        np.concatenate([np.diff(b.indptr) for b in blocks]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.values for b in blocks]),
+        sum(b.reordered for b in blocks),
     )
 
 
@@ -145,57 +257,47 @@ def serialize_libsvm(records: Iterable[LibsvmRecord]) -> str:
 
 
 def to_dataset(
-    records: Iterable[LibsvmRecord],
+    parsed: ParseResult,
     label_policy: Mapping[float, int] | None = None,
     n_features: int | None = None,
 ) -> Dataset:
-    """Assemble records into a compressed-row Dataset with +-1 labels.
+    """Build a compressed-row Dataset with +-1 labels from a parse.
 
     Labels already in {-1, +1} are kept; {0, 1} maps 0 to -1.  Any other
     label set needs an explicit two-valued ``label_policy`` mapping raw
     labels to -1 or +1.  ``n_features`` overrides the inferred column count
     (some files omit trailing all-zero columns).
     """
-    records = list(records)
-    if not records:
+    raw_labels = parsed.labels
+    if raw_labels.size == 0:
         raise ValueError("cannot build a dataset from zero records")
 
-    raw_labels = np.array([rec.label for rec in records])
+    distinct, position = np.unique(raw_labels, return_inverse=True)
+    distinct = distinct.tolist()
     if label_policy is not None:
         mapping = {float(k): int(v) for k, v in label_policy.items()}
         if not set(mapping.values()) <= {-1, 1}:
             raise ValueError("label policy must map onto {-1, +1}")
-        unknown = sorted(set(raw_labels) - set(mapping))
+        unknown = sorted(set(distinct) - set(mapping))
         if unknown:
             raise ValueError(f"labels {unknown} not covered by the label policy")
-        labels = np.array([mapping[l] for l in raw_labels], dtype=float)
+        labels = np.array([mapping[l] for l in distinct], dtype=float)[position]
+    elif set(distinct) <= {-1.0, 1.0}:
+        labels = raw_labels.astype(float)
+    elif set(distinct) <= {0.0, 1.0}:
+        labels = np.where(raw_labels == 0.0, -1.0, 1.0)
     else:
-        distinct = set(raw_labels.tolist())
-        if distinct <= {-1.0, 1.0}:
-            labels = raw_labels.astype(float)
-        elif distinct <= {0.0, 1.0}:
-            labels = np.where(raw_labels == 0.0, -1.0, 1.0)
-        else:
-            raise ValueError(
-                f"label set {sorted(distinct)} is not {{-1,+1}} or {{0,1}}; "
-                "supply an explicit label mapping"
-            )
+        raise ValueError(
+            f"label set {distinct} is not {{-1,+1}} or {{0,1}}; "
+            "supply an explicit label mapping"
+        )
 
-    inferred = max((idx for rec in records for idx, _ in rec.entries), default=0)
-    n = n_features if n_features is not None else inferred
-    if n < inferred:
-        raise ValueError(f"n_features={n} is below the largest seen index {inferred}")
-
-    indptr = np.zeros(len(records) + 1, dtype=np.int64)
-    indices = []
-    values = []
-    for i, rec in enumerate(records):
-        for idx, val in sorted(rec.entries, key=lambda e: e[0]):
-            indices.append(idx - 1)  # file indices are 1-based, columns 0-based
-            values.append(val)
-        indptr[i + 1] = len(indices)
+    n = n_features if n_features is not None else parsed.n_features
+    if n < parsed.n_features:
+        raise ValueError(
+            f"n_features={n} is below the largest seen index {parsed.n_features}"
+        )
     features = sp.csr_matrix(
-        (np.asarray(values, dtype=float), np.asarray(indices, dtype=np.int64), indptr),
-        shape=(len(records), n),
+        (parsed.values, parsed.indices, parsed.indptr), shape=(raw_labels.size, n)
     )
     return Dataset(features=features, labels=labels)

@@ -77,14 +77,14 @@ def australian_file(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="session")
 def australian_dataset(australian_file):
-    return to_dataset(load_libsvm(australian_file).records)
+    return to_dataset(load_libsvm(australian_file))
 
 
 @pytest.fixture(scope="session")
 def small_dataset():
     """Tiny dataset for cheap unit tests (40 samples, 6 features)."""
     text = synthetic_libsvm_text(M=40, n=6, seed=11)
-    return to_dataset(parse_libsvm(text).records)
+    return to_dataset(parse_libsvm(text))
 
 
 @pytest.fixture(scope="session")

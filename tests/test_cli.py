@@ -100,6 +100,17 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "not found" in err
 
+    def test_index_beyond_int64_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 1:1.0 99999999999999999999:2\n")
+        code, _, err = run_cli(
+            capsys, "run", "--problem", "logreg-l2", "--betas", "0.9",
+            "--gammas", "0.1", "--iters", "10", "--data", str(path),
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: line 1: ")
+
     def test_data_flag_contradicts_quadratic(self, capsys, tmp_path):
         path = tmp_path / "d.libsvm"
         path.write_text("1 1:1.0\n")

@@ -734,7 +734,7 @@ class TestBuildProblem:
         monkeypatch.setattr(agghb.problems, "spectral_norm", counting)
         p = build_problem(name, {"data": str(path), **params})
         assert calls == [(30, 5)]
-        sn, _ = original(to_dataset(load_libsvm(path).records).features)
+        sn, _ = original(to_dataset(load_libsvm(path)).features)
         base = 1.01 * sn / (4.0 * 30)
         reg = p.params.get("l2", 2.0 * p.params.get("lambda", 0.0))
         assert p.L == base + reg  # bit-identical to the uncached formula

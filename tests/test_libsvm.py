@@ -1,15 +1,21 @@
-"""Parser tests: format examples, error reporting, round-trips, and fuzzing."""
+"""Parser tests: format examples, error reporting, round-trips, fuzzing, and
+the columnar path checked against the line parser."""
 
 import gzip
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agghb import libsvm
 from agghb.libsvm import (
+    MAX_INDEX,
     LibsvmFormatError,
     LibsvmRecord,
+    _parse_columnar,
+    _parse_lines,
     load_libsvm,
     parse_libsvm,
     serialize_libsvm,
@@ -74,6 +80,15 @@ class TestParse:
         result = parse_libsvm("1\t1:1.0   2:2.0\t\t3:3.0")
         assert result.records[0].entries == ((1, 1.0), (2, 2.0), (3, 3.0))
 
+    def test_index_beyond_int64_rejected(self):
+        with pytest.raises(LibsvmFormatError, match="index >") as exc:
+            parse_libsvm("1 1:1.0 99999999999999999999:2")
+        assert exc.value.line == 1
+        assert "99999999999999999999:2" in str(exc.value)
+
+    def test_largest_int64_index_accepted(self):
+        assert parse_libsvm(f"1 {MAX_INDEX}:2").n_features == MAX_INDEX
+
     def test_invalid_utf8_bytes_structured_error(self):
         with pytest.raises(LibsvmFormatError, match="UTF-8"):
             parse_libsvm(b"\xff\xfe\x00 1:1.0")
@@ -81,59 +96,59 @@ class TestParse:
 
 class TestToDataset:
     def test_keeps_plus_minus_one(self):
-        records = parse_libsvm("1 1:1.0\n-1 2:2.0").records
-        data = to_dataset(records)
+        parsed = parse_libsvm("1 1:1.0\n-1 2:2.0")
+        data = to_dataset(parsed)
         np.testing.assert_array_equal(data.labels, [1.0, -1.0])
 
     def test_zero_one_mapped(self):
-        records = parse_libsvm("0 1:1.0\n1 2:2.0").records
-        data = to_dataset(records)
+        parsed = parse_libsvm("0 1:1.0\n1 2:2.0")
+        data = to_dataset(parsed)
         np.testing.assert_array_equal(data.labels, [-1.0, 1.0])
 
     def test_three_labels_rejected_listing_values(self):
-        records = parse_libsvm("1 1:1.0\n2 1:1.0\n3 1:1.0").records
+        parsed = parse_libsvm("1 1:1.0\n2 1:1.0\n3 1:1.0")
         with pytest.raises(ValueError) as exc:
-            to_dataset(records)
+            to_dataset(parsed)
         assert "1.0" in str(exc.value) and "3.0" in str(exc.value)
 
     def test_explicit_mapping(self):
-        records = parse_libsvm("2 1:1.0\n4 1:2.0").records
-        data = to_dataset(records, label_policy={2: -1, 4: 1})
+        parsed = parse_libsvm("2 1:1.0\n4 1:2.0")
+        data = to_dataset(parsed, label_policy={2: -1, 4: 1})
         np.testing.assert_array_equal(data.labels, [-1.0, 1.0])
 
     def test_mapping_must_cover_all_labels(self):
-        records = parse_libsvm("2 1:1.0\n5 1:2.0").records
+        parsed = parse_libsvm("2 1:1.0\n5 1:2.0")
         with pytest.raises(ValueError, match="not covered"):
-            to_dataset(records, label_policy={2: -1, 4: 1})
+            to_dataset(parsed, label_policy={2: -1, 4: 1})
 
     def test_mapping_must_target_pm_one(self):
-        records = parse_libsvm("2 1:1.0").records
+        parsed = parse_libsvm("2 1:1.0")
         with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
-            to_dataset(records, label_policy={2: 0})
+            to_dataset(parsed, label_policy={2: 0})
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero records"):
-            to_dataset([])
+            to_dataset(parse_libsvm(""))
 
     def test_matrix_layout_zero_based(self):
-        records = parse_libsvm("1 1:7.0 3:-1.0\n-1 2:4.0").records
-        data = to_dataset(records)
+        parsed = parse_libsvm("1 1:7.0 3:-1.0\n-1 2:4.0")
+        data = to_dataset(parsed)
         dense = data.features.toarray()
         np.testing.assert_array_equal(dense, [[7.0, 0.0, -1.0], [0.0, 4.0, 0.0]])
 
     def test_n_override(self):
-        records = parse_libsvm("1 1:1.0").records
-        data = to_dataset(records, n_features=5)
+        parsed = parse_libsvm("1 1:1.0")
+        data = to_dataset(parsed, n_features=5)
         assert data.n == 5
 
     def test_n_override_below_max_rejected(self):
-        records = parse_libsvm("1 4:1.0").records
+        parsed = parse_libsvm("1 4:1.0")
         with pytest.raises(ValueError, match="below"):
-            to_dataset(records, n_features=3)
+            to_dataset(parsed, n_features=3)
 
     def test_all_zero_row_kept(self):
-        records = parse_libsvm("-1\n+1 2:1.0").records
-        data = to_dataset(records)
+        parsed = parse_libsvm("-1\n+1 2:1.0")
+        data = to_dataset(parsed)
         assert data.M == 2
         np.testing.assert_array_equal(data.features.toarray()[0], [0.0, 0.0])
 
@@ -201,11 +216,142 @@ class TestFuzz:
         except LibsvmFormatError:
             return
         assert result.n_features >= 0
+        assert_same_parse(result, _parse_lines(blob.decode("utf-8").splitlines()))
 
     @given(st.text(max_size=400))
     @settings(max_examples=300, deadline=None)
     def test_never_panics_on_text(self, text):
         try:
-            parse_libsvm(text)
+            result = parse_libsvm(text)
         except LibsvmFormatError:
-            pass
+            return
+        assert_same_parse(result, _parse_lines(text.splitlines()))
+
+
+def assert_same_parse(got, want):
+    """Bit-identical columnar arrays (dtype included) and equal counters."""
+    for name in ("labels", "indptr", "indices", "values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.n_features == want.n_features
+    assert got.reordered == want.reordered
+
+
+def _full_width(digits: str) -> str:
+    return "".join(chr(ord(c) - ord("0") + 0xFF10) for c in digits)
+
+
+# Accepted spellings, each as int() and float() read them.
+good_labels = st.sampled_from(
+    ["1", "-1", "+1", "0", "-0", "2.5", "1e3", "1_0", _full_width("1")]
+)
+good_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.sampled_from(["1", "-0", "+2", "1_5", "1e-300", _full_width("12") + ".5"]),
+)
+separators = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000"])
+
+
+@st.composite
+def good_lines(draw):
+    label = draw(good_labels)
+    indices = sorted(draw(st.sets(st.integers(min_value=1, max_value=60), max_size=6)))
+    tokens = [label]
+    for idx in indices:
+        spelled = draw(st.sampled_from(
+            [str(idx), f"+{idx}", f"00{idx}", _full_width(str(idx))]
+        ))
+        tokens.append(f"{spelled}:{draw(good_values)}")
+    line = tokens[0]
+    for tok in tokens[1:]:
+        line += draw(separators) + tok
+    return draw(st.sampled_from(["", " ", "\t"])) + line
+
+
+# Each one makes the columnar path hand its block to the line parser; the
+# first two are accepted there, the rest are errors.
+FALLBACK_TRIGGERS = {
+    "comment": "+1 1:1.0 # note\n-1 2:1.0\n",
+    "out_of_order": "+1 3:1.0 1:2.0\n-1 2:1.0\n",
+    "duplicate": "+1 2:1.0 2:3.0\n",
+    "index_zero": "+1 0:1.0\n",
+    "float_index": "+1 1.0:1.0\n",
+    "two_colons": "+1 1:2:3\n",
+    "colon_count_balanced": "+1 1:2:3 23\n",
+    "empty_value": "-1 2:1\n+1 1:\n",
+    "empty_index": "+1 :2\n",
+    "no_colon": "+1 23\n",
+    "inf_value": "+1 1:inf\n",
+    "nan_label": "nan 1:1\n",
+    "int64_overflow": "+1 1:1.0 99999999999999999999:2\n",
+}
+bad_lines = st.one_of(
+    st.sampled_from([t.splitlines()[0] for t in FALLBACK_TRIGGERS.values()]),
+    st.sampled_from(["x 1:1", "1:2 3:4", "1 1:nan", "1 1:1e400", "1 -2:1", "1 0x1:1"]),
+)
+
+
+@st.composite
+def libsvm_texts(draw):
+    """(text, clean): clean texts hold only accepted lines without comments."""
+    clean = draw(st.booleans())
+    line = st.one_of(good_lines(), st.sampled_from(["", "  ", "\t"]))
+    if not clean:
+        line = st.one_of(line, bad_lines)
+    lines = draw(st.lists(line, max_size=10))
+    text = "".join(l + draw(st.sampled_from(["\n", "\r\n"])) for l in lines)
+    return text, clean
+
+
+def parse_or_error(parse, source):
+    try:
+        return parse(source)
+    except LibsvmFormatError as exc:
+        return (str(exc), exc.line)
+
+
+class TestColumnarMatchesLineParser:
+    @given(libsvm_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_or_same_error(self, case):
+        text, clean = case
+        lines = text.splitlines()
+        want = parse_or_error(_parse_lines, lines)
+        fast = _parse_columnar(lines)
+        if clean:
+            assert fast is not None
+        if fast is not None:
+            assert not isinstance(want, tuple), want
+            assert_same_parse(fast, want)
+        for block_lines in (libsvm.BLOCK_LINES, 3):
+            with mock.patch.object(libsvm, "BLOCK_LINES", block_lines):
+                got = parse_or_error(parse_libsvm, text)
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("text", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS)
+    def test_trigger_falls_back(self, text):
+        lines = text.splitlines()
+        assert _parse_columnar(lines) is None
+        want = parse_or_error(_parse_lines, lines)
+        got = parse_or_error(parse_libsvm, text)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert_same_parse(got, want)
+
+    def test_error_in_later_block_keeps_file_line_number(self):
+        text = "+1 1:1\n" * 7 + "+1 1:zap\n"
+        with mock.patch.object(libsvm, "BLOCK_LINES", 3):
+            with pytest.raises(LibsvmFormatError) as exc:
+                parse_libsvm(text)
+        assert exc.value.line == 8
+
+    def test_blocks_join_into_one_matrix(self):
+        text = "+1 1:1 3:2\n\n-1\n0 2:5 # c\n1 4:1 2:3\n-1 1:7\n"
+        with mock.patch.object(libsvm, "BLOCK_LINES", 2):
+            got = parse_libsvm(text)
+        assert_same_parse(got, _parse_lines(text.splitlines()))
+        assert got.reordered == 1

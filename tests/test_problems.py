@@ -299,7 +299,7 @@ class TestShippedProblemAudits:
 
     def _problems(self):
         text = synthetic_libsvm_text(M=60, n=8, seed=23)
-        data = to_dataset(parse_libsvm(text).records)
+        data = to_dataset(parse_libsvm(text))
         return [
             quadratic(np.diag(np.arange(1.0, 6.0)), np.arange(5.0)),
             rosenbrock(),
