@@ -134,7 +134,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    problem = harness.build_problem(args.problem, _problem_params(args))
+    params = _problem_params(args)
+    problem = harness.build_problem(args.problem, params)
     config = harness.RunConfig(
         problem=args.problem,
         optimizer=_infer_optimizer(args.betas),
@@ -142,7 +143,7 @@ def cmd_tune(args) -> int:
         stepsize_mode="tune",
         iters=args.iters,
         seed=args.seed,
-        problem_params=_problem_params(args),
+        problem_params=params,
     )
     best, sweep = harness.tune(config, problem)
     for entry in sweep:

@@ -21,9 +21,10 @@ from scipy.special import expit
 # dense matvecs beat sparse ones on such narrow matrices.
 _DENSE_FALLBACK_COLS = 64
 
-# The batched logistic objectives work through the columns of X in blocks
-# whose M x width temporaries stay near this size, so a wide sweep on many
-# samples does not grow the resident set by M x P doubles per temporary.
+# The batched logistic objectives take their products over all P columns of
+# X at once and run the elementwise logistic over row chunks of the M x P
+# margins whose temporaries stay near this size: the margins are then the
+# only M x P array, and each chunk stays in cache.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -47,6 +48,13 @@ class Dataset:
             raise ValueError("labels must all be -1 or +1")
         if feats.nnz and not np.all(np.isfinite(feats.data)):
             raise ValueError("feature matrix contains non-finite values")
+        try:
+            np.empty(feats.shape[1])  # the dense iterate; untouched pages cost nothing
+        except (MemoryError, ValueError):
+            raise ValueError(
+                f"feature count {feats.shape[1]} is too large: a dense iterate "
+                "of that many values cannot be allocated"
+            ) from None
 
     @property
     def M(self) -> int:
@@ -208,21 +216,27 @@ def _feature_operator(data: Dataset):
     """Products with the label-signed features B = diag(y) A:
     (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix),
     with a dense fast path for narrow matrices.  The labels are +-1, so
-    B @ x equals y * (A @ x) exactly."""
+    B @ x equals y * (A @ x) exactly.
+
+    On the sparse path a CSR copy of B.T serves single vectors, where it is
+    the faster kernel; a block R (M, P) goes through the CSC view ``B.T``,
+    whose one pass over B beats both that copy and P separate products."""
     if data.n <= _DENSE_FALLBACK_COLS:
         B = data.labels[:, None] * data.features.toarray()
         return (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
-    B = sp.csr_matrix(sp.diags(data.labels) @ data.features)
+    B = data.features.copy()
+    B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
     BT = B.T.tocsr()
     return (
         (lambda x: B @ x),
-        (lambda r: BT @ r),
+        (lambda r: (BT if r.ndim == 1 else B.T) @ r),
         (lambda w: (BT @ sp.diags(w) @ B).toarray()),
     )
 
 
-def _logistic(z: np.ndarray, grad: bool = True):
-    """Mean over axis 0 of log(1 + exp(-z)), and expit(-z) when ``grad``.
+def _logistic(z: np.ndarray, grad: bool = True) -> np.ndarray:
+    """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is overwritten
+    with expit(-z).
 
     Both come from one exp(-|z|) per entry:
     log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
@@ -230,10 +244,10 @@ def _logistic(z: np.ndarray, grad: bool = True):
     otherwise; both forms stay finite for any finite z.
     """
     e = np.exp(-np.abs(z))
-    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0) / len(z)  # np.mean, less overhead
-    if not grad:
-        return loss, None
-    return loss, np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0)
+    if grad:
+        np.divide(np.where(z >= 0.0, e, 1.0), 1.0 + e, out=z)
+    return loss
 
 
 def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
@@ -241,30 +255,34 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     logistic loss plus ``penalty``, which maps x (n,) or X (n, P) to its
     value (one per column) and its gradient.
 
-    Each point, and each block of columns of X, forms z = y * Ax once and
-    one exp(-|z|) per entry (see :func:`_logistic`).  Blocks hold
-    ``_BLOCK_BYTES // (8 M)`` columns.
+    Each call forms the margins z = y * Ax once, one exp(-|z|) per entry
+    (see :func:`_logistic`) and one product with B.T.  ``batch_objective``
+    takes both products over the whole block X and runs the logistic over
+    row chunks of ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into
+    the margins, so the margins are its only M x P array.
     """
     M = data.M
-    width = max(1, _BLOCK_BYTES // (8 * M))
 
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(_logistic(matvec(x), grad=False)[0] + penalty(x)[0])
+        return float(_logistic(matvec(x), grad=False) / M + penalty(x)[0])
 
     def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
         x = np.asarray(x, dtype=float)
-        loss, s = _logistic(matvec(x))
+        z = matvec(x)
+        loss = _logistic(z)
         reg, reg_grad = penalty(x)
-        return float(loss + reg), reg_grad - rmatvec(s) / M
+        return float(loss / M + reg), reg_grad - rmatvec(z) / M
 
     def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f, G = penalty(X)
-        for lo in range(0, X.shape[1], width):
-            cols = slice(lo, lo + width)
-            loss, s = _logistic(matvec(X[:, cols]))
-            f[cols] += loss
-            G[:, cols] -= rmatvec(s) / M
+        Z = matvec(X)
+        rows = max(1, _BLOCK_BYTES // (8 * X.shape[1]))
+        loss = np.zeros(X.shape[1])
+        for lo in range(0, M, rows):
+            loss += _logistic(Z[lo:lo + rows])
+        f += loss / M
+        G -= rmatvec(Z) / M
         return f, G
 
     return value, value_and_grad, batch_objective

@@ -111,6 +111,19 @@ class TestRun:
         assert code == EXIT_USAGE
         assert err.startswith("error: line 1: ")
 
+    def test_unallocatable_feature_count_is_an_error(self, capsys, tmp_path):
+        # the index fits int64, but no dense iterate of that length exists
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 1:1.0 9223372036854775807:2\n-1 2:1\n")
+        code, out, err = run_cli(
+            capsys, "run", "--problem", "logreg-l2", "--betas", "0.9",
+            "--gammas", "0.1", "--data", str(path),
+            "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: feature count 9223372036854775807 ")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_data_flag_contradicts_quadratic(self, capsys, tmp_path):
         path = tmp_path / "d.libsvm"
         path.write_text("1 1:1.0\n")

@@ -1,5 +1,7 @@
 """Tests for the objective constructors and their constants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -119,6 +121,11 @@ class TestDataset:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             Dataset(features=sp.eye(3, format="csr"), labels=np.array([1.0, -1.0]))
+
+    def test_unallocatable_feature_count_rejected(self):
+        A = sp.csr_matrix((np.array([1.0]), np.array([0]), np.array([0, 1])), shape=(1, 2**62))
+        with pytest.raises(ValueError, match=f"feature count {2**62} "):
+            Dataset(features=A, labels=np.array([1.0]))
 
 
 class TestLogregL2:
@@ -363,12 +370,35 @@ class TestBatchObjective:
         assert np.abs(z).max() >= 700.0
         self._assert_matches_columns(p, X)
 
+    @pytest.mark.parametrize("P", [1, 11])
     @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
-    def test_logistic_column_blocks_with_remainder(self, request, dataset, monkeypatch):
+    def test_logistic_row_chunks_with_remainder(self, request, dataset, P, monkeypatch):
         data = request.getfixturevalue(dataset)
-        monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8 * data.M * 4)
+        rows = 7  # 40 = 5 * 7 + 5 and 200 = 28 * 7 + 4 samples
+        assert data.M > 3 * rows and data.M % rows
+        monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8 * P * rows)
         for p in (logreg_l2(data, 1e-3), logreg_nonconvex(data, 1e-2)):
-            self._assert_matches_columns(p, self._points(p.dim, 11, seed=34))
+            self._assert_matches_columns(p, self._points(p.dim, P, seed=34))
+
+    def test_one_call_holds_one_margin_block(self):
+        """A call's allocation peak is one M x P block plus a few chunk-sized
+        temporaries, not the logistic's temporaries over all M x P margins."""
+        M, n, P = 20000, 80, 15
+        rng = np.random.default_rng(35)
+        data = Dataset(
+            features=sp.random(M, n, density=0.1, format="csr", random_state=rng),
+            labels=np.where(rng.random(M) < 0.5, -1.0, 1.0),
+        )
+        p = logreg_l2(data, 1e-3)
+        X = rng.standard_normal((n, P))
+        p.batch_objective(X)  # warm up scipy's one-time allocations
+        tracemalloc.start()
+        try:
+            p.batch_objective(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * M * P + 8 * agghb.problems._BLOCK_BYTES
 
 
 class TestValueAndGrad:
