@@ -85,11 +85,30 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _config(args, problem_params: dict, stepsize_mode: str,
+            gammas=None) -> harness.RunConfig:
+    return harness.RunConfig(
+        problem=args.problem,
+        optimizer=_infer_optimizer(args.betas),
+        betas=args.betas,
+        stepsize_mode=stepsize_mode,
+        gammas=gammas,
+        iters=args.iters,
+        seed=args.seed,
+        problem_params=problem_params,
+    )
+
+
+def _emit_sweep(sweep) -> None:
+    for entry in sweep:
+        _emit("sweep", f"a={entry.a!r} gamma={entry.gamma!r} final_f={entry.final_f!r} "
+                       f"diverged={'true' if entry.diverged else 'false'}")
+
+
 def cmd_run(args) -> int:
     params = _problem_params(args)
     problem = harness.build_problem(args.problem, params)
     betas = args.betas
-    optimizer = _infer_optimizer(betas)
 
     gammas_arg = args.gammas
     if gammas_arg in ("theory-ncvx", "theory-cvx", "tune"):
@@ -99,29 +118,17 @@ def cmd_run(args) -> int:
         if len(gammas) == 1 and len(betas) > 1:
             gammas = gammas * len(betas)
         mode = "explicit"
-
-    config = harness.RunConfig(
-        problem=args.problem,
-        optimizer=optimizer,
-        betas=betas,
-        stepsize_mode=mode,
-        gammas=gammas,
-        iters=args.iters,
-        seed=args.seed,
-        problem_params=params,
-    )
+    config = _config(args, params, mode, gammas)
 
     if mode == "tune":
         config, sweep = harness.tune(config, problem)
-        for entry in sweep:
-            _emit("sweep", f"a={entry.a!r} final_f={entry.final_f!r} "
-                           f"diverged={'true' if entry.diverged else 'false'}")
+        _emit_sweep(sweep)
         _emit("tuned_gamma", config.gammas[0])
 
     trace = harness.run(config, problem)
     csv_path, meta_path = harness.export_trace(trace, args.out)
     _emit("problem", args.problem)
-    _emit("optimizer", optimizer)
+    _emit("optimizer", config.optimizer)
     _emit("stepsize_mode", config.stepsize_mode)
     _emit("gammas", ",".join(repr(g) for g in trace.gammas))
     _emit("iters", int(trace.ks[-1]))
@@ -136,19 +143,8 @@ def cmd_run(args) -> int:
 def cmd_tune(args) -> int:
     params = _problem_params(args)
     problem = harness.build_problem(args.problem, params)
-    config = harness.RunConfig(
-        problem=args.problem,
-        optimizer=_infer_optimizer(args.betas),
-        betas=args.betas,
-        stepsize_mode="tune",
-        iters=args.iters,
-        seed=args.seed,
-        problem_params=params,
-    )
-    best, sweep = harness.tune(config, problem)
-    for entry in sweep:
-        _emit("sweep", f"a={entry.a!r} gamma={entry.gamma!r} final_f={entry.final_f!r} "
-                       f"diverged={'true' if entry.diverged else 'false'}")
+    best, sweep = harness.tune(_config(args, params, "tune"), problem)
+    _emit_sweep(sweep)
     _emit("best_gamma", best.gammas[0])
     return EXIT_OK
 

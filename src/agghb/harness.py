@@ -186,7 +186,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
 
     The iterate x (d,) and the momentum buffers V (m, d) are updated in
     place by :func:`optim.step_inplace`, and each iterate makes one
-    ``problem.value_and_grad`` call, whose first gradient must have the
+    ``problem.value_and_grad`` call on x, whose first gradient must have the
     iterate's shape; theory-cvx adds one ``value`` call at the averaged
     iterate.  The run stops early, flagged ``diverged``, at the first non-finite
     objective or gradient, or when a step makes the iterate or buffers
@@ -290,20 +290,23 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
 
     All grid points advance together: the iterates are the columns of one
     X (d, P) and the momentum buffers one V (m, d, P), each step makes one
-    ``problem.batch_objective`` call, and every column follows
-    :func:`run`'s recurrence and divergence rule.  A point diverges when its
-    objective or gradient turns non-finite, or a step makes its iterate or
-    buffers non-finite; its column is then dropped.  Best is the lowest
-    final objective among non-diverged points, ties broken toward the
-    smaller stepsize.  Returns the resolved config (mode "tuned") and the
-    full sweep table.
+    ``problem.value_and_grad`` call on the block of live columns, and every
+    column follows :func:`run`'s recurrence and divergence rule.  A point
+    diverges when its objective or gradient turns non-finite, or a step
+    makes its iterate or buffers non-finite; its column is then dropped.
+    Only non-finite values count: a point that ends far above f(x0) without
+    overflowing is not ``diverged``, and its ``final_f`` is then chaotic,
+    so a change of rounding anywhere in the objective can move it far more
+    than it moves a converging point's.  Best is the lowest final objective
+    among non-diverged points, ties broken toward the smaller stepsize.
+    Returns the resolved config (mode "tuned") and the full sweep table.
     """
     if base.stepsize_mode != "tune":
         raise ValueError("tune() expects a config with stepsize mode 'tune'")
     m = len(base.betas)
     configs = [AggConfig(betas=base.betas, gammas=(a / problem.L,) * m) for a in TUNING_GRID]
     x0 = start_point(base, problem)
-    objective = problem.batch_objective
+    objective = problem.value_and_grad
 
     P = len(TUNING_GRID)
     live = np.arange(P)  # grid indices of the columns still advancing
@@ -375,8 +378,7 @@ def _newton(problem: Problem, x: np.ndarray, grad_tol: float) -> np.ndarray:
     earlier on a singular Hessian, a non-descent direction or a failed line
     search.
     """
-    f = problem.value(x)
-    g = problem.gradient(x)
+    f, g = problem.value_and_grad(x)
     for _ in range(NEWTON_MAX_ITERS):
         if np.linalg.norm(g) <= grad_tol:
             return x

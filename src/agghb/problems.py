@@ -21,10 +21,12 @@ from scipy.special import expit
 # dense matvecs beat sparse ones on such narrow matrices.
 _DENSE_FALLBACK_COLS = 64
 
-# The batched logistic objectives take their products over all P columns of
-# X at once and run the elementwise logistic over row chunks of the M x P
-# margins whose temporaries stay near this size: the margins are then the
-# only M x P array, and each chunk stays in cache.
+# The logistic ``value_and_grad`` takes its products over all P columns of
+# X (n, P) at once and runs the elementwise logistic over row chunks of the
+# M x P margins whose temporaries stay near this size: the margins are then
+# the only M x P array, and each chunk stays in cache.  A single x (n,) is
+# one chunk: its temporaries are M values, and splitting them would only
+# add interpreter overhead to every iterate of ``harness.run``.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -77,14 +79,17 @@ class Dataset:
 class Problem:
     """Smooth objective with analytic gradient and known constants.
 
-    ``value_and_grad`` returns ``(value(x), gradient(x))`` from one pass over
-    the data; ``harness.run`` makes one such call per iterate.
-    ``batch_objective`` evaluates many points at once: the columns of
-    X (dim, P) map to their values f (P,) and gradients G (dim, P), as
-    ``value`` and ``gradient`` would up to rounding; the stepsize sweep
-    advances all its grid points through it.  ``reference_opt`` is an
-    exactly-known minimizer ``(x_*, f(x_*))`` when one exists; ``f_lower`` is
-    any valid lower bound on the objective (used for suboptimality gaps).
+    ``value_and_grad`` is the objective: it maps x (dim,) to
+    ``(value(x), gradient(x))`` from one pass over the data, and the columns
+    of X (dim, P) to their values f (P,) and gradients G (dim, P), as it
+    maps each column alone up to rounding.  ``harness.run`` makes one call
+    per iterate on x, and ``harness.tune`` one per iterate on the block of
+    its live grid points.  ``value`` and ``gradient`` take x (dim,) only;
+    ``gradient`` is ``value_and_grad``'s gradient, and ``value`` is its
+    value or, where that saves work, a gradient-free copy.
+    ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
+    one exists; ``f_lower`` is any valid lower bound on the objective (used
+    for suboptimality gaps).
     ``convex`` marks objectives for which a reference solution may be
     computed by descent.  ``hessian``, when set, returns the dense Hessian
     matrix at a point; the reference solver then uses Newton's method.
@@ -94,8 +99,7 @@ class Problem:
     dim: int
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    value_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    batch_objective: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    value_and_grad: Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
     L: float
     mu: float = 0.0
     convex: bool = False
@@ -127,31 +131,25 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         raise ValueError(f"Q is not positive semidefinite (lambda_min = {lam_min:.3g})")
     mu = max(lam_min, 0.0)
 
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ (Q @ x) - b @ x)
-
-    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        Qx = Q @ x
-        return float(0.5 * x @ Qx - b @ x), Qx - b
-
-    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
         QX = Q @ X
-        return 0.5 * np.einsum("ij,ij->j", X, QX) - b @ X, QX - b[:, None]
+        # b broadcasts along the last axis, so it is subtracted from QX.T: a
+        # column-shaped b would broadcast a single x (d,) to (d, d).
+        return 0.5 * np.add.reduce(X * QX) - b @ X, (QX.T - b).T
 
     reference = None
     f_lower = None
     if lam_min > 1e-12 * lam_max:
         x_star = np.linalg.solve(Q, b)
-        f_star = float(0.5 * x_star @ (Q @ x_star) - b @ x_star)
+        f_star = float(value_and_grad(x_star)[0])
         reference = (x_star, f_star)
         f_lower = f_star
 
     return Problem(
         name="quadratic",
         dim=Q.shape[0],
-        value=value,
+        value=lambda x: value_and_grad(x)[0],
         gradient=lambda x: value_and_grad(x)[1],
         L=lam_max,
         mu=mu,
@@ -159,7 +157,6 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         reference_opt=reference,
         f_lower=f_lower,
         params={"dim": Q.shape[0]},
-        batch_objective=batch_objective,
         value_and_grad=value_and_grad,
     )
 
@@ -173,17 +170,14 @@ def rosenbrock() -> Problem:
     standard trajectories live.
     """
 
-    def value_and_grad(p: np.ndarray) -> tuple[float, np.ndarray]:
-        x, y = np.float64(p[0]), np.float64(p[1])  # np scalars: overflow -> inf, not OverflowError
-        r = y - x * x
-        f = float((1.0 - x) ** 2 + 100.0 * r ** 2)
-        return f, np.array([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r])
-
-    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        # Entries of a float array are numpy scalars, so even a point given as
+        # a list overflows to inf rather than raising OverflowError.
+        X = np.asarray(X, dtype=float)
         x, y = X[0], X[1]
         r = y - x * x
         f = (1.0 - x) ** 2 + 100.0 * r ** 2
-        return f, np.stack((-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r))
+        return f, np.array([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r])
 
     # Hessian entries: hxx = 2 - 400 y + 1200 x^2, hxy = -400 x, hyy = 200.
     xs = np.linspace(-2.0, 2.0, 81)
@@ -207,7 +201,6 @@ def rosenbrock() -> Problem:
         reference_opt=(np.array([1.0, 1.0]), 0.0),
         f_lower=0.0,
         params={"L_is_local_estimate": True},
-        batch_objective=batch_objective,
         value_and_grad=value_and_grad,
     )
 
@@ -251,15 +244,16 @@ def _logistic(z: np.ndarray, grad: bool = True) -> np.ndarray:
 
 
 def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
-    """``value``, ``value_and_grad`` and ``batch_objective`` of the mean
-    logistic loss plus ``penalty``, which maps x (n,) or X (n, P) to its
-    value (one per column) and its gradient.
+    """``value`` and ``value_and_grad`` of the mean logistic loss plus
+    ``penalty``, which maps x (n,) or X (n, P) to its value (one per column)
+    and its gradient.
 
-    Each call forms the margins z = y * Ax once, one exp(-|z|) per entry
-    (see :func:`_logistic`) and one product with B.T.  ``batch_objective``
-    takes both products over the whole block X and runs the logistic over
-    row chunks of ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into
-    the margins, so the margins are its only M x P array.
+    ``value_and_grad`` forms the margins Z = B @ X once, one exp(-|z|) per
+    entry (see :func:`_logistic`) and one product with B.T, over all columns
+    of X at once.  On a block it runs the logistic over row chunks of
+    ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into the margins,
+    so the margins are its only M x P array; a single x is one chunk.
+    ``value`` skips the gradient and with it the product with B.T.
     """
     M = data.M
 
@@ -267,25 +261,17 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
         x = np.asarray(x, dtype=float)
         return float(_logistic(matvec(x), grad=False) / M + penalty(x)[0])
 
-    def value_and_grad(x: np.ndarray) -> tuple[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        z = matvec(x)
-        loss = _logistic(z)
-        reg, reg_grad = penalty(x)
-        return float(loss / M + reg), reg_grad - rmatvec(z) / M
-
-    def batch_objective(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         Z = matvec(X)
-        rows = max(1, _BLOCK_BYTES // (8 * X.shape[1]))
-        loss = np.zeros(X.shape[1])
-        for lo in range(0, M, rows):
+        rows = max(1, _BLOCK_BYTES // (8 * X.shape[1])) if X.ndim == 2 else M
+        loss = _logistic(Z[:rows])
+        for lo in range(rows, M, rows):
             loss += _logistic(Z[lo:lo + rows])
-        f += loss / M
-        G -= rmatvec(Z) / M
-        return f, G
+        return f + loss / M, G - rmatvec(Z) / M
 
-    return value, value_and_grad, batch_objective
+    return value, value_and_grad
 
 
 def logreg_l2(data: Dataset, l2: float) -> Problem:
@@ -298,7 +284,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     if l2 < 0:
         raise ValueError("l2 must be nonnegative")
     matvec, rmatvec, weighted_gram = _feature_operator(data)
-    value, value_and_grad, batch_objective = _logistic_objectives(
+    value, value_and_grad = _logistic_objectives(
         data, matvec, rmatvec,
         lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
     )
@@ -320,7 +306,6 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         f_lower=0.0,
         params={"l2": l2, "M": data.M},
         hessian=hessian,
-        batch_objective=batch_objective,
         value_and_grad=value_and_grad,
     )
 
@@ -339,7 +324,7 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
     matvec, rmatvec, _ = _feature_operator(data)
-    value, value_and_grad, batch_objective = _logistic_objectives(
+    value, value_and_grad = _logistic_objectives(
         data, matvec, rmatvec, penalty
     )
     return Problem(
@@ -352,7 +337,6 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         convex=False,
         f_lower=0.0,
         params={"lambda": lam, "M": data.M},
-        batch_objective=batch_objective,
         value_and_grad=value_and_grad,
     )
 

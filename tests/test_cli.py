@@ -307,6 +307,17 @@ class TestTuneCommand:
         assert len(kv["sweep"]) == 15
         assert "best_gamma" in kv
 
+    def test_run_tune_mode_prints_the_same_sweep(self, capsys, tmp_path):
+        args = ("--problem", "quadratic", "--betas", "0.9,0.5", "--iters", "40")
+        code_tune, out_tune, _ = run_cli(capsys, "tune", *args)
+        code_run, out_run, _ = run_cli(
+            capsys, "run", *args, "--gammas", "tune", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code_tune == code_run == EXIT_OK
+        sweep = parse_kv(out_tune)["sweep"]
+        assert len(sweep) == 15 and all(" gamma=" in line for line in sweep)
+        assert parse_kv(out_run)["sweep"] == sweep
+
 
 class TestParseCheck:
     def test_reports_shape(self, capsys, tmp_path):

@@ -179,17 +179,14 @@ class TestRun:
 
 
 def _hand_built(gradient):
-    """f(x) = ||x||^2 / 2 as a ``Problem`` built by hand, L = 1, whose fused
-    objectives call ``gradient`` as given."""
+    """f(x) = ||x||^2 / 2 as a ``Problem`` built by hand, L = 1, whose
+    ``value_and_grad`` calls ``gradient`` as given (single points only)."""
     def value(x):
         return 0.5 * float(x @ x)
 
     return Problem(
         name="hand", dim=2, value=value, gradient=gradient, L=1.0, convex=True,
         value_and_grad=lambda x: (value(x), gradient(x)),
-        batch_objective=lambda X: (
-            0.5 * (X * X).sum(axis=0), np.column_stack([gradient(x) for x in X.T])
-        ),
     )
 
 
@@ -345,6 +342,48 @@ class TestRunObjectiveCalls:
             run(cfg, problem)
 
 
+class TestTuneObjectiveCalls:
+    """One ``value_and_grad`` call per iterate on the block of live grid
+    points; no ``value`` or ``gradient`` calls."""
+
+    @pytest.mark.parametrize("build, iters", [
+        (lambda request: quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)), 200),
+        (lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3), 37),
+    ], ids=["quadratic", "logreg-l2"])
+    def test_calls_per_iterate(self, request, build, iters):
+        problem = build(request)
+        widths, calls = [], dict.fromkeys(("value", "gradient"), 0)
+        fused = problem.value_and_grad
+
+        def counted_fused(X):
+            assert X.ndim == 2 and X.shape[0] == problem.dim
+            widths.append(X.shape[1])
+            return fused(X)
+
+        def counted(name):
+            def fn(x):
+                calls[name] += 1
+                return getattr(problem, name)(x)
+            return fn
+
+        counted_problem = dataclasses.replace(
+            problem, value_and_grad=counted_fused,
+            value=counted("value"), gradient=counted("gradient"),
+        )
+        cfg = RunConfig(
+            problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode="tune", iters=iters,
+        )
+        _, sweep = tune(cfg, counted_problem)
+        live = sum(not e.diverged for e in sweep)
+        assert len(widths) == iters + 1
+        assert widths[0] == len(TUNING_GRID) and widths[-1] == live
+        assert widths == sorted(widths, reverse=True)
+        assert calls == {"value": 0, "gradient": 0}
+        if problem.name == "quadratic":
+            assert 0 < live < len(TUNING_GRID)  # columns were dropped mid-sweep
+
+
 class TestTune:
     def _base(self, betas=(0.0,), iters=10, optimizer="gd", params=None):
         return RunConfig(
@@ -372,7 +411,6 @@ class TestTune:
 
     def test_all_diverged_raises_on_batched_path(self):
         problem = dataclasses.replace(identity_quadratic(), L=1e-12)
-        assert problem.batch_objective is not None
         with pytest.raises(TuningError) as exc:
             tune(self._base(iters=400), problem)
         assert len(exc.value.sweep) == 15

@@ -290,7 +290,6 @@ class TestFiniteDiffGradient:
             name="flat", dim=2, value=lambda x: 3.0,
             gradient=lambda x: np.zeros(2), L=1.0,
             value_and_grad=lambda x: (3.0, np.zeros(2)),
-            batch_objective=lambda X: (np.full(X.shape[1], 3.0), np.zeros_like(X)),
         )
         np.testing.assert_array_equal(
             finite_diff_gradient(p, np.ones(2), 1e-6), np.zeros(2)
@@ -333,11 +332,13 @@ class TestShippedProblemAudits:
 
 
 class TestBatchObjective:
-    """``batch_objective`` against per-column ``value`` and ``gradient``."""
+    """``value_and_grad`` on blocks X (dim, P) against ``value`` and
+    ``gradient`` of each column, which take the single-vector kernels
+    (matrix-vector products; the CSR copy of B.T on the sparse branch)."""
 
     @staticmethod
     def _assert_matches_columns(p, X):
-        f, G = p.batch_objective(X)
+        f, G = p.value_and_grad(X)
         assert f.shape == (X.shape[1],) and G.shape == X.shape
         for j in range(X.shape[1]):
             fj, gj = p.value(X[:, j]), p.gradient(X[:, j])
@@ -380,6 +381,15 @@ class TestBatchObjective:
         for p in (logreg_l2(data, 1e-3), logreg_nonconvex(data, 1e-2)):
             self._assert_matches_columns(p, self._points(p.dim, P, seed=34))
 
+    def test_logistic_without_features(self):
+        data = Dataset(features=sp.csr_matrix((3, 0)), labels=[1.0, -1.0, 1.0])
+        for p in (logreg_l2(data, 0.1), logreg_nonconvex(data, 0.1)):
+            f, g = p.value_and_grad(np.zeros(0))
+            assert f == pytest.approx(np.log(2.0), rel=1e-15) and g.shape == (0,)
+            f, G = p.value_and_grad(np.zeros((0, 15)))
+            np.testing.assert_allclose(f, np.log(2.0), rtol=1e-15)
+            assert G.shape == (0, 15)
+
     def test_one_call_holds_one_margin_block(self):
         """A call's allocation peak is one M x P block plus a few chunk-sized
         temporaries, not the logistic's temporaries over all M x P margins."""
@@ -391,10 +401,10 @@ class TestBatchObjective:
         )
         p = logreg_l2(data, 1e-3)
         X = rng.standard_normal((n, P))
-        p.batch_objective(X)  # warm up scipy's one-time allocations
+        p.value_and_grad(X)  # warm up scipy's one-time allocations
         tracemalloc.start()
         try:
-            p.batch_objective(X)
+            p.value_and_grad(X)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -402,8 +412,9 @@ class TestBatchObjective:
 
 
 class TestValueAndGrad:
-    """``value_and_grad`` against ``value`` and ``gradient``, and for the
-    logistic objectives against logaddexp/expit formulas written out here."""
+    """``value_and_grad`` against the objectives written out here: Qx - b,
+    the Rosenbrock gradient, and logaddexp/expit for the logistic ones,
+    whose gradient-free ``value`` is also checked against it."""
 
     @staticmethod
     def _assert_matches(p, x):
@@ -423,9 +434,43 @@ class TestValueAndGrad:
     def test_quadratic_and_rosenbrock(self):
         rng = np.random.default_rng(41)
         B = rng.standard_normal((6, 6))
-        for p in (quadratic(B @ B.T + np.eye(6), np.arange(6.0)), rosenbrock()):
+        Q, b = B @ B.T + np.eye(6), np.arange(6.0)
+
+        def rosenbrock_ref(p):
+            x, y = p
+            return (1.0 - x) ** 2 + 100.0 * (y - x * x) ** 2, np.array(
+                [-2.0 * (1.0 - x) - 400.0 * x * (y - x * x), 200.0 * (y - x * x)]
+            )
+
+        for p, ref in (
+            (quadratic(Q, b), lambda x: (0.5 * x @ Q @ x - b @ x, Q @ x - b)),
+            (rosenbrock(), rosenbrock_ref),
+        ):
             for x in self._points(p.dim, seed=42):
-                self._assert_matches(p, x)
+                f, g = self._assert_matches(p, x)
+                f_ref, g_ref = ref(x)
+                assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
+                assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+    @pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx"])
+    def test_shapes_of_every_shipped_problem(self, small_dataset, name):
+        p = {
+            "quadratic": lambda: quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3)),
+            "rosenbrock": rosenbrock,
+            "logreg-l2": lambda: logreg_l2(small_dataset, 1e-3),
+            "logreg-ncvx": lambda: logreg_nonconvex(small_dataset, 1e-2),
+        }[name]()
+        rng = np.random.default_rng(44)
+        f, g = p.value_and_grad(rng.standard_normal(p.dim))
+        assert isinstance(f, float) and g.shape == (p.dim,)
+        for P in (1, 15):
+            f, G = p.value_and_grad(rng.standard_normal((p.dim, P)))
+            assert f.shape == (P,) and G.shape == (p.dim, P)
+        if name == "rosenbrock":
+            with np.errstate(over="ignore", invalid="ignore"):
+                f, g = p.value_and_grad([1e200, 0.0])
+                assert f == np.inf and p.value([1e200, 0.0]) == np.inf
+            assert g.shape == (2,)
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
     @pytest.mark.parametrize("kind", ["l2-zero", "l2", "ncvx"])
