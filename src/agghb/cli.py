@@ -154,6 +154,8 @@ def cmd_verify(args) -> int:
     problem = harness.build_problem(trace.config.problem, trace.config.problem_params)
     report = harness.verify_bounds(trace, problem)
     _emit("mode", report.mode)
+    if problem.params.get("L_is_local_estimate"):
+        _emit("L_is_local_estimate", True)
     if report.certificate is not None:
         _emit("reference_certificate", report.certificate)
         _emit("reference_certified", report.certified)

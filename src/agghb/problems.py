@@ -9,6 +9,7 @@ bound on the objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -93,6 +94,9 @@ class Problem:
     ``convex`` marks objectives for which a reference solution may be
     computed by descent.  ``hessian``, when set, returns the dense Hessian
     matrix at a point; the reference solver then uses Newton's method.
+    The logistic objectives reuse one scratch buffer across calls (see
+    :func:`_logistic_objectives`), so a logistic ``Problem`` serves one call
+    at a time; nothing in the package calls one concurrently.
     """
 
     name: str
@@ -227,19 +231,30 @@ def _feature_operator(data: Dataset):
     )
 
 
-def _logistic(z: np.ndarray, grad: bool = True) -> np.ndarray:
+def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> np.ndarray:
     """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is overwritten
     with expit(-z).
 
-    Both come from one exp(-|z|) per entry:
+    Both come from one exp(-|z|) = exp(min(z, -z)) per entry:
     log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
     expit(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
-    otherwise; both forms stay finite for any finite z.
+    otherwise; both forms stay finite for any finite z.  The numerator is
+    max(e, [z < 0]) with e = exp(-|z|) in [0, 1]: e for z >= 0, 1 for z < 0
+    and NaN for NaN z, as ``np.where`` would give.
+
+    ``work`` is three scratch arrays of z's shape, owned by the caller and
+    overwritten here: every step writes into them or into z, so the only
+    array allocated is the returned sum, and one scratch serves one call at
+    a time.
     """
-    e = np.exp(-np.abs(z))
-    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0)
+    a, e, t = work
+    np.negative(z, out=a)
+    np.exp(np.minimum(z, a, out=e), out=e)
+    np.maximum(a, 0.0, out=a)
+    loss = np.add(a, np.log1p(e, out=t), out=a).sum(axis=0)
     if grad:
-        np.divide(np.where(z >= 0.0, e, 1.0), 1.0 + e, out=z)
+        np.maximum(e, np.less(z, 0.0, out=a), out=a)
+        np.divide(a, np.add(e, 1.0, out=e), out=z)
     return loss
 
 
@@ -254,21 +269,47 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into the margins,
     so the margins are its only M x P array; a single x is one chunk.
     ``value`` skips the gradient and with it the product with B.T.
+
+    Both objectives reuse one flat scratch buffer for :func:`_logistic`,
+    handed out as three views of each chunk shape.  The views are cached per
+    shape, since slicing them anew takes about 3 us a call, most of what the
+    kernel saves on a single x at M = 690.  The buffer is regrown only when
+    a larger chunk arrives, so ``harness.tune`` may drop columns between
+    calls.  No result is a view into the scratch, but two calls must not
+    overlap: a logistic ``Problem`` serves one call at a time.
     """
     M = data.M
+    scratch = np.empty(0)
+    views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+
+    def work(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        nonlocal scratch
+        found = views.get(shape)
+        if found is None:
+            size = math.prod(shape)
+            if 3 * size > scratch.size:
+                scratch = np.empty(3 * size)
+                views.clear()
+            found = views[shape] = tuple(
+                scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3)
+            )
+        return found
 
     def value(x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(_logistic(matvec(x), grad=False) / M + penalty(x)[0])
+        z = matvec(x)
+        return float(_logistic(z, work(z.shape), grad=False) / M + penalty(x)[0])
 
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         Z = matvec(X)
         rows = max(1, _BLOCK_BYTES // (8 * X.shape[1])) if X.ndim == 2 else M
-        loss = _logistic(Z[:rows])
+        chunk = Z[:rows]
+        loss = _logistic(chunk, work(chunk.shape))
         for lo in range(rows, M, rows):
-            loss += _logistic(Z[lo:lo + rows])
+            chunk = Z[lo:lo + rows]
+            loss += _logistic(chunk, work(chunk.shape))
         return f + loss / M, G - rmatvec(Z) / M
 
     return value, value_and_grad

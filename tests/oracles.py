@@ -71,6 +71,18 @@ def momentum_expansion(grad_history: list[np.ndarray], beta: float) -> np.ndarra
     return acc
 
 
+def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:
+    """The logistic kernel written with fresh temporaries: the sum over axis
+    0 of log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and, when
+    ``grad``, z overwritten with expit(-z), selected by ``np.where``.  The
+    package's scratch-buffer kernel must match it bit for bit."""
+    e = np.exp(-np.abs(z))
+    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0)
+    if grad:
+        np.divide(np.where(z >= 0.0, e, 1.0), 1.0 + e, out=z)
+    return loss
+
+
 def _tuple_step(cfg: AggConfig, x, buffers, grad):
     """The aggregated step on a tuple of buffers, each a new array."""
     new_buffers = tuple(b * v + grad for b, v in zip(cfg.betas, buffers))

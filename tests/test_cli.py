@@ -1,9 +1,14 @@
 """Command-line interface tests: flags, output format, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import agghb
 from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 
 from conftest import synthetic_libsvm_text
@@ -252,6 +257,22 @@ class TestVerify:
         assert kv["reference_certified"] == ["true"]
         assert kv["all_passed"] == ["true"]
 
+    @pytest.mark.parametrize("problem, flagged", [("rosenbrock", True), ("quadratic", False)])
+    def test_local_L_estimate_flagged_after_mode(self, capsys, tmp_path, problem, flagged):
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", problem, "--betas", "0.9",
+            "--gammas", "theory-ncvx", "--iters", "100", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(out_path))
+        assert code == EXIT_OK
+        head = ["mode=theory-ncvx"] + ["L_is_local_estimate=true"] * flagged
+        lines = out.splitlines()
+        assert lines[:len(head)] == head
+        assert lines[len(head)].startswith("check=K=10 ")
+        assert ("L_is_local_estimate" in out) == flagged
+
     def test_tuned_trace_exit_two(self, capsys, tmp_path):
         trace = self._write_trace(capsys, tmp_path, gammas="tune")
         code, _, err = run_cli(capsys, "verify", "--trace", str(trace))
@@ -317,6 +338,20 @@ class TestTuneCommand:
         sweep = parse_kv(out_tune)["sweep"]
         assert len(sweep) == 15 and all(" gamma=" in line for line in sweep)
         assert parse_kv(out_run)["sweep"] == sweep
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(agghb.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "agghb", "constants", "--betas", "0.9"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        kv = parse_kv(done.stdout)
+        assert kv["m"] == ["1"] and kv["beta_hat"] == ["0.9"]
 
 
 class TestParseCheck:

@@ -20,6 +20,7 @@ from agghb.problems import (
 )
 
 from conftest import synthetic_libsvm_text
+from oracles import logistic_oracle
 
 
 def fd_hessian_check(problem, x, rel=1e-5):
@@ -409,6 +410,98 @@ class TestBatchObjective:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * M * P + 8 * agghb.problems._BLOCK_BYTES
+
+
+class TestLogisticScratch:
+    """The logistic kernel in its scratch buffer: bit for bit against
+    ``logistic_oracle``, which allocates fresh temporaries; no result is a
+    view into the scratch; and a warmed single-point call allocates little
+    beyond the margins."""
+
+    SPECIAL = {
+        "finite": [0.0, -0.0, 700.0, -700.0, 745.5, -745.5, 1e4, -1e4],
+        "nonfinite": [0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -745.5, 1e308],
+    }
+
+    @classmethod
+    def _margins(cls, shape, kind, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(shape) * rng.choice([1.0, 30.0, 1e3], size=shape)
+        flat = z.reshape(-1)
+        special = cls.SPECIAL[kind]
+        flat[rng.choice(flat.size, len(special), replace=False)] = special
+        return z
+
+    @pytest.mark.parametrize("grad", [True, False], ids=["grad", "value"])
+    @pytest.mark.parametrize("kind", ["finite", "nonfinite"])
+    @pytest.mark.parametrize("shape", [(690,), (2184, 15), (5, 15)],
+                             ids=["x", "block", "remainder"])
+    def test_kernel_matches_oracle_bit_for_bit(self, shape, kind, grad):
+        size = int(np.prod(shape))
+        # views into one flat buffer at an odd offset, as the objectives cut
+        # them, filled with NaN so that no step can lean on stale contents
+        flat = np.full(3 * size + 1, np.nan)
+        work = tuple(flat[1 + i * size:1 + (i + 1) * size].reshape(shape) for i in range(3))
+        for seed in (51, 52):  # the second pass reuses the dirtied scratch
+            z = self._margins(shape, kind, seed)
+            z_ref = z.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = agghb.problems._logistic(z, work, grad)
+                loss_ref = logistic_oracle(z_ref, grad)
+            assert np.shape(loss) == np.shape(loss_ref) == shape[1:]
+            assert np.array_equal(loss, loss_ref, equal_nan=True)
+            assert np.array_equal(z, z_ref, equal_nan=True)
+            if kind == "finite":
+                assert np.all(np.isfinite(loss)) and np.all(np.isfinite(z))
+                assert np.array_equal(np.signbit(z), np.signbit(z_ref))
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True], ids=["default", "rows-1"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_reused_scratch_leaves_earlier_results_alone(
+        self, request, dataset, one_row_chunks, monkeypatch
+    ):
+        data = request.getfixturevalue(dataset)
+        if one_row_chunks:
+            monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8)  # rows = 1
+        rng = np.random.default_rng(53)
+        for p in (logreg_l2(data, 1e-3), logreg_nonconvex(data, 1e-2)):
+            x = rng.standard_normal(p.dim)
+            blocks = [rng.standard_normal((p.dim, P)) for P in (15, 3)]
+            results = [p.value_and_grad(x)] + [p.value_and_grad(X) for X in blocks]
+            results.append((p.value(x), None))
+            kept = [(np.copy(f), None if G is None else G.copy()) for f, G in results]
+            for X, (f, G) in zip([x[:, None]] + blocks, results):
+                for j in range(X.shape[1]):
+                    fj, gj = p.value(X[:, j]), p.gradient(X[:, j])
+                    assert abs(np.atleast_1d(f)[j] - fj) <= 1e-12 * abs(fj)
+                    gcol = G[:, j] if G.ndim == 2 else G
+                    assert np.linalg.norm(gcol - gj) <= 1e-12 * np.linalg.norm(gj)
+            assert abs(results[-1][0] - results[0][0]) <= 1e-12 * abs(results[0][0])
+            for (f, G), (f0, G0) in zip(results, kept):
+                assert np.array_equal(f, f0)
+                assert G is None or np.array_equal(G, G0)
+
+    def test_single_point_calls_allocate_only_the_margins(self):
+        """Warmed ``value_and_grad(x)`` and ``value(x)`` on the data of
+        ``TestBatchObjective.test_one_call_holds_one_margin_block`` peak near
+        the M margins: the kernel allocates nothing of their size."""
+        M, n = 20000, 80
+        rng = np.random.default_rng(35)
+        data = Dataset(
+            features=sp.random(M, n, density=0.1, format="csr", random_state=rng),
+            labels=np.where(rng.random(M) < 0.5, -1.0, 1.0),
+        )
+        p = logreg_l2(data, 1e-3)
+        x = rng.standard_normal(n)
+        for call in (p.value_and_grad, p.value):
+            call(x)  # warm up the scratch and scipy's one-time allocations
+            tracemalloc.start()
+            try:
+                call(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 8 * M
 
 
 class TestValueAndGrad:
