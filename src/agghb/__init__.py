@@ -2,12 +2,10 @@
 
 from .optim import (
     AggConfig,
-    AveragingState,
-    DivergenceError,
-    OptimizerState,
     averaging_update,
     init,
     step,
+    virtual_coefficients,
     virtual_iterate,
     virtual_step_size,
 )
@@ -27,7 +25,6 @@ from .theory import (
 from .problems import (
     Dataset,
     Problem,
-    finite_diff_gradient,
     logreg_l2,
     logreg_nonconvex,
     quadratic,

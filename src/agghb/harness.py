@@ -21,16 +21,15 @@ import numpy as np
 
 from . import theory
 from .libsvm import load_libsvm, to_dataset
-# init, step, virtual_iterate and averaging_update are not used here; they stay
-# importable from this module, where bench/tracer.py patches them.
-from .optim import (  # noqa: F401
-    AggConfig, AveragingState, average_inplace, averaging_update, init, step,
-    step_inplace, virtual_coefficients, virtual_iterate, virtual_step_size, weighted_sum,
+from .optim import (
+    AggConfig, averaging_update, init, step, virtual_coefficients, virtual_iterate,
+    virtual_step_size,
 )
 from .problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 STEPSIZE_MODES = ("explicit", "theory-ncvx", "theory-cvx", "tune", "tuned")
 THEORY_MODES = ("theory-ncvx", "theory-cvx")
+_NOT_COVERED = "the guarantee does not cover this configuration"
 TUNING_GRID = tuple(2.0 ** p for p in range(-6, 9))  # gamma = a / L, 15 points
 
 DATA_DIR_ENV = "AGGHB_DATA_DIR"
@@ -184,15 +183,17 @@ def _constants_snapshot(
 def run(config: RunConfig, problem: Problem) -> Trace:
     """Execute a configured run and record metrics at every iterate.
 
-    The iterate x (d,) and the momentum buffers V (m, d) are updated in
-    place by :func:`optim.step_inplace`, and each iterate makes one
-    ``problem.value_and_grad`` call on x, whose first gradient must have the
-    iterate's shape; theory-cvx adds one ``value`` call at the averaged
-    iterate.  The run stops early, flagged ``diverged``, at the first non-finite
-    objective or gradient, or when a step makes the iterate or buffers
-    non-finite.  After every step the momentum-corrected iterate is checked
-    against its pure gradient recursion, and the largest relative defect is
-    kept as ``max_virtual_residual``.
+    The iterate x (d,) and the momentum buffers V (m, d) from
+    :func:`optim.init` are updated in place by :func:`optim.step`, and each
+    iterate makes one ``problem.value_and_grad`` call on x, whose first
+    gradient must have the iterate's shape; theory-cvx adds one ``value``
+    call at the average that :func:`optim.averaging_update` keeps, and
+    refuses a weight ratio rho = 1/(1 - mu*F/2) below 1 or infinite.  The
+    run stops early, flagged ``diverged``, at the first non-finite objective
+    or gradient, or when a step makes the iterate or buffers non-finite.
+    After every step :func:`optim.virtual_iterate` is checked against its
+    pure gradient recursion, and the largest relative defect is kept as
+    ``max_virtual_residual``.
     """
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
@@ -204,13 +205,13 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     objective = problem.value_and_grad
 
     t0 = time.perf_counter()
-    x = x0.copy()
-    V = np.zeros((acfg.m, x.shape[0]))
+    x, V = init(acfg.m, x0)
     betas = np.array(acfg.betas)[:, None]
     if track_avg:
         rho = 1.0 / (1.0 - problem.mu * snapshot["F"] / 2.0)
-        xbar = AveragingState.fresh(rho, problem.dim).xbar  # refuses rho < 1
-        weight_sum = 0.0
+        if not (1.0 <= rho < math.inf):
+            raise ValueError(f"averaging weight ratio rho must be >= 1 and finite, got {rho}")
+        xbar, weight_sum = np.zeros(problem.dim), 0.0
 
     vstep = virtual_step_size(acfg)
     vcoefs = virtual_coefficients(acfg)
@@ -233,7 +234,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 e = x - x_star
                 dists.append(math.sqrt(e @ e))
             if track_avg:
-                weight_sum = average_inplace(xbar, weight_sum, rho, x)
+                weight_sum = averaging_update(xbar, weight_sum, rho, x)
                 favgs.append(problem.value(xbar))
             # One scalar clears the common case; the elementwise test runs
             # only when the sum is not finite, which overflow alone can cause.
@@ -248,7 +249,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             # only before that.
             prev_norm = math.sqrt(x_tilde @ x_tilde)
             predicted = x_tilde - vstep * g_k
-            step_inplace(x, V, g_k, betas, gammas)
+            step(x, V, g_k, betas, gammas)
             # A non-finite buffer entry always reaches x through the averaged
             # update, so x alone decides in the common case.
             if not math.isfinite(x.sum()) and not (
@@ -256,7 +257,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             ):
                 diverged = True
                 break
-            x_tilde = x - weighted_sum(vcoefs, V) / acfg.m
+            x_tilde = virtual_iterate(x, V, vcoefs)
             e = x_tilde - predicted
             max_residual = max(max_residual, math.sqrt(e @ e) / (1.0 + prev_norm))
 
@@ -312,8 +313,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     live = np.arange(P)  # grid indices of the columns still advancing
     gamma = np.array([c.gammas[0] for c in configs])
     beta = np.array(base.betas)[:, None, None]
-    X = np.repeat(x0.reshape(-1, 1), P, axis=1)
-    V = np.zeros((m,) + X.shape)
+    X, V = init(m, np.repeat(x0.reshape(-1, 1), P, axis=1))
     final_f = np.full(P, np.inf)
     diverged = np.zeros(P, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -321,7 +321,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             f, G = objective(X)
             last = k == base.iters
             if not last:
-                step_inplace(X, V, G, beta, (gamma,) * m)
+                step(X, V, G, beta, (gamma,) * m)
             # A non-finite gradient entry makes its buffers, and through them
             # the new iterate, non-finite, so X covers G except at the last
             # iterate, where no step is taken.  One finite scalar clears the
@@ -492,7 +492,9 @@ def verify_bounds(
     ``certified`` does not pass, whatever its rows say: the slack is then
     no longer small.  A prefix beyond the trace's last row, as after a
     divergence, observes infinity and fails.  Without a given ``reference``,
-    one is computed with :func:`reference_solution`.
+    one is computed with :func:`reference_solution`.  A configuration that
+    fails the theorem's admissibility check (convex: at horizon ``iters``)
+    is refused with :class:`VerificationRefused` naming the failing margin.
     """
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
@@ -509,6 +511,10 @@ def verify_bounds(
     # bound function and slack for it.
     certificate = certified = None
     if mode == "theory-ncvx":
+        cond = theory.check_nonconvex_condition(consts, problem.L, acfg.m)
+        if not cond.admissible:  # a vacuous bound (A = 0) divides by zero
+            failed = f"A={consts.A!r}" if cond.vacuous else f"nonconvex_margin={cond.margin!r}"
+            raise VerificationRefused(f"{_NOT_COVERED}: {failed} must be > 0")
         if problem.f_lower is None:
             raise ValueError(
                 "non-convex verification needs a known lower bound on the objective"
@@ -524,6 +530,12 @@ def verify_bounds(
     else:
         if trace.f_avg is None:
             raise ValueError("trace carries no averaged-iterate objective values")
+        cond = theory.check_convex_conditions(acfg, problem.L, problem.mu, horizon=budget)
+        if not cond.ok:
+            margins = [("f_margin", cond.f_margin), ("bf_margin", cond.bf_margin)]
+            margins += [(f"stepsize_margin[{i}]", v) for i, v in enumerate(cond.stepsize_margins)]
+            failed = " ".join(f"{k}={v!r}" for k, v in margins if not v >= 0)
+            raise VerificationRefused(f"{_NOT_COVERED}: {failed} must be >= 0")
         if reference is None:
             reference = reference_solution(problem)
         certificate = reference.grad_norm

@@ -417,16 +417,3 @@ def spectral_norm(
             return lam_new, True
         lam = lam_new
     return lam, False
-
-
-def finite_diff_gradient(problem: Problem, x: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient (f(x + h e_j) - f(x - h e_j)) / (2h)."""
-    if not (h > 0):
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for j in range(x.shape[0]):
-        e = np.zeros_like(x)
-        e[j] = h
-        grad[j] = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
-    return grad

@@ -3,6 +3,8 @@
 Nothing here calls the package's step arithmetic: the heavy-ball recurrence,
 the momentum expansion and :func:`plain_run` each spell the updates out
 directly, so a fault in the in-place kernel cannot hide in its own oracle.
+:func:`finite_diff_gradient` checks analytic gradients against the objective
+values alone.
 """
 
 from __future__ import annotations
@@ -18,8 +20,12 @@ from agghb.harness import (
     resolve_gammas,
     start_point,
 )
-from agghb.optim import AggConfig, DivergenceError
+from agghb.optim import AggConfig
 from agghb.problems import Problem
+
+
+class DivergenceError(RuntimeError):
+    """A heavy-ball oracle update met or produced non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -69,6 +75,19 @@ def momentum_expansion(grad_history: list[np.ndarray], beta: float) -> np.ndarra
     for g in grad_history:
         acc = beta * acc + np.asarray(g, dtype=float)
     return acc
+
+
+def finite_diff_gradient(problem: Problem, x: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient (f(x + h e_j) - f(x - h e_j)) / (2h)."""
+    if not (h > 0):
+        raise ValueError("h must be positive")
+    x = np.asarray(x, dtype=float)
+    grad = np.zeros_like(x)
+    for j in range(x.shape[0]):
+        e = np.zeros_like(x)
+        e[j] = h
+        grad[j] = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
+    return grad
 
 
 def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:

@@ -20,9 +20,8 @@ from agghb.harness import (
     verify_bounds,
 )
 from agghb.libsvm import LibsvmFormatError, LibsvmRecord, load_libsvm, parse_libsvm, serialize_libsvm
-from agghb.optim import AggConfig, init, step
+from agghb.optim import init, step
 from agghb.problems import (
-    finite_diff_gradient,
     logreg_l2,
     logreg_nonconvex,
     quadratic,
@@ -32,7 +31,7 @@ from agghb.problems import (
 from agghb.theory import effective_betas
 
 from conftest import AUSTRALIAN_M, AUSTRALIAN_N
-from oracles import hb_init, hb_step
+from oracles import finite_diff_gradient, hb_init, hb_step
 
 BETA_SETS = ((0.9,), (0.9, 0.95), (0.9, 0.95, 0.99))
 CONVERGENCE_FLOOR = 1e-12  # objective values below this are float residue
@@ -176,12 +175,13 @@ def test_criterion_1_m1_reduction():
             # keep inside the stability region so 500 steps stay finite
             gamma = float(rng.uniform(0.05, 0.9)) * 2 * (1 + beta) / diag.max()
             x0 = rng.standard_normal(dim)
-            agg = init(AggConfig(betas=(beta,), gammas=(gamma,)), x0)
+            x, V = init(1, x0)
+            betas = np.array([[beta]])
             hb = hb_init(x0, beta, gamma)
             for _ in range(500):
-                agg = step(agg, diag * agg.x)
+                step(x, V, diag * x, betas, (gamma,))
                 hb = hb_step(hb, diag * hb.x)
-                assert np.linalg.norm(agg.x - hb.x) <= 1e-12 * (
+                assert np.linalg.norm(x - hb.x) <= 1e-12 * (
                     1.0 + np.linalg.norm(hb.x)
                 )
         elapsed = time.perf_counter() - t0

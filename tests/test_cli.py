@@ -273,6 +273,30 @@ class TestVerify:
         assert lines[len(head)].startswith("check=K=10 ")
         assert ("L_is_local_estimate" in out) == flagged
 
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_tenfold_stepsizes_refused(self, capsys, tmp_path, mode):
+        # At the theory stepsizes both traces pass; ten times larger, neither
+        # configuration is one the theorem covers.
+        problem = ["--problem", "quadratic"]
+        if mode == "theory-cvx":
+            data = tmp_path / "d.libsvm"
+            data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+            problem = ["--problem", "logreg-l2", "--data", str(data), "--l2", "auto"]
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "run", *problem, "--betas", "0.9,0.95", "--gammas", mode,
+            "--iters", "100", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        meta_path = out_path.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["gammas"] = [10.0 * g for g in meta["gammas"]]
+        meta_path.write_text(json.dumps(meta))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(out_path))
+        assert code == EXIT_VERIFY
+        assert out == ""
+        assert err.startswith("refused: ") and "margin=" in err
+
     def test_tuned_trace_exit_two(self, capsys, tmp_path):
         trace = self._write_trace(capsys, tmp_path, gammas="tune")
         code, _, err = run_cli(capsys, "verify", "--trace", str(trace))

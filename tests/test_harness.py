@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import agghb.harness
 import agghb.problems
 from agghb.harness import (
     RunConfig,
@@ -126,6 +127,15 @@ class TestRun:
         long = run(RunConfig(iters=100, **base), problem)
         np.testing.assert_array_equal(short.f, long.f[:51])
         np.testing.assert_array_equal(short.grad_norm, long.grad_norm[:51])
+
+    def test_nonfinite_start_rejected(self):
+        cfg = RunConfig(
+            problem="quadratic", optimizer="hb", betas=(0.9,),
+            stepsize_mode="explicit", gammas=(0.1,), iters=5,
+            problem_params={"x0": [float("nan")]},
+        )
+        with pytest.raises(ValueError, match="non-finite"):
+            run(cfg, identity_quadratic())
 
     def test_divergence_truncates_and_flags(self):
         problem = identity_quadratic()
@@ -340,6 +350,48 @@ class TestRunObjectiveCalls:
         )
         with pytest.raises(ValueError, match="gradient shape"):
             run(cfg, problem)
+
+
+class TestLoopsCallTracedNames:
+    """The benchmark's tracer times the optimizer by replacing
+    ``agghb.harness.{init,step,virtual_iterate,averaging_update}``, so the
+    run and tune loops must call the kernels through those bindings."""
+
+    NAMES = ("init", "step", "virtual_iterate", "averaging_update")
+
+    def _count(self, monkeypatch):
+        calls, step_ndims = dict.fromkeys(self.NAMES, 0), []
+        for name in self.NAMES:
+            def counted(*args, _fn=getattr(agghb.harness, name), _name=name):
+                calls[_name] += 1
+                if _name == "step":
+                    step_ndims.append(args[0].ndim)
+                return _fn(*args)
+            monkeypatch.setattr(agghb.harness, name, counted)
+        return calls, step_ndims
+
+    def test_run_counts(self, monkeypatch):
+        calls, step_ndims = self._count(monkeypatch)
+        cfg = RunConfig(
+            problem="quadratic", optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode="theory-cvx", iters=20, seed=2,
+        )
+        trace = run(cfg, quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)))
+        assert len(trace.f) == 21 and not trace.diverged
+        assert calls == {"init": 1, "step": 20, "virtual_iterate": 20, "averaging_update": 21}
+        assert set(step_ndims) == {1}
+
+    def test_tune_steps_the_block_once_per_iterate(self, monkeypatch):
+        calls, step_ndims = self._count(monkeypatch)
+        cfg = RunConfig(
+            problem="quadratic", optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode="tune", iters=200,
+        )
+        _, sweep = tune(cfg, quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)))
+        # columns are dropped mid-sweep; the block is still stepped each time
+        assert any(e.diverged for e in sweep) and not all(e.diverged for e in sweep)
+        assert calls == {"init": 1, "step": 200, "virtual_iterate": 0, "averaging_update": 0}
+        assert step_ndims == [2] * 200
 
 
 class TestTuneObjectiveCalls:
@@ -647,6 +699,15 @@ class TestVerifyBounds:
             problem_params={"x0": [1.0]},
         )
         with pytest.raises(VerificationRefused):
+            verify_bounds(run(cfg, problem), problem)
+
+    def test_zero_momentum_nonconvex_refused(self):
+        cfg = RunConfig(
+            problem="quadratic", optimizer="gd", betas=(0.0,),
+            stepsize_mode="theory-ncvx", iters=10, problem_params={"x0": [1.0]},
+        )
+        problem = identity_quadratic()
+        with pytest.raises(VerificationRefused, match=r"A=0\.0 must be > 0"):
             verify_bounds(run(cfg, problem), problem)
 
     def test_start_at_optimum_trivially_passes(self):

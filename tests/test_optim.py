@@ -1,20 +1,34 @@
-"""Unit and property tests for the momentum state machines."""
+"""Unit and property tests for the aggregated heavy-ball kernels."""
 
 import numpy as np
 import pytest
 
+from agghb.harness import RunConfig, run
 from agghb.optim import (
     AggConfig,
-    AveragingState,
-    DivergenceError,
     averaging_update,
     init,
     step,
+    virtual_coefficients,
     virtual_iterate,
     virtual_step_size,
 )
+from agghb.problems import quadratic
 
 from oracles import hb_init, hb_step, momentum_expansion
+
+
+def advance(cfg, x, V, grad):
+    """One in-place step of ``cfg`` on a single iterate."""
+    step(x, V, grad, np.array(cfg.betas)[:, None], cfg.gammas)
+
+
+def average(rho, points):
+    """Weighted average of ``points`` folded in one at a time."""
+    xbar, weight_sum = np.zeros_like(points[0]), 0.0
+    for p in points:
+        weight_sum = averaging_update(xbar, weight_sum, rho, p)
+    return xbar, weight_sum
 
 
 class TestAggConfig:
@@ -43,120 +57,104 @@ class TestAggConfig:
 
 class TestInit:
     def test_zero_buffers(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        state = init(cfg, np.array([0.0]))
-        assert state.k == 0
-        assert len(state.buffers) == 1
-        np.testing.assert_array_equal(state.buffers[0], [0.0])
+        x0 = np.array([0.0])
+        x, V = init(1, x0)
+        assert V.shape == (1, 1)
+        np.testing.assert_array_equal(V[0], [0.0])
+        np.testing.assert_array_equal(x, x0)
+        assert x is not x0
 
     def test_two_buffers_dim_one(self):
-        cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
-        state = init(cfg, np.array([1.0]))
-        assert len(state.buffers) == 2
-        for v in state.buffers:
+        _, V = init(2, np.array([1.0]))
+        assert len(V) == 2
+        for v in V:
             assert v.shape == (1,)
             np.testing.assert_array_equal(v, [0.0])
-
-    def test_nonfinite_start_rejected(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        with pytest.raises(ValueError, match="non-finite"):
-            init(cfg, np.array([np.nan]))
 
     def test_first_step_is_mean_gamma_gradient_step(self):
         # With zero buffers the first update is x0 - mean(gammas) * grad.
         cfg = AggConfig(betas=(0.3, 0.8), gammas=(0.1, 0.3))
         x0 = np.array([1.0, -2.0])
         g = np.array([0.5, 1.0])
-        state = step(init(cfg, x0), g)
-        np.testing.assert_allclose(state.x, x0 - 0.2 * g, rtol=1e-15)
+        x, V = init(cfg.m, x0)
+        advance(cfg, x, V, g)
+        np.testing.assert_allclose(x, x0 - 0.2 * g, rtol=1e-15)
 
 
 class TestStep:
     def test_hand_simulated_single_buffer(self):
         # f(x) = x^2 from x = 1 with beta 0.9, gamma 0.1.
         cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        s = init(cfg, np.array([1.0]))
-        s = step(s, np.array([2.0]))
-        np.testing.assert_allclose(s.buffers[0], [2.0])
-        np.testing.assert_allclose(s.x, [0.8])
-        s = step(s, np.array([1.6]))
-        np.testing.assert_allclose(s.buffers[0], [3.4])
-        np.testing.assert_allclose(s.x, [0.46])
+        x, V = init(cfg.m, np.array([1.0]))
+        advance(cfg, x, V, np.array([2.0]))
+        np.testing.assert_allclose(V[0], [2.0])
+        np.testing.assert_allclose(x, [0.8])
+        advance(cfg, x, V, np.array([1.6]))
+        np.testing.assert_allclose(V[0], [3.4])
+        np.testing.assert_allclose(x, [0.46])
 
     def test_hand_simulated_two_buffers(self):
         # f(x) = x^2/2 from x = 1 with betas (0, 0.5), gammas (0.1, 0.1).
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
-        s = init(cfg, np.array([1.0]))
-        s = step(s, np.array([1.0]))
-        np.testing.assert_allclose(s.x, [0.9])
-        np.testing.assert_allclose(s.buffers[0], [1.0])
-        np.testing.assert_allclose(s.buffers[1], [1.0])
-        s = step(s, np.array([0.9]))
-        np.testing.assert_allclose(s.buffers[0], [0.9])
-        np.testing.assert_allclose(s.buffers[1], [1.4])
-        np.testing.assert_allclose(s.x, [0.785])
+        x, V = init(cfg.m, np.array([1.0]))
+        advance(cfg, x, V, np.array([1.0]))
+        np.testing.assert_allclose(x, [0.9])
+        np.testing.assert_allclose(V[0], [1.0])
+        np.testing.assert_allclose(V[1], [1.0])
+        advance(cfg, x, V, np.array([0.9]))
+        np.testing.assert_allclose(V[0], [0.9])
+        np.testing.assert_allclose(V[1], [1.4])
+        np.testing.assert_allclose(x, [0.785])
 
     def test_zero_gradient_at_fresh_state_is_fixed_point(self):
         cfg = AggConfig(betas=(0.9, 0.5), gammas=(0.1, 0.2))
-        s = init(cfg, np.array([3.0, -1.0]))
-        s2 = step(s, np.zeros(2))
-        np.testing.assert_array_equal(s2.x, s.x)
+        x0 = np.array([3.0, -1.0])
+        x, V = init(cfg.m, x0)
+        advance(cfg, x, V, np.zeros(2))
+        np.testing.assert_array_equal(x, x0)
 
     def test_zero_gradient_decays_buffers(self):
         cfg = AggConfig(betas=(0.5,), gammas=(0.1,))
-        s = init(cfg, np.array([1.0]))
-        s = step(s, np.array([1.0]))
-        s = step(s, np.zeros(1))
-        np.testing.assert_allclose(s.buffers[0], [0.5])
-        np.testing.assert_allclose(s.x, [0.9 - 0.1 * 0.5])
+        x, V = init(cfg.m, np.array([1.0]))
+        advance(cfg, x, V, np.array([1.0]))
+        advance(cfg, x, V, np.zeros(1))
+        np.testing.assert_allclose(V[0], [0.5])
+        np.testing.assert_allclose(x, [0.9 - 0.1 * 0.5])
 
-    def test_nonfinite_gradient_raises_with_state(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        s = init(cfg, np.array([1.0]))
-        with pytest.raises(DivergenceError) as exc:
-            step(s, np.array([np.inf]))
-        assert exc.value.state is s
-
-    def test_overflowing_update_raises_with_last_finite_state(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(1e300,))
-        s = init(cfg, np.array([1.0]))
-        with pytest.raises(DivergenceError) as exc:
-            with np.errstate(over="ignore"):
-                step(s, np.array([1e300]))
-        assert np.all(np.isfinite(exc.value.state.x))
-
-    def test_dimension_mismatch_rejected(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        s = init(cfg, np.array([1.0, 2.0]))
-        with pytest.raises(ValueError, match="shape"):
-            step(s, np.array([1.0]))
-
-    def test_counter_increments(self):
-        cfg = AggConfig(betas=(0.9,), gammas=(0.1,))
-        s = init(cfg, np.array([1.0]))
-        assert step(s, np.array([1.0])).k == 1
+    def test_gradient_may_be_a_view_of_the_iterate(self):
+        # grad f(x) = x on f(x) = |x|^2/2 is x itself.
+        cfg = AggConfig(betas=(0.9, 0.5), gammas=(0.1, 0.2))
+        x, V = init(cfg.m, np.array([1.0, -2.0]))
+        y, W = init(cfg.m, np.array([1.0, -2.0]))
+        for _ in range(5):
+            advance(cfg, x, V, x)
+            advance(cfg, y, W, y.copy())
+        np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(V, W)
 
 
 class TestVirtualIterate:
     def test_fresh_state_returns_start(self):
         cfg = AggConfig(betas=(0.9, 0.5), gammas=(0.1, 0.2))
-        s = init(cfg, np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(virtual_iterate(s), s.x)
+        x, V = init(cfg.m, np.array([2.0, -1.0]))
+        np.testing.assert_array_equal(virtual_iterate(x, V, virtual_coefficients(cfg)), x)
 
     def test_hand_value_after_one_step(self):
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
-        s = step(init(cfg, np.array([1.0])), np.array([1.0]))
-        np.testing.assert_allclose(virtual_iterate(s), [0.85])
+        x, V = init(cfg.m, np.array([1.0]))
+        advance(cfg, x, V, np.array([1.0]))
+        np.testing.assert_allclose(virtual_iterate(x, V, virtual_coefficients(cfg)), [0.85])
 
     def test_recursion_matches_pure_gradient_form(self):
         # One step must move the virtual iterate by exactly
         # (1/m) sum gamma_i/(1-beta_i) times the gradient.
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
-        s0 = init(cfg, np.array([1.0]))
-        s1 = step(s0, np.array([1.0]))
-        expected = virtual_iterate(s0) - virtual_step_size(cfg) * np.array([1.0])
-        np.testing.assert_allclose(virtual_iterate(s1), expected)
-        np.testing.assert_allclose(virtual_iterate(s1), [0.85])
+        coefs = virtual_coefficients(cfg)
+        x, V = init(cfg.m, np.array([1.0]))
+        expected = virtual_iterate(x, V, coefs) - virtual_step_size(cfg) * np.array([1.0])
+        advance(cfg, x, V, np.array([1.0]))
+        np.testing.assert_allclose(virtual_iterate(x, V, coefs), expected)
+        np.testing.assert_allclose(virtual_iterate(x, V, coefs), [0.85])
 
     def test_recursion_residual_along_random_runs(self):
         rng = np.random.default_rng(0)
@@ -168,13 +166,14 @@ class TestVirtualIterate:
             )
             dim = int(rng.integers(1, 6))
             Q = np.diag(rng.uniform(0.5, 3.0, dim))
-            s = init(cfg, rng.standard_normal(dim))
+            x, V = init(cfg.m, rng.standard_normal(dim))
+            coefs = virtual_coefficients(cfg)
             vstep = virtual_step_size(cfg)
-            xt = virtual_iterate(s)
+            xt = virtual_iterate(x, V, coefs)
             for _ in range(200):
-                g = Q @ s.x
-                s = step(s, g)
-                xt_next = virtual_iterate(s)
+                g = Q @ x
+                advance(cfg, x, V, g)
+                xt_next = virtual_iterate(x, V, coefs)
                 resid = np.linalg.norm(xt_next - (xt - vstep * g))
                 assert resid <= 1e-10 * (1.0 + np.linalg.norm(xt))
                 xt = xt_next
@@ -205,40 +204,45 @@ class TestMomentumExpansion:
             cfg = AggConfig(betas=betas, gammas=tuple(rng.uniform(0.01, 0.1, m)))
             dim = 3
             Q = np.diag(rng.uniform(0.5, 2.0, dim))
-            s = init(cfg, rng.standard_normal(dim))
+            x, V = init(cfg.m, rng.standard_normal(dim))
             history = []
             for _ in range(60):
-                g = Q @ s.x
+                g = Q @ x
                 history.append(g.copy())
-                s = step(s, g)
+                advance(cfg, x, V, g)
             for i, beta in enumerate(betas):
                 expected = momentum_expansion(history, beta)
                 np.testing.assert_allclose(
-                    s.buffers[i], expected, rtol=1e-10, atol=1e-14
+                    V[i], expected, rtol=1e-10, atol=1e-14
                 )
 
 
 class TestAveraging:
     def test_plain_mean_when_rho_one(self):
-        avg = AveragingState.fresh(1.0, 1)
-        for p in (1.0, 2.0, 3.0):
-            avg = averaging_update(avg, np.array([p]))
-        np.testing.assert_allclose(avg.xbar, [2.0])
+        xbar, _ = average(1.0, [np.array([p]) for p in (1.0, 2.0, 3.0)])
+        np.testing.assert_allclose(xbar, [2.0])
 
     def test_weighted_mean_rho_two(self):
-        avg = AveragingState.fresh(2.0, 1)
-        avg = averaging_update(avg, np.array([0.0]))
-        avg = averaging_update(avg, np.array([3.0]))
-        np.testing.assert_allclose(avg.xbar, [2.0])
+        xbar, _ = average(2.0, [np.array([0.0]), np.array([3.0])])
+        np.testing.assert_allclose(xbar, [2.0])
 
     def test_single_point(self):
-        avg = averaging_update(AveragingState.fresh(1.5, 2), np.array([4.0, -1.0]))
-        np.testing.assert_allclose(avg.xbar, [4.0, -1.0])
-        assert avg.weight_sum > 0
+        xbar, weight_sum = average(1.5, [np.array([4.0, -1.0])])
+        np.testing.assert_allclose(xbar, [4.0, -1.0])
+        assert weight_sum > 0
 
-    def test_rho_below_one_rejected(self):
+    def test_rho_below_one_rejected(self, monkeypatch):
+        # The kernel trusts its rho; run refuses a weight ratio
+        # rho = 1/(1 - mu*F/2) below 1 before the first iterate.  A stepsize
+        # far past the theory's makes mu*F/2 = 10 on this mu = 1 quadratic.
+        monkeypatch.setattr("agghb.theory.stepsize_convex", lambda betas, L, mu: 10.0)
+        problem = quadratic(np.diag(np.arange(1.0, 6.0)), np.zeros(5))
+        cfg = RunConfig(
+            problem="quadratic", optimizer="hb", betas=(0.5,),
+            stepsize_mode="theory-cvx", iters=10,
+        )
         with pytest.raises(ValueError, match="rho"):
-            AveragingState.fresh(0.99, 1)
+            run(cfg, problem)
 
     @pytest.mark.parametrize("rho", [1.0, 1.000001, 1.01])
     def test_online_matches_direct_recomputation(self, rho):
@@ -246,13 +250,11 @@ class TestAveraging:
         rng = np.random.default_rng(3)
         K = 10_000
         points = rng.standard_normal((K + 1, 3))
-        avg = AveragingState.fresh(rho, 3)
-        for p in points:
-            avg = averaging_update(avg, p)
+        xbar, _ = average(rho, points)
         weights = rho ** np.arange(K + 1)
         direct = (weights[:, None] * points).sum(axis=0) / weights.sum()
-        assert np.all(np.isfinite(avg.xbar))
-        np.testing.assert_allclose(avg.xbar, direct, rtol=1e-10)
+        assert np.all(np.isfinite(xbar))
+        np.testing.assert_allclose(xbar, direct, rtol=1e-10)
 
 
 class TestReductions:
@@ -264,13 +266,14 @@ class TestReductions:
             diag = rng.uniform(0.5, 4.0, dim)
             gamma = float(rng.uniform(0.05, 0.95)) * 2 * (1 + beta) / diag.max()
             x0 = rng.standard_normal(dim)
-            agg = init(AggConfig(betas=(beta,), gammas=(gamma,)), x0)
+            cfg = AggConfig(betas=(beta,), gammas=(gamma,))
+            x, V = init(cfg.m, x0)
             hb = hb_init(x0, beta, gamma)
             for _ in range(200):
-                agg = step(agg, diag * agg.x)
+                advance(cfg, x, V, diag * x)
                 hb = hb_step(hb, diag * hb.x)
                 scale = 1.0 + np.linalg.norm(hb.x)
-                assert np.linalg.norm(agg.x - hb.x) <= 1e-12 * scale
+                assert np.linalg.norm(x - hb.x) <= 1e-12 * scale
 
     def test_zero_momentum_matches_gradient_descent(self):
         rng = np.random.default_rng(5)
@@ -278,13 +281,12 @@ class TestReductions:
         cfg = AggConfig(betas=(0.0, 0.0, 0.0), gammas=gammas)
         diag = rng.uniform(0.5, 2.0, 4)
         x_gd = rng.standard_normal(4)
-        s = init(cfg, x_gd)
+        x, V = init(cfg.m, x_gd)
         mean_gamma = sum(gammas) / len(gammas)
         for _ in range(100):
-            g = diag * s.x
-            s = step(s, g)
+            advance(cfg, x, V, diag * x)
             x_gd = x_gd - mean_gamma * (diag * x_gd)
-            np.testing.assert_allclose(s.x, x_gd, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(x, x_gd, rtol=1e-12, atol=1e-300)
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(9)
@@ -297,9 +299,9 @@ class TestReductions:
         )
         diag = rng.uniform(0.5, 2.0, 3)
         x0 = rng.standard_normal(3)
-        sa, sb = init(cfg_a, x0), init(cfg_b, x0)
+        (xa, Va), (xb, Vb) = init(cfg_a.m, x0), init(cfg_b.m, x0)
         for _ in range(300):
-            sa = step(sa, diag * sa.x)
-            sb = step(sb, diag * sb.x)
-            scale = 1.0 + np.linalg.norm(sa.x)
-            assert np.linalg.norm(sa.x - sb.x) <= 1e-12 * scale
+            advance(cfg_a, xa, Va, diag * xa)
+            advance(cfg_b, xb, Vb, diag * xb)
+            scale = 1.0 + np.linalg.norm(xa)
+            assert np.linalg.norm(xa - xb) <= 1e-12 * scale

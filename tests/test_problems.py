@@ -11,7 +11,6 @@ import agghb.problems
 from agghb.libsvm import parse_libsvm, to_dataset
 from agghb.problems import (
     Dataset,
-    finite_diff_gradient,
     logreg_l2,
     logreg_nonconvex,
     quadratic,
@@ -20,7 +19,7 @@ from agghb.problems import (
 )
 
 from conftest import synthetic_libsvm_text
-from oracles import logistic_oracle
+from oracles import finite_diff_gradient, logistic_oracle
 
 
 def fd_hessian_check(problem, x, rel=1e-5):

@@ -1,0 +1,18 @@
+"""The README's library example runs as written against the package."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_example_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    # f(x0) = (2^2 + 4 * 1^2) / 2 = 4; the theory stepsize makes progress
+    assert 0.0 <= float(out.getvalue()) < 4.0
