@@ -214,8 +214,9 @@ def run(config: RunConfig, problem: Problem) -> Trace:
         xbar, weight_sum = np.zeros(problem.dim), 0.0
 
     vstep = virtual_step_size(acfg)
-    vcoefs = virtual_coefficients(acfg)
-    x_tilde = x.copy()
+    # Row 0 moves x; row 1 gives the virtual iterate's offset from the same product.
+    weights = np.array([gammas, virtual_coefficients(acfg)])[:, :, None]
+    x_tilde, predicted, resid = x.copy(), np.empty_like(x), np.empty_like(x)
     max_residual = 0.0
 
     fs, gnorms = [], []
@@ -228,8 +229,9 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             f_k, g_k = objective(x)
             if k == 0 and g_k.shape != x.shape:
                 raise ValueError(f"gradient shape {g_k.shape} != iterate shape {x.shape}")
+            gsq = g_k @ g_k
             fs.append(f_k)
-            gnorms.append(math.sqrt(g_k @ g_k))
+            gnorms.append(math.sqrt(gsq))
             if dists is not None:
                 e = x - x_star
                 dists.append(math.sqrt(e @ e))
@@ -237,8 +239,8 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 weight_sum = averaging_update(xbar, weight_sum, rho, x)
                 favgs.append(problem.value(xbar))
             # One scalar clears the common case; the elementwise test runs
-            # only when the sum is not finite, which overflow alone can cause.
-            if not math.isfinite(f_k + g_k.sum()) and not (
+            # only when it is not finite, which overflow alone can cause.
+            if not math.isfinite(f_k + gsq) and not (
                 math.isfinite(f_k) and np.isfinite(g_k).all()
             ):
                 diverged = True
@@ -248,8 +250,8 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             # g_k may be a view of x, which the step overwrites; it is read
             # only before that.
             prev_norm = math.sqrt(x_tilde @ x_tilde)
-            predicted = x_tilde - vstep * g_k
-            step(x, V, g_k, betas, gammas)
+            np.subtract(x_tilde, np.multiply(vstep, g_k, out=predicted), out=predicted)
+            (offset,) = step(x, V, g_k, betas, weights)
             # A non-finite buffer entry always reaches x through the averaged
             # update, so x alone decides in the common case.
             if not math.isfinite(x.sum()) and not (
@@ -257,9 +259,9 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             ):
                 diverged = True
                 break
-            x_tilde = virtual_iterate(x, V, vcoefs)
-            e = x_tilde - predicted
-            max_residual = max(max_residual, math.sqrt(e @ e) / (1.0 + prev_norm))
+            virtual_iterate(x, offset, x_tilde)
+            np.subtract(x_tilde, predicted, out=resid)
+            max_residual = max(max_residual, math.sqrt(resid @ resid) / (1.0 + prev_norm))
 
     wall = time.perf_counter() - t0
     return Trace(
@@ -311,7 +313,8 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
 
     P = len(TUNING_GRID)
     live = np.arange(P)  # grid indices of the columns still advancing
-    gamma = np.array([c.gammas[0] for c in configs])
+    # Each column's stepsize for all m buffers, as step's single weight row.
+    weights = np.tile([c.gammas[0] for c in configs], (1, m, 1, 1))
     beta = np.array(base.betas)[:, None, None]
     X, V = init(m, np.repeat(x0.reshape(-1, 1), P, axis=1))
     final_f = np.full(P, np.inf)
@@ -321,7 +324,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             f, G = objective(X)
             last = k == base.iters
             if not last:
-                step(X, V, G, beta, (gamma,) * m)
+                step(X, V, G, beta, weights)
             # A non-finite gradient entry makes its buffers, and through them
             # the new iterate, non-finite, so X covers G except at the last
             # iterate, where no step is taken.  One finite scalar clears the
@@ -331,7 +334,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
                 bad = ~(np.isfinite(f) & np.isfinite(checked).all(axis=0))
                 diverged[live[bad]] = True
                 keep = ~bad
-                live, gamma, f = live[keep], gamma[keep], f[keep]
+                live, weights, f = live[keep], weights[..., keep], f[keep]
                 X, V = X[:, keep], V[:, :, keep]
             if last:
                 final_f[live] = f
@@ -593,6 +596,8 @@ def build_problem(name: str, params: dict) -> Problem:
     """
     if name == "quadratic":
         dim = int(params.get("dim", 10))
+        if dim < 1:
+            raise ValueError(f"quadratic dimension must be >= 1, got {dim}")
         return quadratic(np.diag(np.arange(1.0, dim + 1.0)), np.zeros(dim))
     if name == "rosenbrock":
         return rosenbrock()

@@ -14,7 +14,8 @@ all ``beta_i = 0`` it collapses to gradient descent with step
 
 The state is two arrays from :func:`init`, the iterate x (d,) and buffers
 V (m, d), or X (d, P) and V (m, d, P) for P iterates, which :func:`step`
-updates in place.
+updates in place; it makes all its buffer sums, the stepsizes' and the
+virtual iterate's, from one product of weights and buffers.
 """
 
 from __future__ import annotations
@@ -68,29 +69,30 @@ def init(m: int, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x0.copy(), np.zeros((m,) + x0.shape)
 
 
-def weighted_sum(coefs, V: np.ndarray) -> np.ndarray:
-    """``sum_i coefs[i] * V[i]`` over the leading axis of ``V``, accumulated in
-    index order."""
-    acc = coefs[0] * V[0]
-    for i in range(1, len(V)):
-        acc += coefs[i] * V[i]
-    return acc
-
-
-def step(x: np.ndarray, V: np.ndarray, grad: np.ndarray, betas: np.ndarray, gammas) -> None:
+def step(x: np.ndarray, V: np.ndarray, grad: np.ndarray, betas: np.ndarray, weights) -> np.ndarray:
     """One aggregated step on ``x`` and its buffers ``V``, both updated in place.
 
     ``V`` holds the m buffers along its leading axis: (m, d) for one iterate
     ``x`` (d,), or (m, d, P) for P iterates as the columns of ``x`` (d, P).
-    ``betas`` has shape (m, 1) or (m, 1, 1) to broadcast against ``V``, and
-    ``gammas[i]`` is a float or a (P,) row of per-column stepsizes.  ``grad``
-    is read before ``x`` is written, so it may be a view of ``x``.  Nothing
-    is checked: a non-finite ``grad`` or an overflow leaves non-finite
-    entries, which the caller tests for.
+    ``betas`` has shape (m, 1) or (m, 1, 1), and ``weights`` (k, m, 1) or
+    (k, m, 1, P): row 0 holds the stepsizes, further rows other buffer
+    weights.  ``x`` moves by row 0's mean (1/m) sum_i weights[r, i] V_i,
+    summed in index order, and the means of rows 1.. are returned.  ``grad``
+    may be a view of ``x``: it is read first.  Nothing is checked: a
+    non-finite ``grad`` or an overflow leaves non-finite entries.
     """
     V *= betas
     V += grad
-    x -= weighted_sum(gammas, V) / len(V)
+    # In C order the buffer axis lies outside the rest, so reduce adds the
+    # buffers in index order, unless the rest is one value: then accumulate.
+    terms = np.multiply(weights, V, order="C")
+    if V.size == len(V):
+        sums = np.add.accumulate(terms, axis=1)[:, -1]
+    else:
+        sums = np.add.reduce(terms, axis=1)
+    sums /= len(V)
+    x -= sums[0]
+    return sums[1:]
 
 
 def virtual_coefficients(config: AggConfig) -> tuple[float, ...]:
@@ -98,14 +100,11 @@ def virtual_coefficients(config: AggConfig) -> tuple[float, ...]:
     return tuple(b * g / (1.0 - b) for b, g in zip(config.betas, config.gammas))
 
 
-def virtual_iterate(x: np.ndarray, V: np.ndarray, coefs) -> np.ndarray:
-    """Momentum-corrected iterate x - (1/m) sum_i coefs[i] V_i, a new array.
-
-    With ``coefs`` from :func:`virtual_coefficients` this sequence follows a
-    pure gradient recursion with step :func:`virtual_step_size`, which the
-    run harness checks after every step.  On zero buffers it equals ``x``.
-    """
-    return x - weighted_sum(coefs, V) / len(V)
+def virtual_iterate(x: np.ndarray, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Momentum-corrected iterate x - offset, written into ``out``, for the
+    ``offset`` that :func:`step` returns on a row of :func:`virtual_coefficients`;
+    it follows a gradient recursion with step :func:`virtual_step_size`."""
+    return np.subtract(x, offset, out=out)
 
 
 def virtual_step_size(config: AggConfig) -> float:

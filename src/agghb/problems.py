@@ -123,6 +123,8 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
     b = np.asarray(b, dtype=float).reshape(-1)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise ValueError(f"Q must be square, got shape {Q.shape}")
+    if Q.shape[0] < 1:
+        raise ValueError(f"Q must have dimension >= 1, got dimension {Q.shape[0]}")
     if Q.shape[0] != b.shape[0]:
         raise ValueError("Q and b dimensions disagree")
     if not np.allclose(Q, Q.T, rtol=1e-10, atol=1e-12):
@@ -322,8 +324,8 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     mu = l2.  The Hessian is A' diag(s(1 - s)) A / M + l2 I with
     s = expit(y * Ax).
     """
-    if l2 < 0:
-        raise ValueError("l2 must be nonnegative")
+    if not 0.0 <= l2 < math.inf:
+        raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
     matvec, rmatvec, weighted_gram = _feature_operator(data)
     value, value_and_grad = _logistic_objectives(
         data, matvec, rmatvec,
@@ -357,8 +359,8 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     The penalty's curvature is at most 2 per coordinate, so
     L = lambda_max(A'A)/(4M) + 2*lam; the objective is non-convex for lam > 0.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
 
     def penalty(X: np.ndarray):
         xsq = X * X

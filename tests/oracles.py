@@ -1,8 +1,9 @@
 """Independent reference implementations the tests check the package against.
 
 Nothing here calls the package's step arithmetic: the heavy-ball recurrence,
-the momentum expansion and :func:`plain_run` each spell the updates out
-directly, so a fault in the in-place kernel cannot hide in its own oracle.
+the momentum expansion, the index-order :func:`weighted_sum` and
+:func:`plain_run` each spell the updates out directly, so a fault in the
+in-place kernel cannot hide in its own oracle.
 :func:`finite_diff_gradient` checks analytic gradients against the objective
 values alone.
 """
@@ -74,6 +75,16 @@ def momentum_expansion(grad_history: list[np.ndarray], beta: float) -> np.ndarra
     acc = np.zeros_like(np.asarray(grad_history[0], dtype=float))
     for g in grad_history:
         acc = beta * acc + np.asarray(g, dtype=float)
+    return acc
+
+
+def weighted_sum(coefs, V: np.ndarray) -> np.ndarray:
+    """``sum_i coefs[i] * V[i]`` over the leading axis of ``V``, accumulated in
+    index order, one buffer at a time: the order the step kernel's fused sum
+    must reproduce bit for bit."""
+    acc = coefs[0] * V[0]
+    for i in range(1, len(V)):
+        acc += coefs[i] * V[i]
     return acc
 
 

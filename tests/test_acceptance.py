@@ -176,10 +176,10 @@ def test_criterion_1_m1_reduction():
             gamma = float(rng.uniform(0.05, 0.9)) * 2 * (1 + beta) / diag.max()
             x0 = rng.standard_normal(dim)
             x, V = init(1, x0)
-            betas = np.array([[beta]])
+            betas, weights = np.array([[beta]]), np.array([[[gamma]]])
             hb = hb_init(x0, beta, gamma)
             for _ in range(500):
-                step(x, V, diag * x, betas, (gamma,))
+                step(x, V, diag * x, betas, weights)
                 hb = hb_step(hb, diag * hb.x)
                 assert np.linalg.norm(x - hb.x) <= 1e-12 * (
                     1.0 + np.linalg.norm(hb.x)

@@ -139,6 +139,34 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "makes no sense" in err
 
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_quadratic_dimension_below_one_is_an_error(self, capsys, tmp_path, command, dim):
+        argv = [command, "--problem", "quadratic", "--quad-dim", dim, "--betas", "0.9",
+                "--iters", "10"]
+        if command == "run":
+            argv += ["--gammas", "0.1", "--out", str(tmp_path / "t.csv")]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: quadratic dimension must be >= 1, got {dim}\n"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("problem, flag, name", [
+        ("logreg-l2", "--l2", "l2"), ("logreg-ncvx", "--lambda", "lambda"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_regularization_is_an_error(
+        self, capsys, tmp_path, problem, flag, name, value
+    ):
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        code, out, err = run_cli(
+            capsys, "tune", "--problem", problem, "--data", str(path), flag, value,
+            "--betas", "0.9", "--iters", "10",
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {name} must be finite and nonnegative, got {float(value)!r}\n"
+
     def test_quadratic_theory_cvx_thousand_iterations(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(

@@ -15,12 +15,16 @@ from agghb.optim import (
 )
 from agghb.problems import quadratic
 
-from oracles import hb_init, hb_step, momentum_expansion
+from oracles import hb_init, hb_step, momentum_expansion, weighted_sum
 
 
 def advance(cfg, x, V, grad):
-    """One in-place step of ``cfg`` on a single iterate."""
-    step(x, V, grad, np.array(cfg.betas)[:, None], cfg.gammas)
+    """One in-place step of ``cfg`` on a single iterate, with the virtual
+    coefficients as the second weight row, as the run loop does; returns the
+    virtual iterate after the step."""
+    weights = np.array([cfg.gammas, virtual_coefficients(cfg)])[:, :, None]
+    (offset,) = step(x, V, grad, np.array(cfg.betas)[:, None], weights)
+    return virtual_iterate(x, offset, np.empty_like(x))
 
 
 def average(rho, points):
@@ -133,28 +137,91 @@ class TestStep:
         np.testing.assert_array_equal(V, W)
 
 
+class TestStepMatchesIndexOrderLoop:
+    """The fused buffer sums against :func:`oracles.weighted_sum`, bit for
+    bit.  With one value per buffer numpy's reduction would add the m terms
+    pairwise from m = 8 on, so shapes (1,) and (1, 1) at m >= 8 check that
+    the kernel keeps index order there too."""
+
+    SHAPES = [(1,), (2,), (15,), (123,), (1, 1), (2, 15), (15, 15)]
+
+    @staticmethod
+    def _draws(seed, m, k, shape):
+        """x, V, grad, betas (m, 1[, 1]) and weights (k, m, 1) for x (d,) or
+        per-column weights (k, m, 1, P) for the columns of x (d, P), as in
+        tune; magnitudes span six decades, so that the order of adding shows."""
+        rng = np.random.default_rng(seed)
+
+        def spread(size):
+            return rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+
+        for _ in range(10):
+            yield (
+                spread(shape), spread((m,) + shape), spread(shape),
+                rng.uniform(0.0, 0.99, (m,) + (1,) * len(shape)),
+                rng.uniform(0.001, 1.0, (k, m, 1) + shape[1:]),
+            )
+
+    @staticmethod
+    def _assert_matches_loop(x, V, grad, betas, weights):
+        k, m = weights.shape[:2]
+        V_want = betas * V + grad
+        means = [weighted_sum(weights[r], V_want) / m for r in range(k)]
+        x_want = x - means[0]
+
+        rows = step(x, V, grad, betas, weights)
+        assert np.array_equal(V, V_want)
+        assert np.array_equal(x, x_want)
+        assert rows.shape == (k - 1,) + x.shape
+        for r in range(1, k):
+            assert np.array_equal(rows[r - 1], means[r]), r
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["x".join(map(str, s)) for s in SHAPES])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bit_identical(self, m, k, shape):
+        for arrays in self._draws([m, k, *shape], m, k, shape):
+            self._assert_matches_loop(*arrays)
+
+    @pytest.mark.parametrize("d", [1, 2, 15])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_bit_identical_after_a_column_drop(self, m, d):
+        # tune drops diverged columns with a boolean mask, which leaves the
+        # column axis outermost in memory and, at d = 1, the buffer axis
+        # innermost
+        keep = np.arange(16) != 3
+        for x, V, grad, betas, weights in self._draws([m, d], m, 1, (d, 16)):
+            V, weights = V[:, :, keep], weights[..., keep]
+            self._assert_matches_loop(x[:, keep], V, grad[:, keep], betas, weights)
+
+
 class TestVirtualIterate:
     def test_fresh_state_returns_start(self):
+        # A zero gradient from the fresh state leaves every buffer zero.
         cfg = AggConfig(betas=(0.9, 0.5), gammas=(0.1, 0.2))
         x, V = init(cfg.m, np.array([2.0, -1.0]))
-        np.testing.assert_array_equal(virtual_iterate(x, V, virtual_coefficients(cfg)), x)
+        np.testing.assert_array_equal(advance(cfg, x, V, np.zeros(2)), [2.0, -1.0])
+
+    def test_writes_into_out(self):
+        x, offset, out = np.array([1.0, 2.0]), np.array([0.5, -0.5]), np.empty(2)
+        assert virtual_iterate(x, offset, out) is out
+        np.testing.assert_array_equal(out, [0.5, 2.5])
 
     def test_hand_value_after_one_step(self):
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
         x, V = init(cfg.m, np.array([1.0]))
-        advance(cfg, x, V, np.array([1.0]))
-        np.testing.assert_allclose(virtual_iterate(x, V, virtual_coefficients(cfg)), [0.85])
+        np.testing.assert_allclose(advance(cfg, x, V, np.array([1.0])), [0.85])
 
     def test_recursion_matches_pure_gradient_form(self):
         # One step must move the virtual iterate by exactly
-        # (1/m) sum gamma_i/(1-beta_i) times the gradient.
+        # (1/m) sum gamma_i/(1-beta_i) times the gradient; on the fresh state
+        # the virtual iterate is x itself.
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
-        coefs = virtual_coefficients(cfg)
         x, V = init(cfg.m, np.array([1.0]))
-        expected = virtual_iterate(x, V, coefs) - virtual_step_size(cfg) * np.array([1.0])
-        advance(cfg, x, V, np.array([1.0]))
-        np.testing.assert_allclose(virtual_iterate(x, V, coefs), expected)
-        np.testing.assert_allclose(virtual_iterate(x, V, coefs), [0.85])
+        expected = x - virtual_step_size(cfg) * np.array([1.0])
+        x_tilde = advance(cfg, x, V, np.array([1.0]))
+        np.testing.assert_allclose(x_tilde, expected)
+        np.testing.assert_allclose(x_tilde, [0.85])
 
     def test_recursion_residual_along_random_runs(self):
         rng = np.random.default_rng(0)
@@ -167,13 +234,11 @@ class TestVirtualIterate:
             dim = int(rng.integers(1, 6))
             Q = np.diag(rng.uniform(0.5, 3.0, dim))
             x, V = init(cfg.m, rng.standard_normal(dim))
-            coefs = virtual_coefficients(cfg)
             vstep = virtual_step_size(cfg)
-            xt = virtual_iterate(x, V, coefs)
+            xt = x.copy()
             for _ in range(200):
                 g = Q @ x
-                advance(cfg, x, V, g)
-                xt_next = virtual_iterate(x, V, coefs)
+                xt_next = advance(cfg, x, V, g)
                 resid = np.linalg.norm(xt_next - (xt - vstep * g))
                 assert resid <= 1e-10 * (1.0 + np.linalg.norm(xt))
                 xt = xt_next

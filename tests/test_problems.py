@@ -77,6 +77,10 @@ class TestQuadratic:
     def test_convex_flag(self):
         assert quadratic(np.eye(2), np.zeros(2)).convex
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="got dimension 0"):
+            quadratic(np.zeros((0, 0)), np.zeros(0))
+
 
 class TestRosenbrock:
     def test_global_minimum(self):
@@ -167,6 +171,11 @@ class TestLogregL2:
         with pytest.raises(ValueError):
             logreg_l2(tiny_dataset(), l2=-1.0)
 
+    @pytest.mark.parametrize("l2", [float("nan"), float("inf")])
+    def test_non_finite_l2_rejected(self, l2):
+        with pytest.raises(ValueError, match="l2 must be finite"):
+            logreg_l2(tiny_dataset(), l2=l2)
+
     @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     def test_hessian_matches_finite_differences(self, request, dataset, l2):
@@ -217,6 +226,11 @@ class TestLogregNonconvex:
         plain = logreg_nonconvex(tiny_dataset(), lam=0.0)
         x = np.full(2, 1e8)
         assert pen.value(x) - plain.value(x) <= lam * 2 + 1e-9
+
+    @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
+    def test_negative_or_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            logreg_nonconvex(tiny_dataset(), lam=lam)
 
     def test_constants(self):
         data = tiny_dataset()

@@ -16,3 +16,6 @@ def test_library_example_runs():
         exec(compile(blocks[0], str(README), "exec"), {})
     # f(x0) = (2^2 + 4 * 1^2) / 2 = 4; the theory stepsize makes progress
     assert 0.0 <= float(out.getvalue()) < 4.0
+    # the value the example prints; weights of the wrong shape still broadcast
+    # in ``step`` but end elsewhere (3.88 for a (gamma, gamma) tuple)
+    assert abs(float(out.getvalue()) - 1.0663337929417849) <= 1e-12
