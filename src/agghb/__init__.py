@@ -7,7 +7,6 @@ from .optim import (
     step,
     virtual_coefficients,
     virtual_iterate,
-    virtual_step_size,
 )
 from .theory import (
     BoundInputs,

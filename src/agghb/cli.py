@@ -23,6 +23,14 @@ EXIT_VERIFY = 2
 PROBLEMS = ("quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit ``EXIT_USAGE``, not argparse's 2 (``EXIT_VERIFY``)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(","))
@@ -228,7 +236,7 @@ def cmd_parse_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="agghb",
         description="Heavy-ball and aggregated heavy-ball experiments with "
                     "bound verification.",

@@ -21,10 +21,7 @@ import numpy as np
 
 from . import theory
 from .libsvm import load_libsvm, to_dataset
-from .optim import (
-    AggConfig, averaging_update, init, step, virtual_coefficients, virtual_iterate,
-    virtual_step_size,
-)
+from .optim import AggConfig, averaging_update, init, step, virtual_coefficients, virtual_iterate
 from .problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 STEPSIZE_MODES = ("explicit", "theory-ncvx", "theory-cvx", "tune", "tuned")
@@ -213,7 +210,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             raise ValueError(f"averaging weight ratio rho must be >= 1 and finite, got {rho}")
         xbar, weight_sum = np.zeros(problem.dim), 0.0
 
-    vstep = virtual_step_size(acfg)
+    vstep = snapshot["F"]
     # Row 0 moves x; row 1 gives the virtual iterate's offset from the same product.
     weights = np.array([gammas, virtual_coefficients(acfg)])[:, :, None]
     x_tilde, predicted, resid = x.copy(), np.empty_like(x), np.empty_like(x)
@@ -374,24 +371,27 @@ NEWTON_MAX_ITERS = 100
 ARMIJO_C = 1e-4
 
 
-def _newton(problem: Problem, x: np.ndarray, grad_tol: float) -> np.ndarray:
+def _newton(
+    problem: Problem, x: np.ndarray, grad_tol: float
+) -> tuple[np.ndarray, float, np.ndarray]:
     """Damped Newton with Armijo backtracking on ``problem.value``.
 
-    Returns the last iterate once its gradient norm reaches ``grad_tol``, or
-    earlier on a singular Hessian, a non-descent direction or a failed line
-    search.
+    Returns the last iterate with its value and gradient once the gradient
+    norm reaches ``grad_tol``, or earlier on a singular Hessian, a
+    non-descent direction, a failed line search or after
+    ``NEWTON_MAX_ITERS`` iterations.
     """
     f, g = problem.value_and_grad(x)
     for _ in range(NEWTON_MAX_ITERS):
         if np.linalg.norm(g) <= grad_tol:
-            return x
+            break
         try:
             d = -np.linalg.solve(problem.hessian(x), g)
         except np.linalg.LinAlgError:
-            return x
+            break
         slope = float(g @ d)
         if not slope < 0.0:
-            return x
+            break
         # Near the optimum the predicted decrease drops below the rounding
         # error of f; a full step is then accepted unless f visibly rises, and
         # the gradient norm alone measures progress.
@@ -406,52 +406,38 @@ def _newton(problem: Problem, x: np.ndarray, grad_tol: float) -> np.ndarray:
                 break
             t *= 0.5
             if t < 1e-10:
-                return x
+                return x, f, g
         x, f = x_new, f_new
         g = problem.gradient(x)
-    return x
+    return x, f, g
 
 
-def reference_solution(
-    problem: Problem, grad_tol: float = 1e-10, max_iters: int = 10 ** 6
-) -> Reference:
+def reference_solution(problem: Problem, grad_tol: float = 1e-10) -> Reference:
     """High-accuracy optimum of a convex problem.
 
-    Uses the closed form when the problem carries one.  Otherwise, when the
-    problem has a ``hessian`` (logistic regression), runs damped Newton from
-    x = 0 until the gradient norm falls below ``grad_tol``.  Plain gradient
-    descent with step 1/L, capped at ``max_iters`` steps, is the fallback for
-    problems without a Hessian and continues from where a failed Newton
-    solve stopped.  The returned gradient norm is the error certificate, and
-    ``certified`` says whether it reached ``grad_tol``.
+    Uses the closed form when the problem carries one, and otherwise damped
+    Newton from x = 0 on the problem's ``hessian`` (logistic regression); a
+    convex problem with neither is a ``ValueError``.  The returned gradient
+    norm is the error certificate, and ``certified`` says whether it reached
+    ``grad_tol``: a failed Newton solve stops within ``NEWTON_MAX_ITERS``
+    iterations and returns its last iterate uncertified.
     """
     if not problem.convex:
         raise ValueError(
             f"problem {problem.name!r} is not convex; use its known optimum directly"
         )
     if problem.reference_opt is not None:
-        x_star, f_star = problem.reference_opt
-        gnorm = float(np.linalg.norm(problem.gradient(x_star)))
-        return Reference(
-            x=np.asarray(x_star, dtype=float), f=f_star, grad_norm=gnorm,
-            certified=gnorm <= grad_tol,
+        x, f = problem.reference_opt
+        x, g = np.asarray(x, dtype=float), problem.gradient(x)
+    elif problem.hessian is not None:
+        x, f, g = _newton(problem, np.zeros(problem.dim), grad_tol)
+    else:
+        raise ValueError(
+            f"problem {problem.name!r} has neither a closed-form optimum nor a "
+            "Hessian for Newton's method"
         )
-
-    x = np.zeros(problem.dim)
-    if problem.hessian is not None:
-        x = _newton(problem, x, grad_tol)
-    gamma = 1.0 / problem.L
-    g = problem.gradient(x)
-    for _ in range(max_iters):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
-            break
-        x = x - gamma * g
-        g = problem.gradient(x)
     gnorm = float(np.linalg.norm(g))
-    return Reference(
-        x=x, f=problem.value(x), grad_norm=gnorm, certified=gnorm <= grad_tol
-    )
+    return Reference(x=x, f=float(f), grad_norm=gnorm, certified=gnorm <= grad_tol)
 
 
 @dataclass(frozen=True)
@@ -662,8 +648,9 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Load a trace previously written by :func:`export_trace`; a sidecar
-    that lacks a key or a ``RunConfig`` field is a ``ValueError`` naming it."""
+    """Load a trace previously written by :func:`export_trace`.  A ``k``
+    column other than 0, 1, 2, ..., a malformed field, or a sidecar that
+    lacks a key or a ``RunConfig`` field is a ``ValueError`` naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -674,19 +661,21 @@ def read_trace(path: str | Path) -> Trace:
     text = csv_path.read_text().splitlines()
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-    ks, fs, gnorms, dists, favgs = [], [], [], [], []
+    fs, gnorms, dists, favgs = [], [], [], []
     for lineno, line in enumerate(text[1:], start=2):
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            ks.append(int(parts[0]))
+            k_row = int(parts[0])
             fs.append(float(parts[1]))
             gnorms.append(float(parts[2]))
             dists.append(float(parts[3]) if parts[3] else None)
             favgs.append(float(parts[4]) if parts[4] else None)
         except ValueError:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
+        if k_row != lineno - 2:
+            raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
 
     has_dist = all(d is not None for d in dists) and len(dists) > 0
     has_favg = all(v is not None for v in favgs) and len(favgs) > 0
@@ -697,7 +686,7 @@ def read_trace(path: str | Path) -> Trace:
         if cfg_dict.get("gammas") is not None:
             cfg_dict["gammas"] = tuple(cfg_dict["gammas"])
         return Trace(
-            ks=np.asarray(ks, dtype=int),
+            ks=np.arange(len(fs)),
             f=np.asarray(fs, dtype=float),
             grad_norm=np.asarray(gnorms, dtype=float),
             dist_opt=np.asarray(dists, dtype=float) if has_dist else None,

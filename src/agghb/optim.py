@@ -103,13 +103,9 @@ def virtual_coefficients(config: AggConfig) -> tuple[float, ...]:
 def virtual_iterate(x: np.ndarray, offset: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Momentum-corrected iterate x - offset, written into ``out``, for the
     ``offset`` that :func:`step` returns on a row of :func:`virtual_coefficients`;
-    it follows a gradient recursion with step :func:`virtual_step_size`."""
+    it follows a gradient recursion whose step is the constant F of
+    :func:`theory.constants`, (1/m) sum_i gamma_i / (1 - beta_i)."""
     return np.subtract(x, offset, out=out)
-
-
-def virtual_step_size(config: AggConfig) -> float:
-    """Effective stepsize (1/m) sum_i gamma_i / (1 - beta_i) of the virtual recursion."""
-    return sum(g / (1.0 - b) for b, g in zip(config.betas, config.gammas)) / config.m
 
 
 def averaging_update(xbar: np.ndarray, weight_sum: float, rho: float, x_k: np.ndarray) -> float:

@@ -5,7 +5,8 @@ the momentum expansion, the index-order :func:`weighted_sum` and
 :func:`plain_run` each spell the updates out directly, so a fault in the
 in-place kernel cannot hide in its own oracle.
 :func:`finite_diff_gradient` checks analytic gradients against the objective
-values alone.
+values alone, and :func:`gradient_descent_reference` reaches the optimum the
+slow way, with no Hessian, as an oracle for the Newton reference.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from agghb.harness import (
+    Reference,
     RunConfig,
     Trace,
     _constants_snapshot,
@@ -99,6 +101,26 @@ def finite_diff_gradient(problem: Problem, x: np.ndarray, h: float) -> np.ndarra
         e[j] = h
         grad[j] = (problem.value(x + e) - problem.value(x - e)) / (2.0 * h)
     return grad
+
+
+def gradient_descent_reference(
+    problem: Problem, grad_tol: float = 1e-10, max_iters: int = 10 ** 6
+) -> Reference:
+    """Plain gradient descent with step 1/L from x = 0, capped at
+    ``max_iters`` steps; certified when the gradient norm reaches
+    ``grad_tol``."""
+    x = np.zeros(problem.dim)
+    gamma = 1.0 / problem.L
+    g = problem.gradient(x)
+    for _ in range(max_iters):
+        if np.linalg.norm(g) <= grad_tol:
+            break
+        x = x - gamma * g
+        g = problem.gradient(x)
+    gnorm = float(np.linalg.norm(g))
+    return Reference(
+        x=x, f=problem.value(x), grad_norm=gnorm, certified=gnorm <= grad_tol
+    )
 
 
 def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:

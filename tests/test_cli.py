@@ -41,17 +41,25 @@ class TestHelp:
     def test_unknown_subcommand_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
-        assert exc.value.code != 0
+        assert exc.value.code == EXIT_USAGE
+        assert "invalid choice" in capsys.readouterr().err
 
+    # Usage errors exit 1, not argparse's 2, which would read as a failed
+    # verification; "-inf" parses as a flag, so "--l2 -inf" lacks its value.
     @pytest.mark.parametrize("argv", [
         ["constants", "--betas", "0.5", "--bogus", "1"],
         ["run", "--problem", "quadratic", "--betas", "0.9", "--gammas", "0.1",
          "--jobs", "1"],
-    ], ids=["constants-bogus", "run-jobs"])
+        ["run", "--problem", "quadratic", "--betas", "0.9"],
+        ["tune", "--problem", "logreg-l2", "--data", "x", "--l2", "-inf",
+         "--betas", "0.9"],
+    ], ids=["constants-bogus", "run-jobs", "run-missing-gammas", "l2-minus-inf"])
     def test_unknown_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code != 0
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: agghb") and "error:" in err
 
 
 class TestRun:
@@ -339,6 +347,23 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--trace", str(trace))
         assert code == EXIT_USAGE
         assert "line 4" in err
+
+    @pytest.mark.parametrize("corrupt, bad_line", [
+        (lambda rows: ["7" + r[r.index(","):] for r in rows], "line 2: expected k=0, got k=7"),
+        (lambda rows: rows[::2], "line 3: expected k=1, got k=2"),
+    ], ids=["every-k-seven", "every-other-row"])
+    def test_k_column_out_of_sequence_exit_one(self, capsys, tmp_path, corrupt, bad_line):
+        # Each row is checked as the iterate of its position, so a k column
+        # that is not 0, 1, 2, ... must not verify against the wrong rows.
+        trace = self._write_trace(capsys, tmp_path)
+        code, _, _ = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_OK
+        header, *rows = trace.read_text().splitlines()
+        trace.write_text("\n".join([header, *corrupt(rows)]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: {bad_line}\n"
 
     def test_missing_trace_exit_one(self, capsys, tmp_path):
         code, _, err = run_cli(

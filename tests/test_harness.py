@@ -1,5 +1,6 @@
 """Tests for the run driver, tuner, reference solver, verifier, and trace I/O."""
 
+import collections
 import dataclasses
 
 import numpy as np
@@ -28,11 +29,37 @@ from agghb.libsvm import load_libsvm, to_dataset
 from agghb.problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
-from oracles import plain_run
+from oracles import gradient_descent_reference, plain_run
 
 
 def identity_quadratic(dim=1):
     return quadratic(np.eye(dim), np.zeros(dim))
+
+
+def reference_from_failed_newton(problem, hessian):
+    """``reference_solution`` on ``problem`` with its Hessian replaced by the
+    zero matrix, by -I, or by 10^6 times itself (descent steps too short to
+    converge), and the number of calls it made to each objective field."""
+    d, exact = problem.dim, problem.hessian
+    broken = {
+        "zero": lambda x: np.zeros((d, d)),
+        "minus_identity": lambda x: -np.eye(d),
+        "timid": lambda x: 1e6 * exact(x),
+    }[hessian]
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    fields = {"hessian": broken, "value": problem.value, "gradient": problem.gradient,
+              "value_and_grad": problem.value_and_grad}
+    failing = dataclasses.replace(
+        problem, **{name: counted(name, fn) for name, fn in fields.items()}
+    )
+    return reference_solution(failing), calls
 
 
 class TestRunConfig:
@@ -579,35 +606,40 @@ class TestReferenceSolution:
         problem = logreg_l2(request.getfixturevalue(dataset), l2=l2)
         assert problem.hessian is not None
         newton = reference_solution(problem)
-        plain = reference_solution(dataclasses.replace(problem, hessian=None))
+        plain = gradient_descent_reference(problem)
         assert newton.certified and plain.certified
         assert newton.grad_norm <= 1e-10 and plain.grad_norm <= 1e-10
         assert newton.f == pytest.approx(plain.f, rel=1e-12)
 
     def test_newton_certifies_below_rounding_level_of_value(self, small_dataset):
         # At 1e-14 the last Newton step changes f by less than its rounding
-        # error; max_iters=0 leaves no gradient-descent fallback to finish.
+        # error; Newton alone must still reach the certificate.
         problem = logreg_l2(small_dataset, l2=1e-3)
-        ref = reference_solution(problem, grad_tol=1e-14, max_iters=0)
+        ref = reference_solution(problem, grad_tol=1e-14)
         assert ref.certified and ref.grad_norm <= 1e-14
 
-    def test_failed_newton_falls_back_to_gradient_descent(self, small_dataset):
-        problem = logreg_l2(small_dataset, l2=1e-3)
-        singular = dataclasses.replace(
-            problem, hessian=lambda x: np.zeros((problem.dim, problem.dim))
-        )
-        ascent = dataclasses.replace(problem, hessian=lambda x: -np.eye(problem.dim))
-        expected = reference_solution(problem).f
-        for broken in (singular, ascent):
-            ref = reference_solution(broken)
-            assert ref.certified
-            assert ref.f == pytest.approx(expected, rel=1e-12)
+    @pytest.mark.parametrize("hessian", ["zero", "minus_identity"])
+    def test_failed_newton_returns_uncertified(self, small_dataset, hessian):
+        # A singular Hessian and a non-descent direction each stop Newton
+        # at once; nothing else runs behind it.
+        ref, calls = reference_from_failed_newton(logreg_l2(small_dataset, l2=1e-3), hessian)
+        assert ref.certified is False
+        assert ref.grad_norm > 1e-10
+        assert np.all(np.isfinite(ref.x))
+        objective_calls = calls["value"] + calls["gradient"] + calls["value_and_grad"]
+        assert objective_calls <= agghb.harness.NEWTON_MAX_ITERS + 1
 
     def test_iteration_cap_leaves_reference_uncertified(self, small_dataset):
-        problem = dataclasses.replace(logreg_l2(small_dataset, l2=0.0), hessian=None)
-        ref = reference_solution(problem, max_iters=5)
+        ref, calls = reference_from_failed_newton(logreg_l2(small_dataset, l2=0.0), "timid")
+        assert calls["hessian"] == agghb.harness.NEWTON_MAX_ITERS
         assert not ref.certified
         assert ref.grad_norm > 1e-10
+
+    def test_convex_problem_without_optimum_or_hessian_rejected(self):
+        problem = quadratic(np.diag([0.0, 1.0]), np.array([0.0, 1.0]))
+        assert problem.reference_opt is None and problem.hessian is None
+        with pytest.raises(ValueError, match="'quadratic' has neither a closed-form"):
+            reference_solution(problem)
 
 
 class TestVerifyBounds:
@@ -638,7 +670,7 @@ class TestVerifyBounds:
         trace = run(cfg, problem)
         good = verify_bounds(trace, problem)
         assert good.passed and good.certified
-        cut = reference_solution(dataclasses.replace(problem, hessian=None), max_iters=5)
+        cut, _ = reference_from_failed_newton(problem, "zero")
         assert not cut.certified
         report = verify_bounds(trace, problem, reference=cut)
         assert not report.passed

@@ -11,9 +11,9 @@ from agghb.optim import (
     step,
     virtual_coefficients,
     virtual_iterate,
-    virtual_step_size,
 )
 from agghb.problems import quadratic
+from agghb.theory import constants
 
 from oracles import hb_init, hb_step, momentum_expansion, weighted_sum
 
@@ -218,7 +218,7 @@ class TestVirtualIterate:
         # the virtual iterate is x itself.
         cfg = AggConfig(betas=(0.0, 0.5), gammas=(0.1, 0.1))
         x, V = init(cfg.m, np.array([1.0]))
-        expected = x - virtual_step_size(cfg) * np.array([1.0])
+        expected = x - constants(cfg).F * np.array([1.0])
         x_tilde = advance(cfg, x, V, np.array([1.0]))
         np.testing.assert_allclose(x_tilde, expected)
         np.testing.assert_allclose(x_tilde, [0.85])
@@ -234,7 +234,7 @@ class TestVirtualIterate:
             dim = int(rng.integers(1, 6))
             Q = np.diag(rng.uniform(0.5, 3.0, dim))
             x, V = init(cfg.m, rng.standard_normal(dim))
-            vstep = virtual_step_size(cfg)
+            vstep = constants(cfg).F
             xt = x.copy()
             for _ in range(200):
                 g = Q @ x
