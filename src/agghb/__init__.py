@@ -9,7 +9,6 @@ from .optim import (
     virtual_iterate,
 )
 from .theory import (
-    BoundInputs,
     EffectiveBetas,
     TheoryConstants,
     bound_convex,

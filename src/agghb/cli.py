@@ -178,16 +178,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    # Every value is computed before the first line is printed, so a refused
+    # input leaves stdout empty.
     betas = args.betas
     eb = theory.effective_betas(betas)
-    _emit("m", len(betas))
-    _emit("beta_tilde", eb.beta_tilde)
-    _emit("beta_hat", eb.beta_hat)
-    _emit("beta_max", eb.beta_max)
-    _emit("L", args.L)
-    _emit("mu", args.mu)
-    _emit("stepsize_nonconvex", theory.stepsize_nonconvex(betas, args.L))
-    _emit("stepsize_convex", theory.stepsize_convex(betas, args.L, args.mu))
+    lines = [
+        ("m", len(betas)),
+        ("beta_tilde", eb.beta_tilde),
+        ("beta_hat", eb.beta_hat),
+        ("beta_max", eb.beta_max),
+        ("L", args.L),
+        ("mu", args.mu),
+        ("stepsize_nonconvex", theory.stepsize_nonconvex(betas, args.L)),
+        ("stepsize_convex", theory.stepsize_convex(betas, args.L, args.mu)),
+    ]
 
     if args.gammas is not None:
         gammas = args.gammas
@@ -195,22 +199,23 @@ def cmd_constants(args) -> int:
             gammas = gammas * len(betas)
         config = AggConfig(betas=betas, gammas=gammas)
         consts = theory.constants(config, horizon=args.horizon)
-        for key in ("A", "C", "D", "E", "F", "B"):
-            _emit(key, getattr(consts, key))
         ncvx = theory.check_nonconvex_condition(consts, args.L, config.m)
-        _emit("nonconvex_margin", ncvx.margin)
-        if ncvx.vacuous:
-            _emit("nonconvex_check", "VACUOUS")
-        else:
-            _emit("nonconvex_check", "PASS" if ncvx.admissible else "FAIL")
         cvx = theory.check_convex_conditions(config, args.L, args.mu, horizon=args.horizon)
-        _emit("f_margin", cvx.f_margin)
-        _emit("f_check", "PASS" if cvx.f_margin >= 0 else "FAIL")
-        _emit("bf_margin", cvx.bf_margin)
-        _emit("bf_check", "PASS" if cvx.bf_margin >= 0 else "FAIL")
-        for i, sm in enumerate(cvx.stepsize_margins, start=1):
-            _emit(f"stepsize_margin_{i}", sm)
-        _emit("convex_check", "PASS" if cvx.ok else "FAIL")
+        lines += [(key, getattr(consts, key)) for key in ("A", "C", "D", "E", "F", "B")]
+        lines += [
+            ("nonconvex_margin", ncvx.margin),
+            ("nonconvex_check",
+             "VACUOUS" if ncvx.vacuous else "PASS" if ncvx.admissible else "FAIL"),
+            ("f_margin", cvx.f_margin),
+            ("f_check", "PASS" if cvx.f_margin >= 0 else "FAIL"),
+            ("bf_margin", cvx.bf_margin),
+            ("bf_check", "PASS" if cvx.bf_margin >= 0 else "FAIL"),
+            *((f"stepsize_margin_{i}", sm)
+              for i, sm in enumerate(cvx.stepsize_margins, start=1)),
+            ("convex_check", "PASS" if cvx.ok else "FAIL"),
+        ]
+    for key, value in lines:
+        _emit(key, value)
     return EXIT_OK
 
 
@@ -286,7 +291,7 @@ def main(argv=None) -> int:
     except harness.VerificationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, FileNotFoundError, harness.TuningError) as exc:
+    except (ValueError, OSError, harness.TuningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Experiment driver: run optimizers on problems, tune stepsizes, check bounds.
 
 A run is fully described by a :class:`RunConfig`; identical configs on the
-same problem produce bit-identical traces.  Traces carry the per-iteration
+same problem produce byte-identical trace CSVs, and ``meta.json`` sidecars
+that differ only in ``wall_time``.  Traces carry the per-iteration
 metrics behind convergence plots plus enough metadata (resolved stepsizes,
 theory-constant snapshot, starting point) to re-verify the theoretical
 bounds later from the exported files alone.
@@ -483,7 +484,9 @@ def verify_bounds(
     divergence, observes infinity and fails.  Without a given ``reference``,
     one is computed with :func:`reference_solution`.  A configuration that
     fails the theorem's admissibility check (convex: at horizon ``iters``)
-    is refused with :class:`VerificationRefused` naming the failing margin.
+    is refused with :class:`VerificationRefused` naming the failing margin,
+    and a convex-mode trace of a problem that is not convex is refused
+    naming the problem.
     """
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
@@ -509,14 +512,17 @@ def verify_bounds(
                 "non-convex verification needs a known lower bound on the objective"
             )
         delta0 = float(trace.f[0]) - problem.f_lower
-        inputs = theory.BoundInputs(
-            L=problem.L, mu=problem.mu, delta0=delta0, r0_sq=0.0
-        )
         # best squared gradient norm over k = 1 .. K
         observed = np.minimum.accumulate(np.r_[np.inf, trace.grad_norm[1:] ** 2])
-        bound = partial(theory.bound_nonconvex, inputs=inputs, consts=consts, m=acfg.m)
+        bound = partial(
+            theory.bound_nonconvex, delta0=delta0, L=problem.L, consts=consts, m=acfg.m
+        )
         slack = 0.0
     else:
+        if not problem.convex:
+            raise VerificationRefused(
+                f"{_NOT_COVERED}: problem {problem.name!r} is not convex"
+            )
         if trace.f_avg is None:
             raise ValueError("trace carries no averaged-iterate objective values")
         cond = theory.check_convex_conditions(acfg, problem.L, problem.mu, horizon=budget)
@@ -530,11 +536,8 @@ def verify_bounds(
         certificate = reference.grad_norm
         certified = reference.certified
         r0_sq = float(np.linalg.norm(trace.x0 - reference.x) ** 2)
-        inputs = theory.BoundInputs(
-            L=problem.L, mu=problem.mu, delta0=0.0, r0_sq=r0_sq
-        )
         observed = trace.f_avg - reference.f
-        bound = partial(theory.bound_convex, inputs=inputs, F=consts.F)
+        bound = partial(theory.bound_convex, r0_sq=r0_sq, mu=problem.mu, F=consts.F)
         slack = 2.0 * certificate
 
     rows = []

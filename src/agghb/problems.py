@@ -30,6 +30,12 @@ _DENSE_FALLBACK_COLS = 64
 # add interpreter overhead to every iterate of ``harness.run``.
 _BLOCK_BYTES = 256 * 1024
 
+# Power iteration in :func:`spectral_norm`: relative change of the Rayleigh
+# quotient that ends it, the cap on its products, and its start's seed.
+_POWER_REL_TOL = 1e-6
+_POWER_MAX_ITERS = 10_000
+_POWER_SEED = 0
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -172,8 +178,8 @@ def rosenbrock() -> Problem:
 
     Non-convex with global minimum (1, 1).  There is no global gradient
     Lipschitz constant, so ``L`` is a local estimate: the largest Hessian
-    spectral norm over a grid covering the box [-2, 2]^2, which is where the
-    standard trajectories live.
+    spectral norm over the box [-2, 2]^2, which is where the standard
+    trajectories live.
     """
 
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
@@ -186,15 +192,12 @@ def rosenbrock() -> Problem:
         return f, np.array([-2.0 * (1.0 - x) - 400.0 * x * r, 200.0 * r])
 
     # Hessian entries: hxx = 2 - 400 y + 1200 x^2, hxy = -400 x, hyy = 200.
-    xs = np.linspace(-2.0, 2.0, 81)
-    ys = np.linspace(-2.0, 2.0, 81)
-    X, Y = np.meshgrid(xs, ys)
-    hxx = 2.0 - 400.0 * Y + 1200.0 * X * X
-    hxy = -400.0 * X
-    hyy = np.full_like(hxx, 200.0)
-    mean = (hxx + hyy) / 2.0
-    radius = np.sqrt(((hxx - hyy) / 2.0) ** 2 + hxy ** 2)
-    L_local = float(np.max(np.maximum(np.abs(mean + radius), np.abs(mean - radius))))
+    # Its eigenvalues are mean +- radius below.  Over the box the smaller one,
+    # and the larger one where hxx < hyy, stay within 1000 of zero; elsewhere
+    # the larger one grows with hxx and |hxy|, so the spectral norm peaks at
+    # the corners (+-2, -2).
+    hxx, hxy, hyy = 5602.0, 800.0, 200.0
+    L_local = (hxx + hyy) / 2.0 + math.sqrt(((hxx - hyy) / 2.0) ** 2 + hxy ** 2)
 
     return Problem(
         name="rosenbrock",
@@ -384,28 +387,25 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     )
 
 
-def spectral_norm(
-    A, rel_tol: float = 1e-6, max_iters: int = 10_000, seed: int = 0
-) -> tuple[float, bool]:
-    """Largest eigenvalue of A'A by power iteration on repeated matvecs.
+def spectral_norm(A) -> tuple[float, bool]:
+    """Largest eigenvalue of A'A by power iteration on repeated CSR matvecs.
 
-    Returns (estimate, converged).  The zero matrix yields (0.0, True).
+    ``A`` may be any matrix ``scipy.sparse.csr_matrix`` accepts.  The
+    iteration starts from a seeded random direction and stops once the
+    Rayleigh quotient moves by at most ``_POWER_REL_TOL`` of itself, or after
+    ``_POWER_MAX_ITERS`` products.  Returns (estimate, converged).  The zero
+    matrix yields (0.0, True).
     """
-    if sp.issparse(A):
-        A = sp.csr_matrix(A)
-        nnz = A.nnz
-    else:
-        A = np.asarray(A, dtype=float)
-        nnz = int(np.count_nonzero(A))
-    if nnz == 0:
+    A = sp.csr_matrix(A)
+    if A.nnz == 0:
         return 0.0, True
 
     n = A.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_POWER_SEED)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(max_iters):
+    for _ in range(_POWER_MAX_ITERS):
         w = A.T @ (A @ v)
         lam_new = float(v @ w)  # Rayleigh quotient, ||v|| = 1
         norm_w = np.linalg.norm(w)
@@ -415,7 +415,7 @@ def spectral_norm(
             v /= np.linalg.norm(v)
             continue
         v = w / norm_w
-        if abs(lam_new - lam) <= rel_tol * abs(lam_new):
+        if abs(lam_new - lam) <= _POWER_REL_TOL * abs(lam_new):
             return lam_new, True
         lam = lam_new
     return lam, False

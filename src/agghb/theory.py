@@ -30,7 +30,7 @@ class TheoryConstants:
     E  -- sum 1/(1-beta_i)
     F  -- mean stepsize of the virtual recursion  (1/m) sum gamma_i/(1-beta_i)
     B  -- buffer-magnitude constant  (1/m) sum beta_i*gamma_i*(1-beta_i^(K+1))/(1-beta_i)^2
-          (with the open-horizon cap 1-beta^(K+1) <= 1 when no horizon is given)
+          (with the tail beta_i^(K+1) taken as 0 when no horizon is given)
     """
 
     A: float
@@ -53,24 +53,6 @@ class EffectiveBetas:
     beta_tilde: float
     beta_hat: float
     beta_max: float
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Problem-side quantities the bounds depend on."""
-
-    L: float
-    mu: float
-    delta0: float  # f(x0) - inf f, initial suboptimality
-    r0_sq: float   # ||x0 - x_*||^2, squared initial distance
-
-    def __post_init__(self):
-        if not (self.L > 0):
-            raise ValueError("L must be positive")
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-        if self.delta0 < 0 or self.r0_sq < 0:
-            raise ValueError("delta0 and r0_sq must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -102,29 +84,38 @@ class ConvexConditions:
     ok: bool
 
 
+def _check_L_mu(L: float = 1.0, mu: float = 0.0) -> None:
+    """Refuse L outside (0, inf) and mu outside [0, inf); NaN is outside both.
+
+    Every entry point that reads L or mu reaches this check.  The defaults
+    pass, so a caller that reads only one of them checks only that one.
+    """
+    if not 0.0 < L < math.inf:
+        raise ValueError(f"L must be positive and finite, got {L!r}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be nonnegative and finite, got {mu!r}")
+
+
 def constants(config: AggConfig, horizon: int | None = None) -> TheoryConstants:
     """Evaluate all aggregate constants for a configuration.
 
-    ``horizon`` is the iteration count K entering B; ``None`` uses the
-    open-ended upper cap, which is conservative wherever B appears.
+    ``horizon`` is the iteration count K entering B; ``None`` takes the
+    tail beta_i^(K+1) as 0, the open-ended cap, which is conservative
+    wherever B appears.
     """
+    if horizon is not None and horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     m = config.m
     a = sum(b * g / (1.0 - b) for b, g in zip(config.betas, config.gammas)) / m
     c = sum(g / (1.0 - b) ** 2 for b, g in zip(config.betas, config.gammas))
     d = max(g / (1.0 - b) for b, g in zip(config.betas, config.gammas))
     e = sum(1.0 / (1.0 - b) for b in config.betas)
     f = sum(g / (1.0 - b) for b, g in zip(config.betas, config.gammas)) / m
-    if horizon is None:
-        bconst = sum(
-            b * g / (1.0 - b) ** 2 for b, g in zip(config.betas, config.gammas)
-        ) / m
-    else:
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
-        bconst = sum(
-            b * g * (1.0 - b ** (horizon + 1)) / (1.0 - b) ** 2
-            for b, g in zip(config.betas, config.gammas)
-        ) / m
+    tails = [0.0 if horizon is None else b ** (horizon + 1) for b in config.betas]
+    bconst = sum(
+        b * g * (1.0 - t) / (1.0 - b) ** 2
+        for b, g, t in zip(config.betas, config.gammas, tails)
+    ) / m
     return TheoryConstants(A=a, C=c, D=d, E=e, F=f, B=bconst)
 
 
@@ -162,8 +153,7 @@ def check_nonconvex_condition(
     (C*D*E*L^2/m^2 without the factor 1/2), so a positive margin here is
     valid under either reading.
     """
-    if not (L > 0):
-        raise ValueError("L must be positive")
+    _check_L_mu(L)
     margin = 1.0 - consts.C * consts.D * consts.E * L * L / (m * m) - L * consts.A
     if consts.A == 0.0:
         # Pure gradient descent: the bound divides by A and degenerates.
@@ -178,8 +168,7 @@ def stepsize_nonconvex(betas, L: float) -> float:
                                          / ((1-beta_max)*(1-bh)))))
     with bt = beta_tilde, bh = beta_hat.
     """
-    if not (L > 0):
-        raise ValueError("L must be positive")
+    _check_L_mu(L)
     eb = effective_betas(betas)
     bt, bh, bmax = eb.beta_tilde, eb.beta_hat, eb.beta_max
     inner = (bt / (1.0 - bt) ** 2 + 1.0 / (1.0 - bh)) / ((1.0 - bmax) * (1.0 - bh))
@@ -193,10 +182,7 @@ def stepsize_convex(betas, L: float, mu: float) -> float:
     The smallest of three caps; the strong-convexity cap drops out at mu = 0
     and the buffer-magnitude cap drops out when all decays are zero.
     """
-    if not (L > 0):
-        raise ValueError("L must be positive")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_L_mu(L, mu)
     eb = effective_betas(betas)
     bt, bh, bmax = eb.beta_tilde, eb.beta_hat, eb.beta_max
     terms = [(1.0 - bh) / (4.0 * L)]
@@ -219,10 +205,7 @@ def check_convex_conditions(
     Per buffer: gamma_i <= (1 - max beta)*(1 - beta_i)/(2 mu)  (vacuous at mu = 0).
     Globally:   F <= 1/(4L)  and  B*F <= (1 - max beta)/(48 L^2).
     """
-    if not (L > 0):
-        raise ValueError("L must be positive")
-    if mu < 0:
-        raise ValueError("mu must be nonnegative")
+    _check_L_mu(L, mu)
     consts = constants(config, horizon=horizon)
     bmax = max(config.betas)
     if mu == 0.0:
@@ -241,38 +224,44 @@ def check_convex_conditions(
 
 
 def bound_nonconvex(
-    K: int, inputs: BoundInputs, consts: TheoryConstants, m: int
+    K: int, delta0: float, L: float, consts: TheoryConstants, m: int
 ) -> float:
     """Guaranteed ceiling on min over k=1..K of ||grad f(x_k)||^2.
 
-    Equals (2/K) * delta0 / (A * (1 - C*D*E*L^2/m^2 - L*A)); only valid for
-    admissible configurations.
+    Equals (2/K) * delta0 / (A * (1 - C*D*E*L^2/m^2 - L*A)), where delta0 is
+    the initial suboptimality f(x0) - inf f; only valid for admissible
+    configurations.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    cond = check_nonconvex_condition(consts, inputs.L, m)
+    if delta0 < 0:
+        raise ValueError("delta0 must be nonnegative")
+    cond = check_nonconvex_condition(consts, L, m)
     if cond.vacuous:
         raise ValueError("zero momentum: the non-convex bound degenerates")
     if not cond.admissible:
         raise ValueError(f"inadmissible configuration (margin {cond.margin:.6g})")
-    return (2.0 / K) * inputs.delta0 / (consts.A * cond.margin)
+    return (2.0 / K) * delta0 / (consts.A * cond.margin)
 
 
-def bound_convex(K: int, inputs: BoundInputs, F: float) -> float:
+def bound_convex(K: int, r0_sq: float, mu: float, F: float) -> float:
     """Guaranteed ceiling on f(xbar_K) - f(x_*) for the weighted-average iterate.
 
-    (1 - mu*F/2)^K * 4*r0_sq/F when mu > 0, and 4*r0_sq/(F*K) when mu = 0.
-    Requires mu*F/2 < 1.
+    (1 - mu*F/2)^K * 4*r0_sq/F when mu > 0, and 4*r0_sq/(F*K) when mu = 0,
+    where r0_sq = ||x0 - x_*||^2.  Requires mu*F/2 < 1.
     """
+    _check_L_mu(mu=mu)
+    if r0_sq < 0:
+        raise ValueError("r0_sq must be nonnegative")
     if not (F > 0):
         raise ValueError("F must be positive")
     if K < 0:
         raise ValueError("K must be nonnegative")
-    contraction = 1.0 - inputs.mu * F / 2.0
+    contraction = 1.0 - mu * F / 2.0
     if contraction <= 0.0:
-        raise ValueError(f"mu*F/2 = {inputs.mu * F / 2:.6g} must be < 1")
-    if inputs.mu > 0:
-        return contraction ** K * 4.0 * inputs.r0_sq / F
+        raise ValueError(f"mu*F/2 = {mu * F / 2:.6g} must be < 1")
+    if mu > 0:
+        return contraction ** K * 4.0 * r0_sq / F
     if K == 0:
         raise ValueError("the mu = 0 bound needs K >= 1")
-    return 4.0 * inputs.r0_sq / (F * K)
+    return 4.0 * r0_sq / (F * K)

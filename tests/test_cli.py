@@ -96,6 +96,20 @@ class TestRun:
         assert len(kv["sweep"]) == 15
         assert kv["stepsize_mode"] == ["tuned"]
 
+    @pytest.mark.parametrize("out, exc", [
+        (lambda tmp: tmp, "Is a directory"),
+        (lambda tmp: tmp / "file" / "t.csv", "Not a directory"),
+    ], ids=["out-is-directory", "out-under-file"])
+    def test_unwritable_out_is_error_not_traceback(self, capsys, tmp_path, out, exc):
+        (tmp_path / "file").write_text("")
+        code, stdout, err = run_cli(
+            capsys, "run", "--problem", "quadratic", "--betas", "0.9",
+            "--gammas", "0.1", "--iters", "5", "--out", str(out(tmp_path)),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("error: ") and exc in err
+
     def test_missing_data_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", "logreg-l2", "--betas", "0.9",
@@ -254,6 +268,19 @@ class TestConstants:
                              "--gammas", "0.01", "--L", "2.5", "--mu", "0.1")
         assert out1 == out2
 
+    @pytest.mark.parametrize("flags", [
+        ("--L", "inf"), ("--L", "nan"), ("--L", "0"),
+        ("--mu", "nan"), ("--mu", "inf"),
+        ("--gammas", "0.01", "--horizon", "-1"),
+        ("--gammas", "0.01", "--L", "nan"),
+    ], ids=["L-inf", "L-nan", "L-zero", "mu-nan", "mu-inf", "horizon-minus-one",
+            "L-nan-with-gammas"])
+    def test_refused_input_prints_nothing(self, capsys, flags):
+        code, out, err = run_cli(capsys, "constants", "--betas", "0.9", *flags)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerify:
     def _write_trace(self, capsys, tmp_path, gammas="theory-ncvx"):
@@ -332,6 +359,28 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert out == ""
         assert err.startswith("refused: ") and "margin=" in err
+
+    @pytest.mark.parametrize("problem", [
+        ("--problem", "rosenbrock"),
+        ("--problem", "logreg-ncvx", "--lambda", "auto"),
+    ], ids=["rosenbrock", "logreg-ncvx"])
+    def test_convex_mode_on_nonconvex_problem_refused(self, capsys, tmp_path, problem):
+        # The convex theorem does not cover these problems, whatever their
+        # stepsizes; verify refuses before it looks for a reference optimum.
+        if problem[1] == "logreg-ncvx":
+            data = tmp_path / "d.libsvm"
+            data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+            problem += ("--data", str(data))
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "run", *problem, "--betas", "0.9,0.95,0.99,0.999",
+            "--gammas", "theory-cvx", "--iters", "10", "--out", str(out_path),
+        )
+        assert code == EXIT_OK
+        code, out, err = run_cli(capsys, "verify", "--trace", str(out_path))
+        assert code == EXIT_VERIFY
+        assert out == ""
+        assert err.startswith("refused: ") and f"problem '{problem[1]}' is not convex" in err
 
     def test_tuned_trace_exit_two(self, capsys, tmp_path):
         trace = self._write_trace(capsys, tmp_path, gammas="tune")

@@ -105,6 +105,18 @@ class TestRosenbrock:
         assert not p.convex
         assert p.params["L_is_local_estimate"]
 
+    def test_local_L_is_the_grid_maximum(self):
+        # Largest Hessian spectral norm over an 81 x 81 grid on [-2, 2]^2,
+        # whose corners are where the closed form places the maximum.
+        X, Y = np.meshgrid(np.linspace(-2.0, 2.0, 81), np.linspace(-2.0, 2.0, 81))
+        hxx = 2.0 - 400.0 * Y + 1200.0 * X * X
+        hxy = -400.0 * X
+        hyy = np.full_like(hxx, 200.0)
+        mean = (hxx + hyy) / 2.0
+        radius = np.sqrt(((hxx - hyy) / 2.0) ** 2 + hxy ** 2)
+        grid_max = float(np.max(np.maximum(np.abs(mean + radius), np.abs(mean - radius))))
+        assert rosenbrock().L == grid_max == 5717.984380503378
+
 
 def tiny_dataset():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.5, -1.0], [0.0, 2.0]]))

@@ -1,9 +1,13 @@
-"""The README's library example runs as written against the package."""
+"""The README's library example runs as written against the package, and
+its CLI examples parse against the command's current flags."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from agghb.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,3 +23,16 @@ def test_library_example_runs():
     # the value the example prints; weights of the wrong shape still broadcast
     # in ``step`` but end elsewhere (3.88 for a (gamma, gamma) tuple)
     assert abs(float(out.getvalue()) - 1.0663337929417849) <= 1e-12
+
+
+def test_cli_examples_parse():
+    # Parsed only, never run: a renamed or removed flag fails here.
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.S | re.M)
+    commands = [
+        shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+        if line.startswith("agghb ")
+    ]
+    assert commands
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).command == argv[0]

@@ -8,7 +8,6 @@ import pytest
 
 from agghb.optim import AggConfig
 from agghb.theory import (
-    BoundInputs,
     bound_convex,
     bound_nonconvex,
     check_convex_conditions,
@@ -61,6 +60,17 @@ class TestConstants:
         # beta*gamma/(1-beta)^2 = 0.5*0.1/0.25
         cfg = AggConfig(betas=(0.5,), gammas=(0.1,))
         assert constants(cfg).B == pytest.approx(0.2, rel=1e-12)
+
+    def test_open_horizon_is_the_old_closed_form_exactly(self):
+        # The open horizon sets the tail beta^(K+1) to 0; b*g*(1 - 0.0) == b*g
+        # in floats, so B matches the tail-free expression bit for bit.
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            m = int(rng.integers(1, 8))
+            betas = tuple(rng.uniform(0, 0.999, m))
+            gammas = tuple(rng.uniform(1e-4, 1.0, m))
+            expected = sum(b * g / (1.0 - b) ** 2 for b, g in zip(betas, gammas)) / m
+            assert constants(AggConfig(betas=betas, gammas=gammas)).B == expected
 
     def test_buffer_constant_finite_horizon(self):
         cfg = AggConfig(betas=(0.5,), gammas=(0.1,))
@@ -251,20 +261,17 @@ class TestBounds:
 
     def test_nonconvex_k_scaling(self):
         cfg, consts, L = self._admissible()
-        inputs = BoundInputs(L=L, mu=0.0, delta0=2.0, r0_sq=0.0)
-        b1 = bound_nonconvex(100, inputs, consts, cfg.m)
-        b2 = bound_nonconvex(200, inputs, consts, cfg.m)
+        b1 = bound_nonconvex(100, 2.0, L, consts, cfg.m)
+        b2 = bound_nonconvex(200, 2.0, L, consts, cfg.m)
         assert b2 == pytest.approx(b1 / 2.0, rel=1e-12)
 
     def test_nonconvex_zero_gap_gives_zero(self):
         cfg, consts, L = self._admissible()
-        inputs = BoundInputs(L=L, mu=0.0, delta0=0.0, r0_sq=0.0)
-        assert bound_nonconvex(10, inputs, consts, cfg.m) == 0.0
+        assert bound_nonconvex(10, 0.0, L, consts, cfg.m) == 0.0
 
     def test_nonconvex_formula_oracle(self):
         # Independent re-evaluation of the closed form.
         cfg, consts, L = self._admissible()
-        inputs = BoundInputs(L=L, mu=0.0, delta0=1.0, r0_sq=0.0)
         K = 100
         a = sum(b * g / (1 - b) for b, g in zip(cfg.betas, cfg.gammas)) / cfg.m
         c = sum(g / (1 - b) ** 2 for b, g in zip(cfg.betas, cfg.gammas))
@@ -272,73 +279,106 @@ class TestBounds:
         e = sum(1 / (1 - b) for b in cfg.betas)
         denom = a * (1 - c * d * e * L * L / cfg.m ** 2 - L * a)
         expected = (2.0 / K) * 1.0 / denom
-        got = bound_nonconvex(K, inputs, consts, cfg.m)
+        got = bound_nonconvex(K, 1.0, L, consts, cfg.m)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_nonconvex_rejects_inadmissible(self):
         cfg = AggConfig(betas=(0.9,), gammas=(10.0,))
-        inputs = BoundInputs(L=1.0, mu=0.0, delta0=1.0, r0_sq=0.0)
         with pytest.raises(ValueError, match="inadmissible"):
-            bound_nonconvex(10, inputs, constants(cfg), 1)
+            bound_nonconvex(10, 1.0, 1.0, constants(cfg), 1)
 
     def test_nonconvex_rejects_vacuous(self):
         cfg = AggConfig(betas=(0.0,), gammas=(0.1,))
-        inputs = BoundInputs(L=1.0, mu=0.0, delta0=1.0, r0_sq=0.0)
         with pytest.raises(ValueError, match="zero momentum"):
-            bound_nonconvex(10, inputs, constants(cfg), 1)
+            bound_nonconvex(10, 1.0, 1.0, constants(cfg), 1)
 
     def test_convex_flat_rate_hand_value(self):
-        inputs = BoundInputs(L=1.0, mu=0.0, delta0=0.0, r0_sq=1.0)
-        assert bound_convex(100, inputs, 0.1) == pytest.approx(0.4, rel=1e-12)
+        assert bound_convex(100, 1.0, 0.0, 0.1) == pytest.approx(0.4, rel=1e-12)
 
     def test_strongly_convex_zero_iterations(self):
-        inputs = BoundInputs(L=1.0, mu=0.5, delta0=0.0, r0_sq=2.0)
-        assert bound_convex(0, inputs, 0.1) == pytest.approx(80.0, rel=1e-12)
+        assert bound_convex(0, 2.0, 0.5, 0.1) == pytest.approx(80.0, rel=1e-12)
 
     def test_strongly_convex_geometric_decay(self):
-        inputs = BoundInputs(L=1.0, mu=0.5, delta0=0.0, r0_sq=1.0)
         F = 0.2
         contraction = 1.0 - 0.5 * F / 2.0
-        assert bound_convex(10, inputs, F) == pytest.approx(
+        assert bound_convex(10, 1.0, 0.5, F) == pytest.approx(
             contraction ** 10 * 4.0 / F, rel=1e-12
         )
 
     def test_boundary_contraction_rejected(self):
-        inputs = BoundInputs(L=1.0, mu=2.0 / 0.1, delta0=0.0, r0_sq=1.0)
         with pytest.raises(ValueError, match="must be < 1"):
-            bound_convex(5, inputs, 0.1)
+            bound_convex(5, 1.0, 2.0 / 0.1, 0.1)
 
     def test_flat_rate_zero_iterations_rejected(self):
-        inputs = BoundInputs(L=1.0, mu=0.0, delta0=0.0, r0_sq=1.0)
         with pytest.raises(ValueError, match="K >= 1"):
-            bound_convex(0, inputs, 0.1)
+            bound_convex(0, 1.0, 0.0, 0.1)
 
     def test_bounds_monotone(self):
         cfg, consts, L = self._admissible()
         ks = [1, 3, 10, 50, 200]
         vals = [
-            bound_nonconvex(k, BoundInputs(L=L, mu=0, delta0=1, r0_sq=0), consts, cfg.m)
+            bound_nonconvex(k, 1, L, consts, cfg.m)
             for k in ks
         ]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
         gaps = [0.0, 0.5, 2.0, 10.0]
         vals2 = [
-            bound_nonconvex(10, BoundInputs(L=L, mu=0, delta0=d, r0_sq=0), consts, cfg.m)
+            bound_nonconvex(10, d, L, consts, cfg.m)
             for d in gaps
         ]
         assert all(a <= b for a, b in zip(vals2, vals2[1:]))
-        vals3 = [bound_convex(k, BoundInputs(L=1, mu=0, delta0=0, r0_sq=1), 0.1) for k in ks]
+        vals3 = [bound_convex(k, 1, 0, 0.1) for k in ks]
         assert all(a >= b for a, b in zip(vals3, vals3[1:]))
         vals4 = [
-            bound_convex(10, BoundInputs(L=1, mu=0.2, delta0=0, r0_sq=r), 0.1)
+            bound_convex(10, r, 0.2, 0.1)
             for r in gaps
         ]
         assert all(a <= b for a, b in zip(vals4, vals4[1:]))
 
     def test_bound_inputs_validation(self):
+        cfg, consts, _ = self._admissible()
         with pytest.raises(ValueError):
-            BoundInputs(L=0.0, mu=0.0, delta0=1.0, r0_sq=0.0)
+            bound_nonconvex(10, 1.0, 0.0, consts, cfg.m)
         with pytest.raises(ValueError):
-            BoundInputs(L=1.0, mu=-1.0, delta0=1.0, r0_sq=0.0)
+            bound_convex(10, 0.0, -1.0, 0.1)
         with pytest.raises(ValueError):
-            BoundInputs(L=1.0, mu=0.0, delta0=-1.0, r0_sq=0.0)
+            bound_nonconvex(10, -1.0, 1.0, consts, cfg.m)
+        with pytest.raises(ValueError):
+            bound_convex(10, -1.0, 0.0, 0.1)
+
+
+def _entry_points_taking(L: float, mu: float):
+    """Every calculus entry point that reads L or mu, called with these values."""
+    cfg = AggConfig(betas=(0.9, 0.95), gammas=(1e-3, 1e-3))
+    consts = constants(cfg)
+    return {
+        "stepsize_nonconvex": lambda: stepsize_nonconvex(cfg.betas, L),
+        "stepsize_convex": lambda: stepsize_convex(cfg.betas, L, mu),
+        "check_nonconvex_condition": lambda: check_nonconvex_condition(consts, L, cfg.m),
+        "check_convex_conditions": lambda: check_convex_conditions(cfg, L, mu),
+        "bound_nonconvex": lambda: bound_nonconvex(10, 1.0, L, consts, cfg.m),
+        "bound_convex": lambda: bound_convex(10, 1.0, mu, 1e-3),
+    }
+
+
+READS_L = (
+    "stepsize_nonconvex", "stepsize_convex", "check_nonconvex_condition",
+    "check_convex_conditions", "bound_nonconvex",
+)
+READS_MU = ("stepsize_convex", "check_convex_conditions", "bound_convex")
+
+
+class TestProblemConstantsRefused:
+    """L must lie in (0, inf) and mu in [0, inf) wherever either is read."""
+
+    @pytest.mark.parametrize("entry", READS_L)
+    @pytest.mark.parametrize("L", [0.0, -1.0, math.inf, math.nan], ids=str)
+    def test_bad_L(self, entry, L):
+        with pytest.raises(ValueError, match="L must be positive and finite"):
+            _entry_points_taking(L, 0.0)[entry]()
+
+    @pytest.mark.parametrize("entry", READS_MU)
+    @pytest.mark.parametrize("mu", [-1.0, math.inf, -math.inf, math.nan], ids=str)
+    def test_bad_mu(self, entry, mu):
+        with pytest.raises(ValueError, match="mu must be nonnegative and finite"):
+            _entry_points_taking(1.0, mu)[entry]()
