@@ -13,14 +13,12 @@ import sys
 import numpy as np
 
 from . import harness, theory
-from .libsvm import load_libsvm
+from .libsvm import feature_count, load_libsvm
 from .optim import AggConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
-
-PROBLEMS = ("quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -55,56 +53,44 @@ def _infer_optimizer(betas: tuple[float, ...]) -> str:
     return "agghb"
 
 
-def _problem_params(args) -> dict:
-    params: dict = {}
-    if args.problem in ("logreg-l2", "logreg-ncvx"):
-        if args.data is None:
-            raise ValueError(f"--problem {args.problem} requires --data")
-        params["data"] = args.data
-        if args.n_features is not None:
-            params["n_features"] = args.n_features
-        if args.problem == "logreg-l2":
-            params["l2"] = args.l2
-        else:
-            params["lambda"] = args.lam
-    else:
-        if args.data is not None:
-            raise ValueError(f"--data makes no sense with --problem {args.problem}")
-        if args.problem == "quadratic":
-            params["dim"] = args.quad_dim
-    return params
+# Each ``build_problem`` parameter (also the dest) with its flag, type and help.
+_PROBLEM_FLAGS = {
+    "data": ("--data", str, "LIBSVM file (bare names resolve via $AGGHB_DATA_DIR)"),
+    "n_features": ("--n-features", int, "override the inferred feature count "
+                                        "(files may omit trailing all-zero columns)"),
+    "dim": ("--quad-dim", int, "dimension of the diagonal test quadratic"),
+    "l2": ("--l2", str, "l2 regularization, a float or 'auto' (= base L / 1e5)"),
+    "lambda": ("--lambda", str, "non-convex regularization, a float or 'auto' (= base L / 1e3)"),
+}
+
+
+def _setup(args, stepsize_mode: str, gammas=None) -> tuple[harness.RunConfig, harness.Problem]:
+    """The run and problem the flags describe, from only the problem flags given."""
+    params = {key: getattr(args, key) for key in _PROBLEM_FLAGS
+              if getattr(args, key) is not None}
+    try:
+        problem = harness.build_problem(args.problem, params)
+    except harness.ProblemParamError as exc:  # name the flag, not the parameter
+        flag = _PROBLEM_FLAGS[exc.param][0]
+        raise ValueError(str(exc).replace(repr(exc.param), flag)) from None
+    return harness.RunConfig(
+        problem=args.problem, optimizer=_infer_optimizer(args.betas), betas=args.betas,
+        stepsize_mode=stepsize_mode, gammas=gammas, iters=args.iters, seed=args.seed,
+        problem_params=params,
+    ), problem
 
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", required=True, choices=PROBLEMS)
-    p.add_argument("--data", help="LIBSVM file (bare names resolve via $AGGHB_DATA_DIR)")
-    p.add_argument("--n-features", type=int, default=None,
-                   help="override the inferred feature count (files may omit "
-                        "trailing all-zero columns)")
-    p.add_argument("--quad-dim", type=int, default=10,
-                   help="dimension of the diagonal test quadratic (default 10)")
-    p.add_argument("--l2", default=0.0,
-                   help="l2 regularization strength, a float or 'auto' (= base L / 1e5)")
-    p.add_argument("--lambda", dest="lam", default=0.0,
-                   help="non-convex regularization strength, a float or 'auto' (= base L / 1e3)")
+    p.add_argument("--problem", required=True, choices=harness.PROBLEM_PARAMS)
+    for key, (flag, kind, text) in _PROBLEM_FLAGS.items():
+        uses = [f"{name} ({'required' if d is harness.REQUIRED else f'default {d}'})"
+                for name, takes in harness.PROBLEM_PARAMS.items() if key in takes
+                for d in [takes[key]]]
+        p.add_argument(flag, dest=key, type=kind, help=f"{text}. Problems: " + ", ".join(uses))
     p.add_argument("--betas", type=_parse_float_list, required=True,
                    help="comma-separated momentum parameters, e.g. 0.9,0.95,0.99")
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _config(args, problem_params: dict, stepsize_mode: str,
-            gammas=None) -> harness.RunConfig:
-    return harness.RunConfig(
-        problem=args.problem,
-        optimizer=_infer_optimizer(args.betas),
-        betas=args.betas,
-        stepsize_mode=stepsize_mode,
-        gammas=gammas,
-        iters=args.iters,
-        seed=args.seed,
-        problem_params=problem_params,
-    )
 
 
 def _emit_sweep(sweep) -> None:
@@ -114,27 +100,23 @@ def _emit_sweep(sweep) -> None:
 
 
 def cmd_run(args) -> int:
-    params = _problem_params(args)
-    problem = harness.build_problem(args.problem, params)
-    betas = args.betas
-
-    gammas_arg = args.gammas
-    if gammas_arg in ("theory-ncvx", "theory-cvx", "tune"):
-        mode, gammas = gammas_arg, None
+    if args.gammas in ("theory-ncvx", "theory-cvx", "tune"):
+        mode, gammas = args.gammas, None
     else:
-        gammas = _parse_float_list(gammas_arg)
-        if len(gammas) == 1 and len(betas) > 1:
-            gammas = gammas * len(betas)
-        mode = "explicit"
-    config = _config(args, params, mode, gammas)
+        mode, gammas = "explicit", _parse_float_list(args.gammas)
+        if len(gammas) == 1:
+            gammas *= len(args.betas)
+    config, problem = _setup(args, mode, gammas)
 
+    # Tune, run and export before the first line is printed, so a failure
+    # leaves stdout empty.
     if mode == "tune":
         config, sweep = harness.tune(config, problem)
-        _emit_sweep(sweep)
-        _emit("tuned_gamma", config.gammas[0])
-
     trace = harness.run(config, problem)
     csv_path, meta_path = harness.export_trace(trace, args.out)
+    if mode == "tune":
+        _emit_sweep(sweep)
+        _emit("tuned_gamma", config.gammas[0])
     _emit("problem", args.problem)
     _emit("optimizer", config.optimizer)
     _emit("stepsize_mode", config.stepsize_mode)
@@ -149,9 +131,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    params = _problem_params(args)
-    problem = harness.build_problem(args.problem, params)
-    best, sweep = harness.tune(_config(args, params, "tune"), problem)
+    best, sweep = harness.tune(*_setup(args, "tune"))
     _emit_sweep(sweep)
     _emit("best_gamma", best.gammas[0])
     return EXIT_OK
@@ -221,14 +201,7 @@ def cmd_constants(args) -> int:
 
 def cmd_parse_check(args) -> int:
     result = load_libsvm(harness.resolve_data_path(args.data))
-    n = result.n_features
-    if args.n_features is not None:
-        if args.n_features < result.n_features:
-            raise ValueError(
-                f"--n-features {args.n_features} is below the largest "
-                f"seen index {result.n_features}"
-            )
-        n = args.n_features
+    n = feature_count(result, args.n_features)
     _emit("records", result.labels.size)
     _emit("n_features", n)
     _emit("n_inferred", result.n_features)

@@ -528,7 +528,7 @@ def verify_bounds(
         cond = theory.check_convex_conditions(acfg, problem.L, problem.mu, horizon=budget)
         if not cond.ok:
             margins = [("f_margin", cond.f_margin), ("bf_margin", cond.bf_margin)]
-            margins += [(f"stepsize_margin[{i}]", v) for i, v in enumerate(cond.stepsize_margins)]
+            margins += [(f"stepsize_margin_{i}", v) for i, v in enumerate(cond.stepsize_margins, 1)]
             failed = " ".join(f"{k}={v!r}" for k, v in margins if not v >= 0)
             raise VerificationRefused(f"{_NOT_COVERED}: {failed} must be >= 0")
         if reference is None:
@@ -576,34 +576,53 @@ def resolve_data_path(path: str | Path) -> Path:
     )
 
 
+REQUIRED = object()  # stands in the table for the default of a required parameter
+# Each problem's parameters and their defaults; all also take "x0" (see start_point).
+PROBLEM_PARAMS = {
+    "quadratic": {"dim": 10},
+    "rosenbrock": {},
+    "logreg-l2": {"data": REQUIRED, "n_features": None, "l2": 0.0},
+    "logreg-ncvx": {"data": REQUIRED, "n_features": None, "lambda": 0.0},
+}
+
+
+class ProblemParamError(ValueError):
+    """A parameter, ``param``, that the problem lacks or does not take; the message quotes it."""
+
+    def __init__(self, message: str, param: str):
+        super().__init__(message)
+        self.param = param
+
+
 def build_problem(name: str, params: dict) -> Problem:
     """Construct a problem from its id and serializable parameters.
 
-    Regularization strengths accept the string "auto", meaning the
-    data-derived defaults: base/1e5 for the convex penalty and base/1e3 for
-    the non-convex one, where base is the unregularized smoothness constant.
+    Parameters not given take their :data:`PROBLEM_PARAMS` defaults; one the
+    problem does not take (other than "x0"), or a required one left out, is
+    a :class:`ProblemParamError`.  Regularization strengths accept "auto":
+    base/1e5 (convex) or base/1e3 (non-convex), base being the unregularized L.
     """
+    if name not in PROBLEM_PARAMS:
+        raise ValueError(f"unknown problem id {name!r}")
+    p = {**PROBLEM_PARAMS[name], **params}
+    for key, value in p.items():
+        if key not in PROBLEM_PARAMS[name] and key != "x0":
+            raise ProblemParamError(f"{key!r} makes no sense with problem {name!r}", key)
+        if value is REQUIRED or value is None and PROBLEM_PARAMS[name].get(key) is REQUIRED:
+            raise ProblemParamError(f"problem {name!r} requires {key!r}", key)
     if name == "quadratic":
-        dim = int(params.get("dim", 10))
+        dim = int(p["dim"])
         if dim < 1:
             raise ValueError(f"quadratic dimension must be >= 1, got {dim}")
         return quadratic(np.diag(np.arange(1.0, dim + 1.0)), np.zeros(dim))
     if name == "rosenbrock":
         return rosenbrock()
-    if name in ("logreg-l2", "logreg-ncvx"):
-        data_path = params.get("data")
-        if data_path is None:
-            raise ValueError(f"problem {name!r} needs a 'data' parameter")
-        parsed = load_libsvm(resolve_data_path(data_path))
-        data = to_dataset(parsed, n_features=params.get("n_features"))
-        if name == "logreg-l2":
-            l2 = params.get("l2", 0.0)
-            l2 = data.logistic_L / 1e5 if l2 == "auto" else float(l2)
-            return logreg_l2(data, l2)
-        lam = params.get("lambda", 0.0)
-        lam = data.logistic_L / 1e3 if lam == "auto" else float(lam)
-        return logreg_nonconvex(data, lam)
-    raise ValueError(f"unknown problem id {name!r}")
+    data = to_dataset(load_libsvm(resolve_data_path(p["data"])), n_features=p["n_features"])
+    if name == "logreg-l2":
+        l2 = data.logistic_L / 1e5 if p["l2"] == "auto" else float(p["l2"])
+        return logreg_l2(data, l2)
+    lam = data.logistic_L / 1e3 if p["lambda"] == "auto" else float(p["lambda"])
+    return logreg_nonconvex(data, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +671,10 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
 
 def read_trace(path: str | Path) -> Trace:
     """Load a trace previously written by :func:`export_trace`.  A ``k``
-    column other than 0, 1, 2, ..., a malformed field, or a sidecar that
-    lacks a key or a ``RunConfig`` field is a ``ValueError`` naming it."""
+    column other than 0, 1, 2, ..., a malformed field, a ``dist_opt`` or
+    ``f_avg`` column filled on some rows only, or a sidecar of another
+    schema or that lacks a key or a ``RunConfig`` field is a ``ValueError``
+    naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -680,21 +701,21 @@ def read_trace(path: str | Path) -> Trace:
         if k_row != lineno - 2:
             raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
 
-    has_dist = all(d is not None for d in dists) and len(dists) > 0
-    has_favg = all(v is not None for v in favgs) and len(favgs) > 0
+    for name, column in (("dist_opt", dists), ("f_avg", favgs)):
+        if column.count(None) not in (0, len(column)):
+            bad = [v is None for v in column].index(column[0] is not None)
+            raise ValueError(f"line {bad + 2}: {name} is empty on some rows and filled on others")
     meta = json.loads(meta_path.read_text())
     try:
-        cfg_dict = dict(meta["config"])
-        cfg_dict["betas"] = tuple(cfg_dict["betas"])
-        if cfg_dict.get("gammas") is not None:
-            cfg_dict["gammas"] = tuple(cfg_dict["gammas"])
+        if meta["schema"] != 1:
+            raise ValueError(f"metadata sidecar {meta_path} has unknown schema {meta['schema']!r}")
         return Trace(
             ks=np.arange(len(fs)),
             f=np.asarray(fs, dtype=float),
             grad_norm=np.asarray(gnorms, dtype=float),
-            dist_opt=np.asarray(dists, dtype=float) if has_dist else None,
-            f_avg=np.asarray(favgs, dtype=float) if has_favg else None,
-            config=RunConfig(**cfg_dict),
+            dist_opt=None if not dists or dists[0] is None else np.asarray(dists, dtype=float),
+            f_avg=None if not favgs or favgs[0] is None else np.asarray(favgs, dtype=float),
+            config=RunConfig(**meta["config"]),  # it makes betas and gammas tuples
             gammas=tuple(meta["gammas"]),
             constants=meta["constants"],
             x0=np.asarray(meta["x0"], dtype=float),

@@ -292,12 +292,18 @@ def to_dataset(
             "supply an explicit label mapping"
         )
 
-    n = n_features if n_features is not None else parsed.n_features
-    if n < parsed.n_features:
-        raise ValueError(
-            f"n_features={n} is below the largest seen index {parsed.n_features}"
-        )
+    n = feature_count(parsed, n_features)
     features = sp.csr_matrix(
         (parsed.values, parsed.indices, parsed.indptr), shape=(raw_labels.size, n)
     )
     return Dataset(features=features, labels=labels)
+
+
+def feature_count(parsed: ParseResult, n_features: int | None) -> int:
+    """``n_features`` if given, else the largest index seen; it may not be below that index."""
+    if n_features is None:
+        return parsed.n_features
+    if n_features < parsed.n_features:
+        raise ValueError(f"n_features={n_features} is below the largest seen index "
+                         f"{parsed.n_features}")
+    return n_features

@@ -10,6 +10,7 @@ import pytest
 
 import agghb
 from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from agghb.libsvm import load_libsvm, to_dataset
 
 from conftest import synthetic_libsvm_text
 
@@ -110,6 +111,16 @@ class TestRun:
         assert stdout == ""
         assert err.startswith("error: ") and exc in err
 
+    def test_tuned_run_with_unwritable_out_prints_nothing(self, capsys, tmp_path):
+        # the sweep is computed before the write fails, and is not printed either
+        code, stdout, err = run_cli(
+            capsys, "run", "--problem", "quadratic", "--betas", "0.9",
+            "--gammas", "tune", "--iters", "5", "--out", str(tmp_path),
+        )
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert err.startswith("error: ") and "Is a directory" in err
+
     def test_missing_data_is_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "--problem", "logreg-l2", "--betas", "0.9",
@@ -199,6 +210,74 @@ class TestRun:
         assert out.exists()
 
 
+# The problem flags each problem takes.
+TAKES = {
+    "quadratic": {"--quad-dim"},
+    "rosenbrock": set(),
+    "logreg-l2": {"--data", "--n-features", "--l2"},
+    "logreg-ncvx": {"--data", "--n-features", "--lambda"},
+}
+# Each problem flag: the build_problem parameter it sets, and a value for it.
+FLAGS = {"--data": ("data", None), "--n-features": ("n_features", "8"),
+         "--quad-dim": ("dim", "5"), "--l2": ("l2", "5"), "--lambda": ("lambda", "5")}
+
+
+def _problem_argv(tmp_path, problem, flag):
+    """``run`` argv for ``problem`` with ``flag`` set, plus --data where required."""
+    data = tmp_path / "d.libsvm"
+    data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+    argv = ["run", "--problem", problem, "--betas", "0.9", "--gammas", "0.1",
+            "--iters", "5", "--out", str(tmp_path / "t.csv")]
+    if problem.startswith("logreg") or flag == "--data":
+        argv += ["--data", str(data)]
+    if flag != "--data":
+        argv += [flag, FLAGS[flag][1]]
+    return argv
+
+
+class TestProblemFlags:
+    """Every problem flag is refused by a problem that does not take it."""
+
+    @pytest.mark.parametrize("problem, flag", [
+        (problem, flag) for problem, takes in TAKES.items()
+        for flag in FLAGS if flag not in takes
+    ])
+    def test_flag_the_problem_does_not_take_is_refused(self, capsys, tmp_path, problem, flag):
+        code, out, err = run_cli(capsys, *_problem_argv(tmp_path, problem, flag))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {flag} makes no sense with problem '{problem}'\n"
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("problem, flag", [
+        (problem, flag) for problem, takes in TAKES.items() for flag in sorted(takes)
+    ])
+    def test_flag_the_problem_takes_is_recorded(self, capsys, tmp_path, problem, flag):
+        code, _, _ = run_cli(capsys, *_problem_argv(tmp_path, problem, flag))
+        assert code == EXIT_OK
+        params = json.loads((tmp_path / "t.meta.json").read_text())["config"]["problem_params"]
+        given = {FLAGS[flag][0]} | ({"data"} if problem.startswith("logreg") else set())
+        assert set(params) == given  # only the flags given are recorded
+
+    def test_pairs_follow_the_problem_table(self):
+        table = {name: {flag for flag, (param, _) in FLAGS.items() if param in takes}
+                 for name, takes in agghb.harness.PROBLEM_PARAMS.items()}
+        assert table == TAKES
+        assert sum(len(FLAGS) - len(t) for t in TAKES.values()) == 13  # refused pairs
+
+    @pytest.mark.parametrize("flag, problems", [
+        ("--data", "logreg-l2 (required), logreg-ncvx (required)"),
+        ("--quad-dim", "quadratic (default 10)"),
+        ("--l2", "logreg-l2 (default 0.0)"),
+        ("--lambda", "logreg-ncvx (default 0.0)"),
+    ])
+    def test_help_names_the_problems(self, capsys, flag, problems):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        entry = next(e for e in text.split(" --") if e.startswith(flag[2:] + " "))
+        assert entry.endswith(f"Problems: {problems}")
+
+
 class TestDocumentedConfigurations:
     """The flagship experiment invocations from the README, end to end."""
 
@@ -283,14 +362,21 @@ class TestConstants:
 
 
 class TestVerify:
-    def _write_trace(self, capsys, tmp_path, gammas="theory-ncvx"):
+    def _write_trace(self, capsys, tmp_path, gammas="theory-ncvx", betas="0.9"):
         out_path = tmp_path / "trace.csv"
         code, _, _ = run_cli(
-            capsys, "run", "--problem", "quadratic", "--betas", "0.9",
+            capsys, "run", "--problem", "quadratic", "--betas", betas,
             "--gammas", gammas, "--iters", "100", "--out", str(out_path),
         )
         assert code == EXIT_OK
         return out_path
+
+    @staticmethod
+    def _edit_meta(trace, edit):
+        meta_path = trace.with_suffix(".meta.json")
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
 
     def test_passing_trace_exit_zero(self, capsys, tmp_path):
         trace = self._write_trace(capsys, tmp_path)
@@ -359,6 +445,47 @@ class TestVerify:
         assert code == EXIT_VERIFY
         assert out == ""
         assert err.startswith("refused: ") and "margin=" in err
+
+    def test_refusal_names_margins_as_constants_does(self, capsys, tmp_path):
+        # On the quadratic (mu = 1), a hundred times the theory stepsizes break
+        # the per-buffer margins, which `constants` prints as stepsize_margin_<i>.
+        trace = self._write_trace(capsys, tmp_path, gammas="theory-cvx", betas="0.9,0.95")
+        self._edit_meta(trace, lambda meta: meta.update(gammas=[100 * g for g in meta["gammas"]]))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert "stepsize_margin_1=" in err and "stepsize_margin_2=" in err
+        assert "stepsize_margin[" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta.update(schema=99), "has unknown schema 99"),
+        (lambda meta: meta["config"]["problem_params"].update(L2=1e-3),
+         "'L2' makes no sense with problem 'quadratic'"),
+    ], ids=["schema", "stray-problem-param"])
+    def test_sidecar_it_cannot_stand_behind_exit_one(self, capsys, tmp_path, edit, message):
+        trace = self._write_trace(capsys, tmp_path)
+        self._edit_meta(trace, edit)
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(message)
+
+    @pytest.mark.parametrize("mode, column, row", [
+        ("theory-cvx", "f_avg", 5),      # one cell of a filled column blanked
+        ("theory-cvx", "dist_opt", 0),   # the first cell blanked
+        ("theory-ncvx", "f_avg", 7),     # one cell of an empty column filled
+    ])
+    def test_partly_filled_column_exit_one(self, capsys, tmp_path, mode, column, row):
+        trace = self._write_trace(capsys, tmp_path, gammas=mode)
+        header, *rows = trace.read_text().splitlines()
+        fields = rows[row].split(",")
+        at = header.split(",").index(column)
+        fields[at] = "" if fields[at] else "0.5"
+        rows[row] = ",".join(fields)
+        trace.write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        # the first line whose cell differs from line 2's is named
+        line = 3 if row == 0 else row + 2
+        assert err == f"error: line {line}: {column} is empty on some rows and filled on others\n"
 
     @pytest.mark.parametrize("problem", [
         ("--problem", "rosenbrock"),
@@ -508,6 +635,19 @@ class TestParseCheck:
         assert kv["n_features"] == ["6"]
         assert kv["n_inferred"] == ["2"]
 
+    def test_n_features_refusal_is_to_datasets(self, capsys, tmp_path):
+        # parse-check and run apply the one rule of agghb.libsvm, with its message
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 5:1.0\n-1 2:1.0\n")
+        with pytest.raises(ValueError) as refused:
+            to_dataset(load_libsvm(path), n_features=3)
+        run_argv = ["run", "--problem", "logreg-l2", "--betas", "0.9", "--gammas", "0.1",
+                    "--out", str(tmp_path / "t.csv")]
+        for argv in (["parse-check"], run_argv):
+            code, out, err = run_cli(capsys, *argv, "--data", str(path), "--n-features", "3")
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"error: {refused.value}\n"
+
     def test_n_features_override_too_small(self, capsys, tmp_path):
         path = tmp_path / "d.libsvm"
         path.write_text("1 5:1.0\n")
@@ -534,5 +674,6 @@ class TestMetadataContents:
         meta = json.loads(out_path.with_suffix(".meta.json").read_text())
         assert meta["config"]["betas"] == [0.9, 0.95]
         assert meta["config"]["stepsize_mode"] == "theory-ncvx"
+        assert meta["config"]["problem_params"] == {}  # no problem flag was given
         assert "F" in meta["constants"]
         assert len(meta["x0"]) == 10

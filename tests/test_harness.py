@@ -9,6 +9,8 @@ import pytest
 import agghb.harness
 import agghb.problems
 from agghb.harness import (
+    PROBLEM_PARAMS,
+    ProblemParamError,
     RunConfig,
     SweepEntry,
     Trace,
@@ -870,9 +872,34 @@ class TestBuildProblem:
         reg = p.params.get("l2", 2.0 * p.params.get("lambda", 0.0))
         assert p.L == base + reg  # bit-identical to the uncached formula
 
+    @pytest.mark.parametrize("name, stray", [
+        ("logreg-l2", "L2"), ("logreg-l2", "lambda"), ("logreg-ncvx", "l2"),
+        ("quadratic", "data"), ("rosenbrock", "dim"),
+    ])
+    def test_parameter_the_problem_does_not_take_refused(self, tmp_path, name, stray):
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        params = {"data": str(path)} if name.startswith("logreg") else {}
+        with pytest.raises(ProblemParamError) as refused:
+            build_problem(name, {**params, stray: 1e-3})
+        assert str(refused.value) == f"{stray!r} makes no sense with problem {name!r}"
+        assert refused.value.param == stray
+
+    @pytest.mark.parametrize("name", sorted(PROBLEM_PARAMS))
+    def test_every_problem_takes_x0_and_its_defaults(self, tmp_path, name):
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        params = {"data": str(path)} if name.startswith("logreg") else {}
+        plain = build_problem(name, params)
+        explicit = {**PROBLEM_PARAMS[name], **params}  # every default spelled out
+        same = build_problem(name, {**explicit, "x0": [0.0] * plain.dim})
+        assert (same.dim, same.L, same.mu) == (plain.dim, plain.L, plain.mu)
+
     def test_logreg_requires_data(self):
         with pytest.raises(ValueError, match="data"):
             build_problem("logreg-ncvx", {})
+        with pytest.raises(ProblemParamError, match="requires 'data'"):
+            build_problem("logreg-l2", {"data": None})  # as a sidecar's null reads
 
     def test_data_dir_env_fallback(self, tmp_path, monkeypatch):
         path = tmp_path / "set.libsvm"

@@ -39,7 +39,8 @@ def test_built_problem_takes_tracer_wrappers(tmp_path, name):
     if name.startswith("logreg"):
         path = tmp_path / "small.libsvm"
         path.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
-        params = {"data": str(path), "l2": 1e-3, "lambda": 1e-2}
+        own = {"logreg-l2": {"l2": 1e-3}, "logreg-ncvx": {"lambda": 1e-2}}[name]
+        params = {"data": str(path), **own}
     problem = build_problem(name, params)
     assert dataclasses.is_dataclass(problem)
 
