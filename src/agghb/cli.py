@@ -36,6 +36,16 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
 
 
+def _parse_gammas(text: str) -> str | tuple[float, ...]:
+    """A stepsize mode, or stepsizes as :func:`_parse_float_list` reads them."""
+    return text if text in ("theory-ncvx", "theory-cvx", "tune") else _parse_float_list(text)
+
+
+def _per_buffer(gammas: tuple[float, ...], betas: tuple[float, ...]) -> tuple[float, ...]:
+    """One stepsize per momentum buffer: a single value is spread over all of them."""
+    return gammas * len(betas) if len(gammas) == 1 else gammas
+
+
 def _emit(key: str, value) -> None:
     if isinstance(value, float):
         print(f"{key}={value!r}")
@@ -53,14 +63,15 @@ def _infer_optimizer(betas: tuple[float, ...]) -> str:
     return "agghb"
 
 
-# Each ``build_problem`` parameter (also the dest) with its flag, type and help.
+# Each ``build_problem`` parameter (also the dest) with its flag and help.  The
+# flags pass their text through: ``build_problem`` parses every value.
 _PROBLEM_FLAGS = {
-    "data": ("--data", str, "LIBSVM file (bare names resolve via $AGGHB_DATA_DIR)"),
-    "n_features": ("--n-features", int, "override the inferred feature count "
-                                        "(files may omit trailing all-zero columns)"),
-    "dim": ("--quad-dim", int, "dimension of the diagonal test quadratic"),
-    "l2": ("--l2", str, "l2 regularization, a float or 'auto' (= base L / 1e5)"),
-    "lambda": ("--lambda", str, "non-convex regularization, a float or 'auto' (= base L / 1e3)"),
+    "data": ("--data", "LIBSVM file (bare names resolve via $AGGHB_DATA_DIR)"),
+    "n_features": ("--n-features", "override the inferred feature count "
+                                   "(files may omit trailing all-zero columns)"),
+    "dim": ("--quad-dim", "dimension of the diagonal test quadratic"),
+    "l2": ("--l2", "l2 regularization, a float or 'auto' (= base L / 1e5)"),
+    "lambda": ("--lambda", "non-convex regularization, a float or 'auto' (= base L / 1e3)"),
 }
 
 
@@ -82,11 +93,11 @@ def _setup(args, stepsize_mode: str, gammas=None) -> tuple[harness.RunConfig, ha
 
 def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--problem", required=True, choices=harness.PROBLEM_PARAMS)
-    for key, (flag, kind, text) in _PROBLEM_FLAGS.items():
+    for key, (flag, text) in _PROBLEM_FLAGS.items():
         uses = [f"{name} ({'required' if d is harness.REQUIRED else f'default {d}'})"
                 for name, takes in harness.PROBLEM_PARAMS.items() if key in takes
                 for d in [takes[key]]]
-        p.add_argument(flag, dest=key, type=kind, help=f"{text}. Problems: " + ", ".join(uses))
+        p.add_argument(flag, dest=key, help=f"{text}. Problems: " + ", ".join(uses))
     p.add_argument("--betas", type=_parse_float_list, required=True,
                    help="comma-separated momentum parameters, e.g. 0.9,0.95,0.99")
     p.add_argument("--iters", type=int, default=1000)
@@ -100,12 +111,10 @@ def _emit_sweep(sweep) -> None:
 
 
 def cmd_run(args) -> int:
-    if args.gammas in ("theory-ncvx", "theory-cvx", "tune"):
+    if isinstance(args.gammas, str):  # a mode
         mode, gammas = args.gammas, None
     else:
-        mode, gammas = "explicit", _parse_float_list(args.gammas)
-        if len(gammas) == 1:
-            gammas *= len(args.betas)
+        mode, gammas = "explicit", _per_buffer(args.gammas, args.betas)
     config, problem = _setup(args, mode, gammas)
 
     # Tune, run and export before the first line is printed, so a failure
@@ -142,7 +151,7 @@ def cmd_verify(args) -> int:
     problem = harness.build_problem(trace.config.problem, trace.config.problem_params)
     report = harness.verify_bounds(trace, problem)
     _emit("mode", report.mode)
-    if problem.params.get("L_is_local_estimate"):
+    if problem.L_is_local_estimate:
         _emit("L_is_local_estimate", True)
     if report.certificate is not None:
         _emit("reference_certificate", report.certificate)
@@ -174,10 +183,7 @@ def cmd_constants(args) -> int:
     ]
 
     if args.gammas is not None:
-        gammas = args.gammas
-        if len(gammas) == 1 and len(betas) > 1:
-            gammas = gammas * len(betas)
-        config = AggConfig(betas=betas, gammas=gammas)
+        config = AggConfig(betas=betas, gammas=_per_buffer(args.gammas, betas))
         consts = theory.constants(config, horizon=args.horizon)
         ncvx = theory.check_nonconvex_condition(consts, args.L, config.m)
         cvx = theory.check_convex_conditions(config, args.L, args.mu, horizon=args.horizon)
@@ -223,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute one optimizer run and export its trace")
     _add_problem_flags(p_run)
-    p_run.add_argument("--gammas", required=True,
+    p_run.add_argument("--gammas", type=_parse_gammas, required=True,
                        help="comma-separated stepsizes, or one of: "
                             "theory-ncvx, theory-cvx, tune")
     p_run.add_argument("--out", default="trace.csv", help="trace CSV path")
@@ -264,7 +270,7 @@ def main(argv=None) -> int:
     except harness.VerificationRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, OSError, harness.TuningError) as exc:
+    except (ValueError, OSError, MemoryError, harness.TuningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

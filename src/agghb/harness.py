@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 import os
 import time
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -67,8 +70,8 @@ class RunConfig:
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
         if self.gammas is not None:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        if self.iters < 1:
-            raise ValueError("iteration budget must be >= 1")
+        if isinstance(self.iters, bool) or operator.index(self.iters) < 1:
+            raise ValueError("iteration budget must be an integer >= 1")
         if self.stepsize_mode not in STEPSIZE_MODES:
             raise ValueError(f"unknown stepsize mode {self.stepsize_mode!r}")
         needs_gammas = self.stepsize_mode in ("explicit", "tuned")
@@ -488,6 +491,9 @@ def verify_bounds(
     and a convex-mode trace of a problem that is not convex is refused
     naming the problem.
     """
+    if trace.x0.shape != (problem.dim,):
+        raise VerificationRefused(f"the trace starts at a point of shape {trace.x0.shape}, but "
+                                  f"problem {problem.name!r} has dimension {problem.dim}")
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
         raise VerificationRefused(
@@ -587,42 +593,88 @@ PROBLEM_PARAMS = {
 
 
 class ProblemParamError(ValueError):
-    """A parameter, ``param``, that the problem lacks or does not take; the message quotes it."""
+    """A parameter, ``param``, that the problem lacks, does not take or cannot read."""
 
     def __init__(self, message: str, param: str):
         super().__init__(message)
         self.param = param
 
 
+def _integer(key: str, value) -> int:
+    """An int from a flag's text, a JSON integer or a whole JSON float; never a bool."""
+    if (isinstance(value, (str, numbers.Integral)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        with suppress(ValueError):
+            return int(value)
+    raise ProblemParamError(f"{key!r} must be an integer, got {value!r}", key)
+
+
+def _dimension(key: str, value) -> int:
+    if (dim := _integer(key, value)) < 1:
+        raise ProblemParamError(f"quadratic dimension must be >= 1, got {dim}", key)
+    return dim
+
+
+def _strength(key: str, value) -> float | str:
+    """A float from a flag's text or a JSON number, or "auto"; the constructors
+    check that it is finite and nonnegative."""
+    if value == "auto":
+        return value
+    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        with suppress(ValueError, OverflowError):
+            return float(value)
+    raise ProblemParamError(f"{key!r} must be a number or 'auto', got {value!r}", key)
+
+
+def _path(key: str, value) -> str:
+    if isinstance(value, str) and value:
+        return value
+    raise ProblemParamError(f"{key!r} must be a non-empty string, got {value!r}", key)
+
+
+# The one reader of each parameter's value, whether a flag's text or a value
+# read back from meta.json.
+PARAM_PARSERS = {
+    "dim": _dimension,
+    "n_features": lambda key, value: None if value is None else _integer(key, value),
+    "l2": _strength,
+    "lambda": _strength,
+    "data": _path,
+}
+
+
 def build_problem(name: str, params: dict) -> Problem:
     """Construct a problem from its id and serializable parameters.
 
-    Parameters not given take their :data:`PROBLEM_PARAMS` defaults; one the
-    problem does not take (other than "x0"), or a required one left out, is
-    a :class:`ProblemParamError`.  Regularization strengths accept "auto":
+    Parameters not given take their :data:`PROBLEM_PARAMS` defaults, and every
+    value goes through its :data:`PARAM_PARSERS` entry.  A parameter the
+    problem does not take (other than "x0"), a required one left out, a value
+    its parser refuses, or ``params`` that are not a dict, is a
+    :class:`ProblemParamError`.  Regularization strengths accept "auto":
     base/1e5 (convex) or base/1e3 (non-convex), base being the unregularized L.
     """
-    if name not in PROBLEM_PARAMS:
+    if not isinstance(name, str) or name not in PROBLEM_PARAMS:
         raise ValueError(f"unknown problem id {name!r}")
-    p = {**PROBLEM_PARAMS[name], **params}
-    for key, value in p.items():
-        if key not in PROBLEM_PARAMS[name] and key != "x0":
+    if not isinstance(params, dict):
+        raise ProblemParamError(f"'problem_params' must be a dict, got {params!r}",
+                                "problem_params")
+    takes = PROBLEM_PARAMS[name]
+    p = {}
+    for key, value in {**takes, **params}.items():
+        if key not in takes and key != "x0":
             raise ProblemParamError(f"{key!r} makes no sense with problem {name!r}", key)
-        if value is REQUIRED or value is None and PROBLEM_PARAMS[name].get(key) is REQUIRED:
+        if value is REQUIRED or value is None and takes.get(key) is REQUIRED:
             raise ProblemParamError(f"problem {name!r} requires {key!r}", key)
+        if key != "x0":
+            p[key] = PARAM_PARSERS[key](key, value)
     if name == "quadratic":
-        dim = int(p["dim"])
-        if dim < 1:
-            raise ValueError(f"quadratic dimension must be >= 1, got {dim}")
-        return quadratic(np.diag(np.arange(1.0, dim + 1.0)), np.zeros(dim))
+        return quadratic(np.diag(np.arange(1.0, p["dim"] + 1.0)), np.zeros(p["dim"]))
     if name == "rosenbrock":
         return rosenbrock()
     data = to_dataset(load_libsvm(resolve_data_path(p["data"])), n_features=p["n_features"])
     if name == "logreg-l2":
-        l2 = data.logistic_L / 1e5 if p["l2"] == "auto" else float(p["l2"])
-        return logreg_l2(data, l2)
-    lam = data.logistic_L / 1e3 if p["lambda"] == "auto" else float(p["lambda"])
-    return logreg_nonconvex(data, lam)
+        return logreg_l2(data, data.logistic_L / 1e5 if p["l2"] == "auto" else p["l2"])
+    return logreg_nonconvex(data, data.logistic_L / 1e3 if p["lambda"] == "auto" else p["lambda"])
 
 
 # ---------------------------------------------------------------------------

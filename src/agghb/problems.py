@@ -10,7 +10,7 @@ bound on the objective.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -96,7 +96,8 @@ class Problem:
     value or, where that saves work, a gradient-free copy.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
-    for suboptimality gaps).
+    for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
+    holds only on a region, not globally.
     ``convex`` marks objectives for which a reference solution may be
     computed by descent.  ``hessian``, when set, returns the dense Hessian
     matrix at a point; the reference solver then uses Newton's method.
@@ -115,7 +116,7 @@ class Problem:
     convex: bool = False
     reference_opt: tuple[np.ndarray, float] | None = None
     f_lower: float | None = None
-    params: dict = field(default_factory=dict)
+    L_is_local_estimate: bool = False
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
 
 
@@ -168,7 +169,6 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         convex=True,
         reference_opt=reference,
         f_lower=f_lower,
-        params={"dim": Q.shape[0]},
         value_and_grad=value_and_grad,
     )
 
@@ -209,7 +209,7 @@ def rosenbrock() -> Problem:
         convex=False,
         reference_opt=(np.array([1.0, 1.0]), 0.0),
         f_lower=0.0,
-        params={"L_is_local_estimate": True},
+        L_is_local_estimate=True,
         value_and_grad=value_and_grad,
     )
 
@@ -350,7 +350,6 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         mu=l2,
         convex=True,
         f_lower=0.0,
-        params={"l2": l2, "M": data.M},
         hessian=hessian,
         value_and_grad=value_and_grad,
     )
@@ -382,7 +381,6 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         mu=0.0,
         convex=False,
         f_lower=0.0,
-        params={"lambda": lam, "M": data.M},
         value_and_grad=value_and_grad,
     )
 

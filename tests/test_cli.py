@@ -1,12 +1,16 @@
 """Command-line interface tests: flags, output format, exit codes."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import agghb
 from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
@@ -199,6 +203,46 @@ class TestRun:
         )
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {name} must be finite and nonnegative, got {float(value)!r}\n"
+
+    def test_gammas_neither_mode_nor_float_list_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "quadratic", "--betas", "0.9", "--gammas", "abc",
+                  "--iters", "5", "--out", str(tmp_path / "t.csv")])
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: agghb run")
+        assert "argument --gammas: not a comma-separated float list: 'abc'" in captured.err
+
+    def test_unallocatable_quadratic_is_an_error(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "run", "--problem", "quadratic", "--quad-dim", "1000000000000",
+            "--betas", "0.9", "--gammas", "0.1", "--iters", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: Unable to allocate ")
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("problem, flag, value, message", [
+        ("quadratic", "--quad-dim", "2.5", "--quad-dim must be an integer, got '2.5'"),
+        ("quadratic", "--quad-dim", "true", "--quad-dim must be an integer, got 'true'"),
+        ("quadratic", "--quad-dim", "", "--quad-dim must be an integer, got ''"),
+        ("logreg-l2", "--n-features", "8.0", "--n-features must be an integer, got '8.0'"),
+        ("logreg-l2", "--l2", "abc", "--l2 must be a number or 'auto', got 'abc'"),
+        ("logreg-ncvx", "--lambda", "", "--lambda must be a number or 'auto', got ''"),
+        ("logreg-ncvx", "--data", "", "--data must be a non-empty string, got ''"),
+    ])
+    def test_problem_flag_its_parser_refuses(
+        self, capsys, tmp_path, problem, flag, value, message
+    ):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        given = ["--data", str(data)] if problem.startswith("logreg") else []
+        code, out, err = run_cli(
+            capsys, "run", "--problem", problem, *given, flag, value, "--betas", "0.9",
+            "--gammas", "0.1", "--iters", "5", "--out", str(tmp_path / "t.csv"),
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
 
     def test_quadratic_theory_cvx_thousand_iterations(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
@@ -468,6 +512,75 @@ class TestVerify:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.rstrip().endswith(message)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.update(l2=None), "'l2' must be a number or 'auto', got None"),
+        (lambda params: params.update(l2=True), "'l2' must be a number or 'auto', got True"),
+        (lambda params: params.update(n_features="x"), "'n_features' must be an integer, got 'x'"),
+        (lambda params: params.update(n_features=6.5), "'n_features' must be an integer, got 6.5"),
+    ], ids=["l2-null", "l2-bool", "n-features-text", "n-features-fraction"])
+    def test_problem_param_its_parser_refuses_exit_one(self, capsys, tmp_path, edit, message):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        trace = tmp_path / "cvx.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "logreg-l2", "--data", str(data), "--l2", "auto",
+            "--betas", "0.9", "--gammas", "theory-cvx", "--iters", "20", "--out", str(trace),
+        )
+        assert code == EXIT_OK
+        self._edit_meta(trace, lambda meta: edit(meta["config"]["problem_params"]))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda meta: meta["config"].update(problem_params=None),
+         "'problem_params' must be a dict, got None"),
+        (lambda meta: meta["config"].update(problem_params=[]),
+         "'problem_params' must be a dict, got []"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=2.7),
+         "'dim' must be an integer, got 2.7"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=True),
+         "'dim' must be an integer, got True"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=None),
+         "'dim' must be an integer, got None"),
+        (lambda meta: meta["config"].update(iters=2.5),
+         "is malformed: 'float' object cannot be interpreted as an integer"),
+    ], ids=["params-null", "params-list", "dim-fraction", "dim-bool", "dim-null",
+            "iters-fraction"])
+    def test_sidecar_value_it_cannot_read_exit_one(self, capsys, tmp_path, edit, message):
+        trace = self._write_trace(capsys, tmp_path)
+        self._edit_meta(trace, edit)
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and err.rstrip().endswith(message)
+
+    def test_problem_of_another_dimension_refused(self, capsys, tmp_path):
+        # a dim-10 trace checked against the dim-2 quadratic its sidecar now names
+        trace = self._write_trace(capsys, tmp_path)
+        self._edit_meta(trace, lambda meta: meta["config"]["problem_params"].update(dim=2))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert err == ("refused: the trace starts at a point of shape (10,), "
+                       "but problem 'quadratic' has dimension 2\n")
+
+    def test_data_file_with_more_features_since_the_run_refused(self, capsys, tmp_path):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        trace = tmp_path / "ncvx.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "logreg-ncvx", "--data", str(data),
+            "--lambda", "auto", "--betas", "0.9", "--gammas", "theory-ncvx",
+            "--iters", "20", "--out", str(trace),
+        )
+        assert code == EXIT_OK
+        code, _, _ = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_OK
+        data.write_text(data.read_text() + "1 8:0.5\n")  # a new last column
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert err == ("refused: the trace starts at a point of shape (6,), "
+                       "but problem 'logreg-ncvx' has dimension 8\n")
+
     @pytest.mark.parametrize("mode, column, row", [
         ("theory-cvx", "f_avg", 5),      # one cell of a filled column blanked
         ("theory-cvx", "dist_opt", 0),   # the first cell blanked
@@ -677,3 +790,123 @@ class TestMetadataContents:
         assert meta["config"]["problem_params"] == {}  # no problem flag was given
         assert "F" in meta["constants"]
         assert len(meta["x0"]) == 10
+
+
+# The property tests below draw each flag's value from this alphabet or from
+# the flag's usable values, so that runs get going too: at nominal odds, a
+# problem flag's from the alphabet one time in three, any other's one in eight.
+ALPHABET = ("nan", "inf", "-0", "", "auto", "abc", "2.5", "true", "-1", "0",
+            str(10 ** 12), str(10 ** 30))
+_PROBLEM_FLAG_VALUES = {
+    "--problem": [*TAKES], "--data": ["<data>"], "--n-features": ["6", "8"],
+    "--quad-dim": [],  # from the alphabet only
+    "--l2": ["auto", "1e-3"], "--lambda": ["auto", "1e-3"],
+    "--betas": ["0.9", "0.5,0.9"], "--iters": ["1", "5"], "--seed": ["0"],
+}
+USABLE = {
+    "run": {**_PROBLEM_FLAG_VALUES, "--gammas": ["theory-ncvx", "theory-cvx", "tune", "0.01"]},
+    "tune": _PROBLEM_FLAG_VALUES,
+    "verify": {"--trace": ["<trace>"]},
+    "constants": {"--betas": ["0.9", "0.5,0.9"], "--gammas": ["0.01"], "--L": ["1", "4"],
+                  "--mu": ["0", "0.1"], "--horizon": ["10"]},
+    "parse-check": {"--data": ["<data>"], "--n-features": ["6", "8"]},
+}
+_ALPHABET_FOR = {"--iters": ALPHABET[:-2]}  # at most 5 iterations
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand and its flags, each given seven times in eight at nominal
+    odds, except that a problem flag the drawn problem does not take is given
+    once in eight.  ``<data>``, ``<trace>`` and ``<out>`` stand for the files of the
+    ``fuzz_files`` fixture; ``run`` always writes to ``<out>``."""
+    command = draw(st.sampled_from(sorted(USABLE)))
+    argv = [command] + (["--out", "<out>"] if command == "run" else [])
+    takes = None
+    for flag, usable in USABLE[command].items():
+        stray = takes is not None and flag in FLAGS and flag not in takes
+        if (draw(st.integers(0, 7)) == 7) == stray:
+            odds = 3 if flag in FLAGS else 8
+            own = usable and draw(st.integers(1, odds)) < odds
+            alphabet = _ALPHABET_FOR.get(flag, ALPHABET)
+            argv += [flag, draw(st.sampled_from(usable if own else alphabet))]
+            if flag == "--problem":
+                takes = TAKES.get(argv[-1], set())
+    return argv
+
+
+# (section, key) of a sidecar field, and the JSON values it may be set to.
+SIDECAR_FIELDS = (
+    *(("config", key) for key in ("problem", "optimizer", "betas", "stepsize_mode",
+                                  "gammas", "iters", "seed", "problem_params")),
+    *(("problem_params", key) for key in ("data", "n_features", "l2", "lambda", "dim")),
+)
+SIDECAR_VALUES = (None, [1], True, False, "abc", "", "auto", "1e-3", 2.5, 8.0, 0, -1, 8, {})
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """A tiny LIBSVM file and one real logreg-l2 theory-cvx trace of it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    data = root / "d.libsvm"
+    data.write_text(synthetic_libsvm_text(M=20, n=6, seed=3))
+    trace = root / "real.csv"
+    code, _, _ = _outcome(["run", "--problem", "logreg-l2", "--data", str(data),
+                           "--n-features", "6", "--l2", "auto", "--betas", "0.9,0.95",
+                           "--gammas", "theory-cvx", "--iters", "5", "--out", str(trace)])
+    assert code == EXIT_OK
+    return {"<data>": str(data), "<trace>": str(trace), "<out>": str(root / "out.csv"),
+            "meta": json.loads(trace.with_suffix(".meta.json").read_text())}
+
+
+def _outcome(argv):
+    """``main``'s exit code, stdout and stderr; any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(code, out, err):
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_VERIFY), (code, err)
+    assert "Traceback" not in err
+    if code == EXIT_USAGE:
+        assert out == "" and err.startswith(("error: ", "usage: agghb")), (out, err)
+    if code == EXIT_VERIFY:
+        assert err.startswith("refused: ") or out.endswith("all_passed=false\n"), (out, err)
+
+
+class TestNoInputEndsInATraceback:
+    """Whatever the flags or the sidecar hold, the CLI exits 0, 1 or 2 with a
+    message, never with an uncaught exception."""
+
+    @given(argv=cli_argv())
+    @example(argv=["run", "--problem", "quadratic", "--betas", "0.9", "--gammas", "abc",
+                   "--out", "<out>"])
+    @example(argv=["run", "--problem", "quadratic", "--quad-dim", str(10 ** 12),
+                   "--betas", "0.9", "--gammas", "0.01", "--iters", "5", "--out", "<out>"])
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_any_flags(self, fuzz_files, argv):
+        _assert_clean_exit(*_outcome([fuzz_files.get(arg, arg) for arg in argv]))
+
+    @given(edits=st.lists(st.tuples(st.sampled_from(SIDECAR_FIELDS),
+                                    st.sampled_from(SIDECAR_VALUES)), min_size=1, max_size=3))
+    @example(edits=[(("problem_params", "l2"), None)])
+    @example(edits=[(("config", "iters"), 2.5)])
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_any_sidecar_values(self, fuzz_files, edits):
+        meta = json.loads(json.dumps(fuzz_files["meta"]))
+        config = meta["config"]
+        for (section, key), value in edits:
+            if section == "config":
+                config[key] = value
+            elif isinstance(config.get("problem_params"), dict):
+                config["problem_params"][key] = value
+        trace = Path(fuzz_files["<trace>"])
+        edited = trace.with_name("edited.csv")
+        edited.write_text(trace.read_text())
+        edited.with_suffix(".meta.json").write_text(json.dumps(meta))
+        _assert_clean_exit(*_outcome(["verify", "--trace", str(edited)]))

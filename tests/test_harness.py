@@ -100,6 +100,15 @@ class TestRunConfig:
                 stepsize_mode="theory-cvx", iters=0,
             )
 
+    @pytest.mark.parametrize("iters, error", [(2.5, TypeError), (True, ValueError)])
+    def test_budget_is_an_integer(self, iters, error):
+        # a sidecar's non-integral budget would index the trace's rows
+        with pytest.raises(error):
+            RunConfig(
+                problem="quadratic", optimizer="hb", betas=(0.9,),
+                stepsize_mode="theory-cvx", iters=iters,
+            )
+
 
 class TestRun:
     def test_gd_identity_quadratic_one_exact_step(self):
@@ -869,7 +878,8 @@ class TestBuildProblem:
         assert calls == [(30, 5)]
         sn, _ = original(to_dataset(load_libsvm(path)).features)
         base = 1.01 * sn / (4.0 * 30)
-        reg = p.params.get("l2", 2.0 * p.params.get("lambda", 0.0))
+        # logreg-l2's regularizer is its mu; logreg-ncvx's lambda is "auto", base / 1e3
+        reg = p.mu if name == "logreg-l2" else 2.0 * (base / 1e3)
         assert p.L == base + reg  # bit-identical to the uncached formula
 
     @pytest.mark.parametrize("name, stray", [
@@ -894,6 +904,46 @@ class TestBuildProblem:
         explicit = {**PROBLEM_PARAMS[name], **params}  # every default spelled out
         same = build_problem(name, {**explicit, "x0": [0.0] * plain.dim})
         assert (same.dim, same.L, same.mu) == (plain.dim, plain.L, plain.mu)
+
+    @pytest.mark.parametrize("name, key, value, message", [
+        ("logreg-l2", "l2", None, "'l2' must be a number or 'auto', got None"),
+        ("logreg-l2", "l2", True, "'l2' must be a number or 'auto', got True"),
+        ("logreg-ncvx", "lambda", [1], "'lambda' must be a number or 'auto', got [1]"),
+        ("logreg-ncvx", "lambda", "abc", "'lambda' must be a number or 'auto', got 'abc'"),
+        ("logreg-l2", "n_features", "x", "'n_features' must be an integer, got 'x'"),
+        ("logreg-l2", "n_features", 6.5, "'n_features' must be an integer, got 6.5"),
+        ("logreg-l2", "data", 5, "'data' must be a non-empty string, got 5"),
+        ("logreg-l2", "data", "", "'data' must be a non-empty string, got ''"),
+        ("quadratic", "dim", None, "'dim' must be an integer, got None"),
+        ("quadratic", "dim", 2.7, "'dim' must be an integer, got 2.7"),
+        ("quadratic", "dim", True, "'dim' must be an integer, got True"),
+        ("quadratic", "dim", "2.0", "'dim' must be an integer, got '2.0'"),
+        ("quadratic", "dim", "0", "quadratic dimension must be >= 1, got 0"),
+        ("quadratic", "dim", -3.0, "quadratic dimension must be >= 1, got -3"),
+    ])
+    def test_value_its_parser_refuses(self, tmp_path, name, key, value, message):
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        params = {"data": str(path)} if name.startswith("logreg") else {}
+        with pytest.raises(ProblemParamError) as refused:
+            build_problem(name, {**params, key: value})
+        assert str(refused.value) == message
+        assert refused.value.param == key
+
+    @pytest.mark.parametrize("params", [None, [], "dim=4"])
+    def test_params_that_are_not_a_dict_refused(self, params):
+        with pytest.raises(ProblemParamError, match="'problem_params' must be a dict"):
+            build_problem("quadratic", params)
+
+    def test_flag_text_and_json_values_build_the_same_problem(self, tmp_path):
+        # a flag's text, as meta.json records it, and the JSON value it reads as
+        path = tmp_path / "d.libsvm"
+        path.write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        assert build_problem("quadratic", {"dim": "4"}).dim == 4
+        assert build_problem("quadratic", {"dim": 4.0}).dim == 4
+        text = build_problem("logreg-l2", {"data": str(path), "n_features": "7", "l2": "1e-3"})
+        value = build_problem("logreg-l2", {"data": str(path), "n_features": 7, "l2": 1e-3})
+        assert (text.dim, text.L, text.mu) == (value.dim, value.L, value.mu) == (7, value.L, 1e-3)
 
     def test_logreg_requires_data(self):
         with pytest.raises(ValueError, match="data"):

@@ -103,7 +103,7 @@ class TestRosenbrock:
         assert p.L >= 200.0  # at least the constant curvature of the y direction
         assert np.isfinite(p.L)
         assert not p.convex
-        assert p.params["L_is_local_estimate"]
+        assert p.L_is_local_estimate
 
     def test_local_L_is_the_grid_maximum(self):
         # Largest Hessian spectral norm over an 81 x 81 grid on [-2, 2]^2,
