@@ -504,7 +504,20 @@ class TestVerify:
         (lambda meta: meta.update(schema=99), "has unknown schema 99"),
         (lambda meta: meta["config"]["problem_params"].update(L2=1e-3),
          "'L2' makes no sense with problem 'quadratic'"),
-    ], ids=["schema", "stray-problem-param"])
+        (lambda meta: meta["config"].update(problem_params=None),
+         "'problem_params' must be a dict, got None"),
+        (lambda meta: meta["config"].update(problem_params=[]),
+         "'problem_params' must be a dict, got []"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=2.7),
+         "'dim' must be an integer, got 2.7"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=True),
+         "'dim' must be an integer, got True"),
+        (lambda meta: meta["config"]["problem_params"].update(dim=None),
+         "'dim' must be an integer, got None"),
+        (lambda meta: meta["config"].update(iters=2.5),
+         "is malformed: 'float' object cannot be interpreted as an integer"),
+    ], ids=["schema", "stray-problem-param", "params-null", "params-list", "dim-fraction",
+            "dim-bool", "dim-null", "iters-fraction"])
     def test_sidecar_it_cannot_stand_behind_exit_one(self, capsys, tmp_path, edit, message):
         trace = self._write_trace(capsys, tmp_path)
         self._edit_meta(trace, edit)
@@ -531,28 +544,6 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {message}\n"
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda meta: meta["config"].update(problem_params=None),
-         "'problem_params' must be a dict, got None"),
-        (lambda meta: meta["config"].update(problem_params=[]),
-         "'problem_params' must be a dict, got []"),
-        (lambda meta: meta["config"]["problem_params"].update(dim=2.7),
-         "'dim' must be an integer, got 2.7"),
-        (lambda meta: meta["config"]["problem_params"].update(dim=True),
-         "'dim' must be an integer, got True"),
-        (lambda meta: meta["config"]["problem_params"].update(dim=None),
-         "'dim' must be an integer, got None"),
-        (lambda meta: meta["config"].update(iters=2.5),
-         "is malformed: 'float' object cannot be interpreted as an integer"),
-    ], ids=["params-null", "params-list", "dim-fraction", "dim-bool", "dim-null",
-            "iters-fraction"])
-    def test_sidecar_value_it_cannot_read_exit_one(self, capsys, tmp_path, edit, message):
-        trace = self._write_trace(capsys, tmp_path)
-        self._edit_meta(trace, edit)
-        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
-        assert code == EXIT_USAGE and out == ""
-        assert err.startswith("error: ") and err.rstrip().endswith(message)
 
     def test_problem_of_another_dimension_refused(self, capsys, tmp_path):
         # a dim-10 trace checked against the dim-2 quadratic its sidecar now names
