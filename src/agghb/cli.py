@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 
 import numpy as np
 
@@ -39,6 +40,14 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 def _parse_gammas(text: str) -> str | tuple[float, ...]:
     """A stepsize mode, or stepsizes as :func:`_parse_float_list` reads them."""
     return text if text in ("theory-ncvx", "theory-cvx", "tune") else _parse_float_list(text)
+
+
+def _parse_seed(text: str) -> int:
+    """A seed for ``RunConfig``: an integer >= 0."""
+    with suppress(ValueError):
+        if (seed := int(text)) >= 0:
+            return seed
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
 
 
 def _per_buffer(gammas: tuple[float, ...], betas: tuple[float, ...]) -> tuple[float, ...]:
@@ -101,7 +110,8 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--betas", type=_parse_float_list, required=True,
                    help="comma-separated momentum parameters, e.g. 0.9,0.95,0.99")
     p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0,
+                   help="seed of the quadratic's random start, an integer >= 0")
 
 
 def _emit_sweep(sweep) -> None:

@@ -72,6 +72,9 @@ class RunConfig:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if isinstance(self.iters, bool) or operator.index(self.iters) < 1:
             raise ValueError("iteration budget must be an integer >= 1")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral)
+                or self.seed < 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.stepsize_mode not in STEPSIZE_MODES:
             raise ValueError(f"unknown stepsize mode {self.stepsize_mode!r}")
         needs_gammas = self.stepsize_mode in ("explicit", "tuned")
@@ -99,7 +102,9 @@ class Trace:
     ``f_avg`` is the objective at the running weighted-average iterate and is
     tracked only in the convex theory mode.  ``max_virtual_residual`` is the
     largest relative defect of the momentum-corrected iterate recursion seen
-    during the run, a cheap online self-check of the update arithmetic.
+    during the run, a cheap self-check of the update arithmetic.  :func:`run`
+    records ``f`` and ``grad_norm`` at each iterate and settles ``dist_opt``,
+    ``f_avg`` and ``max_virtual_residual`` once per block of iterates.
     """
 
     ks: np.ndarray
@@ -181,20 +186,40 @@ def _constants_snapshot(
     }
 
 
+# ``run`` keeps its per-iterate arrays in blocks of this many rows and
+# computes the metrics once per block; fewer rows when one block array
+# would pass about ``_BOOK_BYTES``.
+_BOOK_ROWS = 64
+_BOOK_BYTES = 1 << 20
+
+
+def book_rows(dim: int) -> int:
+    """Rows of :func:`run`'s bookkeeping blocks for iterates of ``dim`` values."""
+    return max(1, min(_BOOK_ROWS, _BOOK_BYTES // (8 * max(dim, 1))))
+
+
 def run(config: RunConfig, problem: Problem) -> Trace:
     """Execute a configured run and record metrics at every iterate.
 
     The iterate x (d,) and the momentum buffers V (m, d) from
-    :func:`optim.init` are updated in place by :func:`optim.step`, and each
+    :func:`optim.init` are updated in place by :func:`optim.step`.  Each
     iterate makes one ``problem.value_and_grad`` call on x, whose first
-    gradient must have the iterate's shape; theory-cvx adds one ``value``
-    call at the average that :func:`optim.averaging_update` keeps, and
-    refuses a weight ratio rho = 1/(1 - mu*F/2) below 1 or infinite.  The
-    run stops early, flagged ``diverged``, at the first non-finite objective
-    or gradient, or when a step makes the iterate or buffers non-finite.
-    After every step :func:`optim.virtual_iterate` is checked against its
-    pure gradient recursion, and the largest relative defect is kept as
-    ``max_virtual_residual``.
+    gradient must have the iterate's shape, and each step one ``step``
+    call; theory-cvx folds every iterate into the average that
+    :func:`optim.averaging_update` keeps, and refuses a weight ratio
+    rho = 1/(1 - mu*F/2) below 1 or infinite.  The run stops early, flagged
+    ``diverged``, at the first non-finite objective or gradient, or when a
+    step makes the iterate or buffers non-finite.
+
+    The other metrics are settled once per block of :func:`book_rows`
+    iterates, and at exit, from block arrays of the gradients, iterates,
+    step offsets and averages: ``dist_opt`` in one vectorised pass,
+    theory-cvx's ``f_avg`` from one ``problem.value`` call on the whole
+    (d, B) block of averages (a short last block is padded with its last
+    average, so every call has the same width and row k does not depend on
+    the budget), and the virtual iterates from one :func:`optim.virtual_iterate`
+    call, checked against their pure gradient recursion; the largest
+    relative defect is kept as ``max_virtual_residual``.
     """
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
@@ -217,14 +242,41 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     vstep = snapshot["F"]
     # Row 0 moves x; row 1 gives the virtual iterate's offset from the same product.
     weights = np.array([gammas, virtual_coefficients(acfg)])[:, :, None]
-    x_tilde, predicted, resid = x.copy(), np.empty_like(x), np.empty_like(x)
+    # Row r of a block belongs to the block's r-th iterate: its gradient, its
+    # average and the offset of the step it takes, and in ``xs`` and
+    # ``tildes`` one row down, the iterate and virtual iterate that step
+    # leads to.  Row 0 of those two carries the last block's final ones.
+    B = book_rows(problem.dim)
+    xs, tildes = np.empty((B + 1, problem.dim)), np.empty((B + 1, problem.dim))
+    grads, offsets, avgs = (np.empty((B, problem.dim)) for _ in range(3))
+    xs[0] = tildes[0] = x
     max_residual = 0.0
 
-    fs, gnorms = [], []
+    fs, gsqs = [], []
     dists = [] if x_star is not None else None
     favgs = [] if track_avg else None
     diverged = False
 
+    def settle(rows: int, steps: int) -> None:
+        """Metrics of the block's first ``rows`` iterates and ``steps`` steps."""
+        nonlocal max_residual
+        if dists is not None:
+            e = xs[:rows] - x_star
+            dists.append(np.sqrt(np.einsum("ij,ij->i", e, e)))
+        if favgs is not None:
+            avgs[rows:] = avgs[rows - 1]
+            f = np.asarray(problem.value(avgs.T), dtype=float)
+            if f.shape != (B,):
+                raise ValueError(f"value of a {avgs.T.shape} block has shape {f.shape}, not ({B},)")
+            favgs.append(f[:rows])
+        new, old = tildes[1:steps + 1], tildes[:steps]
+        virtual_iterate(xs[1:steps + 1], offsets[:steps], new)
+        resid = new - (old - vstep * grads[:steps])
+        defect = np.sqrt(np.einsum("ij,ij->i", resid, resid)) / (
+            1.0 + np.sqrt(np.einsum("ij,ij->i", old, old)))
+        max_residual = float(np.fmax.reduce(defect, initial=max_residual))
+
+    r = 0  # row of iterate k in the current block
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iters + 1):
             f_k, g_k = objective(x)
@@ -232,13 +284,10 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 raise ValueError(f"gradient shape {g_k.shape} != iterate shape {x.shape}")
             gsq = g_k @ g_k
             fs.append(f_k)
-            gnorms.append(math.sqrt(gsq))
-            if dists is not None:
-                e = x - x_star
-                dists.append(math.sqrt(e @ e))
+            gsqs.append(gsq)
             if track_avg:
                 weight_sum = averaging_update(xbar, weight_sum, rho, x)
-                favgs.append(problem.value(xbar))
+                avgs[r] = xbar
             # One scalar clears the common case; the elementwise test runs
             # only when it is not finite, which overflow alone can cause.
             if not math.isfinite(f_k + gsq) and not (
@@ -250,9 +299,8 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 break
             # g_k may be a view of x, which the step overwrites; it is read
             # only before that.
-            prev_norm = math.sqrt(x_tilde @ x_tilde)
-            np.subtract(x_tilde, np.multiply(vstep, g_k, out=predicted), out=predicted)
-            (offset,) = step(x, V, g_k, betas, weights)
+            grads[r] = g_k
+            offsets[r] = step(x, V, g_k, betas, weights)[0]
             # A non-finite buffer entry always reaches x through the averaged
             # update, so x alone decides in the common case.
             if not math.isfinite(x.sum()) and not (
@@ -260,17 +308,21 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             ):
                 diverged = True
                 break
-            virtual_iterate(x, offset, x_tilde)
-            np.subtract(x_tilde, predicted, out=resid)
-            max_residual = max(max_residual, math.sqrt(resid @ resid) / (1.0 + prev_norm))
+            r += 1
+            xs[r] = x
+            if r == B:
+                settle(B, B)
+                xs[0], tildes[0] = xs[B], tildes[B]
+                r = 0
+        settle(r + 1, r)
 
     wall = time.perf_counter() - t0
     return Trace(
         ks=np.arange(len(fs)),
         f=np.asarray(fs, dtype=float),
-        grad_norm=np.asarray(gnorms, dtype=float),
-        dist_opt=None if dists is None else np.asarray(dists, dtype=float),
-        f_avg=None if favgs is None else np.asarray(favgs, dtype=float),
+        grad_norm=np.sqrt(np.asarray(gsqs, dtype=float)),
+        dist_opt=None if dists is None else np.concatenate(dists),
+        f_avg=None if favgs is None else np.concatenate(favgs),
         config=config,
         gammas=gammas,
         constants=snapshot,
@@ -721,11 +773,32 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
     return csv_path, meta_path
 
 
+def _finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# What each top-level sidecar value must be, given the run's config.
+_SIDECAR_VALUES = {
+    "gammas": ("one finite positive number per beta", lambda v, config: (
+        isinstance(v, list) and len(v) == len(config.betas)
+        and all(_finite_number(g) and g > 0 for g in v))),
+    "diverged": ("true or false", lambda v, config: isinstance(v, bool)),
+    "max_virtual_residual": ("a finite number >= 0",
+                             lambda v, config: _finite_number(v) and v >= 0),
+    "wall_time": ("a finite number >= 0", lambda v, config: _finite_number(v) and v >= 0),
+    "x0": ("a list of finite numbers",
+           lambda v, config: isinstance(v, list) and all(map(_finite_number, v))),
+    "constants": ("an object", lambda v, config: isinstance(v, dict)),
+}
+
+
 def read_trace(path: str | Path) -> Trace:
     """Load a trace previously written by :func:`export_trace`.  A ``k``
     column other than 0, 1, 2, ..., a malformed field, a ``dist_opt`` or
     ``f_avg`` column filled on some rows only, or a sidecar of another
-    schema or that lacks a key or a ``RunConfig`` field is a ``ValueError``
+    schema, that lacks a key or a ``RunConfig`` field, or whose top-level
+    values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError``
     naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
@@ -761,13 +834,18 @@ def read_trace(path: str | Path) -> Trace:
     try:
         if meta["schema"] != 1:
             raise ValueError(f"metadata sidecar {meta_path} has unknown schema {meta['schema']!r}")
+        config = RunConfig(**meta["config"])  # it makes betas and gammas tuples
+        for key, (want, ok) in _SIDECAR_VALUES.items():
+            if not ok(meta[key], config):
+                raise ValueError(f"metadata sidecar {meta_path} is malformed: "
+                                 f"{key!r} must be {want}, got {meta[key]!r}")
         return Trace(
             ks=np.arange(len(fs)),
             f=np.asarray(fs, dtype=float),
             grad_norm=np.asarray(gnorms, dtype=float),
             dist_opt=None if not dists or dists[0] is None else np.asarray(dists, dtype=float),
             f_avg=None if not favgs or favgs[0] is None else np.asarray(favgs, dtype=float),
-            config=RunConfig(**meta["config"]),  # it makes betas and gammas tuples
+            config=config,
             gammas=tuple(meta["gammas"]),
             constants=meta["constants"],
             x0=np.asarray(meta["x0"], dtype=float),

@@ -29,6 +29,11 @@ _DENSE_FALLBACK_COLS = 64
 # one chunk: its temporaries are M values, and splitting them would only
 # add interpreter overhead to every iterate of ``harness.run``.
 _BLOCK_BYTES = 256 * 1024
+# The logistic ``value`` takes a block X (n, P) in groups of columns whose
+# M x P' margins stay within this size: that of ``harness.tune``'s own
+# 15-column block on 32561 samples, so a block ``value`` holds no larger
+# array than the tuning sweep does.
+_GROUP_BYTES = 16 * _BLOCK_BYTES
 
 # Power iteration in :func:`spectral_norm`: relative change of the Rayleigh
 # quotient that ends it, the cap on its products, and its start's seed.
@@ -91,9 +96,11 @@ class Problem:
     of X (dim, P) to their values f (P,) and gradients G (dim, P), as it
     maps each column alone up to rounding.  ``harness.run`` makes one call
     per iterate on x, and ``harness.tune`` one per iterate on the block of
-    its live grid points.  ``value`` and ``gradient`` take x (dim,) only;
-    ``gradient`` is ``value_and_grad``'s gradient, and ``value`` is its
-    value or, where that saves work, a gradient-free copy.
+    its live grid points.  ``value`` is its value or, where that saves work,
+    a gradient-free copy; it too maps x (dim,) to a float and X (dim, P) to
+    f (P,), and ``harness.run`` in theory-cvx mode calls it once per block
+    of averaged iterates.  ``gradient`` takes x (dim,) only and is
+    ``value_and_grad``'s gradient.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
@@ -108,7 +115,7 @@ class Problem:
 
     name: str
     dim: int
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
     L: float
@@ -151,6 +158,17 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         # column-shaped b would broadcast a single x (d,) to (d, d).
         return 0.5 * np.add.reduce(X * QX) - b @ X, (QX.T - b).T
 
+    def value(X: np.ndarray) -> float | np.ndarray:
+        # A block's columns go through one matrix-vector product and one dot
+        # each, as a single x does: a matrix-matrix product rounds Qx
+        # differently, and f crosses zero on the way to a nonzero optimum.
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return value_and_grad(X)[0]
+        xs = np.ascontiguousarray(X.T)  # (P, d)
+        Qx = (Q @ xs[:, :, None])[:, :, 0]
+        return 0.5 * np.add.reduce(xs * Qx, axis=1) - (xs[:, None, :] @ b)[:, 0]
+
     reference = None
     f_lower = None
     if lam_min > 1e-12 * lam_max:
@@ -162,7 +180,7 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
     return Problem(
         name="quadratic",
         dim=Q.shape[0],
-        value=lambda x: value_and_grad(x)[0],
+        value=value,
         gradient=lambda x: value_and_grad(x)[1],
         L=lam_max,
         mu=mu,
@@ -273,7 +291,9 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     of X at once.  On a block it runs the logistic over row chunks of
     ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into the margins,
     so the margins are its only M x P array; a single x is one chunk.
-    ``value`` skips the gradient and with it the product with B.T.
+    ``value`` skips the gradient and with it the product with B.T; it takes
+    a block in groups of ``_GROUP_BYTES // (8 M)`` columns, each group's
+    margins formed and summed in row chunks as above.
 
     Both objectives reuse one flat scratch buffer for :func:`_logistic`,
     handed out as three views of each chunk shape.  The views are cached per
@@ -300,22 +320,32 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
             )
         return found
 
-    def value(x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float)
-        z = matvec(x)
-        return float(_logistic(z, work(z.shape), grad=False) / M + penalty(x)[0])
+    def loss(Z: np.ndarray, grad: bool) -> float | np.ndarray:
+        """:func:`_logistic` of the margins Z (M, P) over row chunks, or of
+        z (M,) as one chunk."""
+        rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1])) if Z.ndim == 2 else M
+        chunk = Z[:rows]
+        total = _logistic(chunk, work(chunk.shape), grad)
+        for lo in range(rows, M, rows):
+            chunk = Z[lo:lo + rows]
+            total += _logistic(chunk, work(chunk.shape), grad)
+        return total
+
+    def value(X: np.ndarray) -> float | np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            return float(loss(matvec(X), grad=False) / M + penalty(X)[0])
+        cols = max(1, _GROUP_BYTES // (8 * M))
+        return np.concatenate([
+            loss(matvec(Xg), grad=False) / M + penalty(Xg)[0]
+            for Xg in (X[:, lo:lo + cols] for lo in range(0, X.shape[1], cols))
+        ])
 
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         Z = matvec(X)
-        rows = max(1, _BLOCK_BYTES // (8 * X.shape[1])) if X.ndim == 2 else M
-        chunk = Z[:rows]
-        loss = _logistic(chunk, work(chunk.shape))
-        for lo in range(rows, M, rows):
-            chunk = Z[lo:lo + rows]
-            loss += _logistic(chunk, work(chunk.shape))
-        return f + loss / M, G - rmatvec(Z) / M
+        return f + loss(Z, grad=True) / M, G - rmatvec(Z) / M
 
     return value, value_and_grad
 

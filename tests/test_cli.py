@@ -213,6 +213,22 @@ class TestRun:
         assert captured.out == "" and captured.err.startswith("usage: agghb run")
         assert "argument --gammas: not a comma-separated float list: 'abc'" in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "tune"])
+    @pytest.mark.parametrize("seed", ["-1", "2.5", "abc", ""])
+    def test_seed_not_a_nonnegative_integer_is_a_usage_error(
+        self, capsys, tmp_path, command, seed
+    ):
+        argv = [command, "--problem", "quadratic", "--betas", "0.9", "--iters", "5",
+                "--seed", seed]
+        if command == "run":
+            argv += ["--gammas", "0.1", "--out", str(tmp_path / "t.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: agghb {command}")
+        assert f"argument --seed: must be an integer >= 0, got {seed!r}" in captured.err
+
     def test_unallocatable_quadratic_is_an_error(self, capsys, tmp_path):
         code, out, err = run_cli(
             capsys, "run", "--problem", "quadratic", "--quad-dim", "1000000000000",
@@ -516,8 +532,35 @@ class TestVerify:
          "'dim' must be an integer, got None"),
         (lambda meta: meta["config"].update(iters=2.5),
          "is malformed: 'float' object cannot be interpreted as an integer"),
+        (lambda meta: meta["config"].update(seed=2.5), "seed must be an integer >= 0, got 2.5"),
+        (lambda meta: meta["config"].update(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda meta: meta.update(gammas=[True]),
+         "is malformed: 'gammas' must be one finite positive number per beta, got [True]"),
+        (lambda meta: meta.update(gammas=[0.01, 0.01]),
+         "is malformed: 'gammas' must be one finite positive number per beta, got [0.01, 0.01]"),
+        (lambda meta: meta.update(gammas=[-0.01]),
+         "is malformed: 'gammas' must be one finite positive number per beta, got [-0.01]"),
+        (lambda meta: meta.update(diverged="abc"),
+         "is malformed: 'diverged' must be true or false, got 'abc'"),
+        (lambda meta: meta.update(diverged=0),
+         "is malformed: 'diverged' must be true or false, got 0"),
+        (lambda meta: meta.update(max_virtual_residual="x"),
+         "is malformed: 'max_virtual_residual' must be a finite number >= 0, got 'x'"),
+        (lambda meta: meta.update(max_virtual_residual=False),
+         "is malformed: 'max_virtual_residual' must be a finite number >= 0, got False"),
+        (lambda meta: meta.update(wall_time=-1.0),
+         "is malformed: 'wall_time' must be a finite number >= 0, got -1.0"),
+        (lambda meta: meta.update(x0=[1.0, "a"]),
+         "is malformed: 'x0' must be a list of finite numbers, got [1.0, 'a']"),
+        (lambda meta: meta.update(x0=None),
+         "is malformed: 'x0' must be a list of finite numbers, got None"),
+        (lambda meta: meta.update(constants=[]),
+         "is malformed: 'constants' must be an object, got []"),
     ], ids=["schema", "stray-problem-param", "params-null", "params-list", "dim-fraction",
-            "dim-bool", "dim-null", "iters-fraction"])
+            "dim-bool", "dim-null", "iters-fraction", "seed-fraction", "seed-negative",
+            "gammas-bool", "gammas-per-beta", "gammas-negative", "diverged-text",
+            "diverged-int", "residual-text", "residual-bool", "wall-time-negative",
+            "x0-text", "x0-null", "constants-list"])
     def test_sidecar_it_cannot_stand_behind_exit_one(self, capsys, tmp_path, edit, message):
         trace = self._write_trace(capsys, tmp_path)
         self._edit_meta(trace, edit)

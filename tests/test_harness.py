@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -109,6 +110,14 @@ class TestRunConfig:
                 stepsize_mode="theory-cvx", iters=iters,
             )
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            RunConfig(
+                problem="quadratic", optimizer="hb", betas=(0.9,),
+                stepsize_mode="theory-cvx", seed=seed,
+            )
+
 
 class TestRun:
     def test_gd_identity_quadratic_one_exact_step(self):
@@ -155,16 +164,31 @@ class TestRun:
         np.testing.assert_array_equal(t1.grad_norm, t2.grad_norm)
         np.testing.assert_array_equal(t1.f_avg, t2.f_avg)
 
-    def test_prefix_property(self):
-        problem = quadratic(np.diag([1.0, 2.0]), np.zeros(2))
-        base = dict(
-            problem="quadratic", optimizer="agghb", betas=(0.8, 0.3),
-            stepsize_mode="explicit", gammas=(0.05, 0.02), seed=1,
-        )
-        short = run(RunConfig(iters=50, **base), problem)
-        long = run(RunConfig(iters=100, **base), problem)
-        np.testing.assert_array_equal(short.f, long.f[:51])
-        np.testing.assert_array_equal(short.grad_norm, long.grad_norm[:51])
+    def test_prefix_property(self, request):
+        # Every column of the shorter run, bit for bit, where its last block
+        # of bookkeeping is padded and the longer run's is filled.
+        data = request.getfixturevalue("australian_dataset")
+        quad = dict(problem="quadratic", betas=(0.8, 0.3), seed=1)
+        cases = [
+            (quadratic(np.diag([1.0, 2.0]), np.zeros(2)), 50, 100,
+             dict(quad, stepsize_mode="explicit", gammas=(0.05, 0.02))),
+            (quadratic(np.diag([1.0, 2.0]), np.ones(2)), 60, 140,
+             dict(quad, stepsize_mode="theory-cvx")),
+            (logreg_l2(data, data.logistic_L / 1e5), 60, 140,
+             dict(problem="logreg-l2", betas=(0.9, 0.95, 0.99), stepsize_mode="theory-cvx")),
+        ]
+        for problem, short_K, long_K, base in cases:
+            assert short_K < agghb.harness.book_rows(problem.dim) <= long_K
+            short = run(RunConfig(optimizer="agghb", iters=short_K, **base), problem)
+            long = run(RunConfig(optimizer="agghb", iters=long_K, **base), problem)
+            assert (long.f_avg is None) == (base["stepsize_mode"] == "explicit")
+            assert (long.dist_opt is None) == (problem.name == "logreg-l2")
+            for name in ("f", "grad_norm", "dist_opt", "f_avg"):
+                got, want = getattr(short, name), getattr(long, name)
+                if want is None:
+                    assert got is None
+                else:
+                    np.testing.assert_array_equal(got, want[:short_K + 1], err_msg=name)
 
     def test_nonfinite_start_rejected(self):
         cfg = RunConfig(
@@ -226,15 +250,18 @@ class TestRun:
             assert key in trace.constants
 
 
-def _hand_built(gradient):
+def _hand_built(gradient, dim=2):
     """f(x) = ||x||^2 / 2 as a ``Problem`` built by hand, L = 1, whose
-    ``value_and_grad`` calls ``gradient`` as given (single points only)."""
+    ``value_and_grad`` calls ``gradient`` as given (single points only) and
+    whose ``value`` also takes a block X (dim, P), a column at a time."""
     def value(x):
+        if x.ndim == 2:
+            return np.array([value(np.ascontiguousarray(c)) for c in x.T])
         return 0.5 * float(x @ x)
 
     return Problem(
-        name="hand", dim=2, value=value, gradient=gradient, L=1.0, convex=True,
-        value_and_grad=lambda x: (value(x), gradient(x)),
+        name="hand", dim=dim, value=value, gradient=gradient, L=1.0, convex=True,
+        reference_opt=(np.zeros(dim), 0.0), value_and_grad=lambda x: (value(x), gradient(x)),
     )
 
 
@@ -243,28 +270,52 @@ def _poisoned_gradient(x):
     return x if abs(x[0]) > 0.5 else np.full_like(x, np.nan)
 
 
+def _turning_bad(k_bad, good, bad_value):
+    """A gradient that is ``good(x)`` for its first ``k_bad`` calls and
+    ``bad_value`` everywhere from then on.  ``run`` and ``plain_run`` call it
+    once per iterate, so each needs its own."""
+    calls = itertools.count()
+    return lambda x: good(x) if next(calls) < k_bad else np.full_like(x, bad_value)
+
+
+def _three_by_three():
+    return quadratic(np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]),
+                     np.array([1.0, -1.0, 0.5]))
+
+
+BOOK = agghb.harness.book_rows(3)  # rows of run's bookkeeping blocks for d = 2 and 3
+# Iterates whose rows are the first, a middle and the last of the second block.
+BLOCK_ROWS = [BOOK, BOOK + BOOK // 2, 2 * BOOK - 1]
+
+
 class TestRunMatchesPlainLoop:
     """``run`` against :func:`oracles.plain_run`, which keeps the former loop
     (tuple buffers, separate value and gradient calls, elementwise checks)."""
 
     @staticmethod
     def _assert_identical(trace, oracle):
+        """``f`` and ``grad_norm`` bit for bit; ``dist_opt``, ``f_avg`` and
+        ``max_virtual_residual``, which ``run`` sums per block in another
+        order than the oracle's per-iterate norms and ``value`` calls, to
+        1e-13 relative."""
         assert len(trace.f) == len(oracle.f)
         for name in ("f", "grad_norm", "dist_opt", "f_avg"):
             got, want = getattr(trace, name), getattr(oracle, name)
             if want is None:
                 assert got is None, name
-            else:
+            elif name in ("f", "grad_norm"):
                 np.testing.assert_array_equal(got, want, err_msg=name)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
         np.testing.assert_array_equal(trace.ks, oracle.ks)
         assert trace.diverged == oracle.diverged
-        assert trace.max_virtual_residual == oracle.max_virtual_residual
+        np.testing.assert_allclose(trace.max_virtual_residual, oracle.max_virtual_residual,
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
     @pytest.mark.parametrize("betas", [(0.9,), (0.9, 0.5), (0.9, 0.95, 0.99)])
     def test_quadratic_bit_identical(self, mode, betas):
-        problem = quadratic(np.array([[3.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]),
-                            np.array([1.0, -1.0, 0.5]))
+        problem = _three_by_three()
         cfg = RunConfig(
             problem="quadratic", optimizer="hb" if len(betas) == 1 else "agghb",
             betas=betas, stepsize_mode=mode, iters=500, seed=3,
@@ -320,6 +371,60 @@ class TestRunMatchesPlainLoop:
         assert trace.diverged and len(trace.f) == length
         self._assert_identical(trace, plain_run(cfg, problem))
 
+    @pytest.mark.parametrize("K", [BOOK - 2, BOOK - 1, BOOK, BOOK + 1, 2 * BOOK + 3])
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    @pytest.mark.parametrize("build", [_three_by_three, lambda: _hand_built(lambda x: x)],
+                             ids=["quadratic", "hand-built"])
+    def test_budgets_around_block_boundaries(self, build, mode, K):
+        problem = build()
+        assert agghb.harness.book_rows(problem.dim) == BOOK
+        cfg = RunConfig(
+            problem=problem.name, optimizer="agghb", betas=(0.9, 0.5), stepsize_mode=mode,
+            iters=K, problem_params={"x0": [1.0, -2.0, 0.5][:problem.dim]},
+        )
+        trace = run(cfg, problem)
+        assert not trace.diverged and len(trace.f) == K + 1
+        self._assert_identical(trace, plain_run(cfg, problem))
+
+    @pytest.mark.parametrize("k_bad", BLOCK_ROWS, ids=["first-row", "middle-row", "last-row"])
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_non_finite_gradient_in_any_block_row_truncates_identically(self, mode, k_bad):
+        cfg = RunConfig(
+            problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode=mode,
+            iters=3 * BOOK, problem_params={"x0": [1.0, -2.0]},
+        )
+        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: x, np.nan)))
+                         for loop in (run, plain_run))
+        assert trace.diverged and len(trace.f) == k_bad + 1
+        assert np.isnan(trace.grad_norm[-1])
+        self._assert_identical(trace, oracle)
+
+    @pytest.mark.parametrize("k_bad", BLOCK_ROWS, ids=["first-row", "middle-row", "last-row"])
+    def test_overflowing_step_in_any_block_row_truncates_identically(self, k_bad):
+        # A gd step of 2 halves x on the gradient x / 4, and overflows on 1e308,
+        # while f and the gradient at that iterate are finite.
+        cfg = RunConfig(
+            problem="hand", optimizer="gd", betas=(0.0,), stepsize_mode="explicit",
+            gammas=(2.0,), iters=3 * BOOK, problem_params={"x0": [1.0, -2.0]},
+        )
+        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: 0.25 * x, 1e308)))
+                         for loop in (run, plain_run))
+        assert trace.diverged and len(trace.f) == k_bad + 1
+        assert np.isfinite(trace.f[-1])
+        self._assert_identical(trace, oracle)
+
+    @pytest.mark.parametrize("dim, rows", [(70_000, 1), (50_000, 2)])
+    def test_dimension_that_caps_the_block(self, dim, rows):
+        assert agghb.harness.book_rows(dim) == rows
+        problem = _hand_built(lambda x: x, dim=dim)
+        cfg = RunConfig(
+            problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode="theory-cvx",
+            iters=5, problem_params={"x0": np.linspace(-1.0, 1.0, dim).tolist()},
+        )
+        trace = run(cfg, problem)
+        assert not trace.diverged and len(trace.f) == 6
+        self._assert_identical(trace, plain_run(cfg, problem))
+
     @pytest.mark.parametrize("dataset", ["australian_dataset", "wide_dataset"])
     @pytest.mark.parametrize("kind", ["l2-zero", "l2-auto", "ncvx"])
     def test_logistic_within_1e12(self, request, dataset, kind):
@@ -347,15 +452,18 @@ class TestRunMatchesPlainLoop:
 
 
 class TestRunObjectiveCalls:
-    """One ``value_and_grad`` call per iterate, ``value`` only for the average."""
+    """One ``value_and_grad`` call per iterate; in theory-cvx one ``value``
+    call per block of averages, each as wide as a block."""
 
     @staticmethod
-    def _counted(problem, calls):
+    def _counted(problem, calls, widths):
         def wrap(name):
             fn = getattr(problem, name)
 
             def counted(x):
                 calls[name] += 1
+                if name == "value":
+                    widths.append(x.shape[1:])
                 return fn(x)
             return counted
 
@@ -368,17 +476,31 @@ class TestRunObjectiveCalls:
         lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3),
     ], ids=["quadratic", "logreg-l2"])
     def test_calls_per_iterate(self, request, build, mode, value_calls):
-        calls = dict.fromkeys(("value", "gradient", "value_and_grad"), 0)
-        problem = self._counted(build(request), calls)
-        K = 37
+        # value_calls is per block: 151 iterates fill two blocks and start a third
+        calls, widths = dict.fromkeys(("value", "gradient", "value_and_grad"), 0), []
+        problem = self._counted(build(request), calls, widths)
+        B, K = agghb.harness.book_rows(problem.dim), 150
         cfg = RunConfig(
             problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
             stepsize_mode=mode, iters=K,
         )
         assert len(run(cfg, problem).f) == K + 1
-        assert calls == {
-            "value": value_calls * (K + 1), "gradient": 0, "value_and_grad": K + 1,
-        }
+        blocks = -(-(K + 1) // B)
+        assert blocks == 3
+        assert calls == {"value": value_calls * blocks, "gradient": 0, "value_and_grad": K + 1}
+        assert widths == [(B,)] * (value_calls * blocks)
+
+    def test_value_that_takes_single_points_only_refused(self):
+        # written for single points, it sums a whole block into one number
+        problem = dataclasses.replace(_hand_built(lambda x: x),
+                                      value=lambda x: 0.5 * float(np.sum(x * x)))
+        cfg = RunConfig(
+            problem="hand", optimizer="hb", betas=(0.5,), stepsize_mode="theory-cvx",
+            iters=5, problem_params={"x0": [1.0, 1.0]},
+        )
+        B = agghb.harness.book_rows(2)
+        with pytest.raises(ValueError, match=rf"^value of a \(2, {B}\) block has shape \(\), "):
+            run(cfg, problem)
 
     def test_hand_built_gradient_shape_checked(self):
         problem = _hand_built(lambda x: x[:1])
@@ -409,14 +531,18 @@ class TestLoopsCallTracedNames:
         return calls, step_ndims
 
     def test_run_counts(self, monkeypatch):
+        # one step per iterate but the last, one virtual_iterate per block
         calls, step_ndims = self._count(monkeypatch)
         cfg = RunConfig(
             problem="quadratic", optimizer="agghb", betas=(0.9, 0.5),
-            stepsize_mode="theory-cvx", iters=20, seed=2,
+            stepsize_mode="theory-cvx", iters=150, seed=2,
         )
         trace = run(cfg, quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)))
-        assert len(trace.f) == 21 and not trace.diverged
-        assert calls == {"init": 1, "step": 20, "virtual_iterate": 20, "averaging_update": 21}
+        assert len(trace.f) == 151 and not trace.diverged
+        blocks = -(-151 // agghb.harness.book_rows(3))
+        assert blocks == 3
+        assert calls == {"init": 1, "step": 150, "virtual_iterate": blocks,
+                         "averaging_update": 151}
         assert set(step_ndims) == {1}
 
     def test_tune_steps_the_block_once_per_iterate(self, monkeypatch):

@@ -436,6 +436,28 @@ class TestBatchObjective:
             tracemalloc.stop()
         assert peak <= 8 * M * P + 8 * agghb.problems._BLOCK_BYTES
 
+    def test_one_value_call_holds_one_column_group(self):
+        """A block ``value`` forms the margins of one column group at a time:
+        its peak is one group's margins plus chunk-sized temporaries, not the
+        M x P margins of the whole block (41 MB here)."""
+        M, n, P = 20000, 80, 256
+        rng = np.random.default_rng(35)
+        data = Dataset(
+            features=sp.random(M, n, density=0.1, format="csr", random_state=rng),
+            labels=np.where(rng.random(M) < 0.5, -1.0, 1.0),
+        )
+        p = logreg_l2(data, 1e-3)
+        X = rng.standard_normal((n, P))
+        p.value(X)  # warm up the scratch and scipy's one-time allocations
+        tracemalloc.start()
+        try:
+            f = p.value(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (P,)
+        assert peak <= agghb.problems._GROUP_BYTES + 4 * agghb.problems._BLOCK_BYTES
+
 
 class TestLogisticScratch:
     """The logistic kernel in its scratch buffer: bit for bit against
@@ -584,6 +606,14 @@ class TestValueAndGrad:
         for P in (1, 15):
             f, G = p.value_and_grad(rng.standard_normal((p.dim, P)))
             assert f.shape == (P,) and G.shape == (p.dim, P)
+        # value on a block, up to one wider than the logistic's column group
+        group = agghb.problems._GROUP_BYTES // (8 * small_dataset.M)
+        for P in (1, 15, 64, group + 5):
+            X = rng.standard_normal((p.dim, P))
+            f = p.value(X)
+            assert f.shape == (P,)
+            single = np.array([p.value(X[:, j].copy()) for j in range(P)])
+            np.testing.assert_allclose(f, single, rtol=1e-12, atol=0.0)
         if name == "rosenbrock":
             with np.errstate(over="ignore", invalid="ignore"):
                 f, g = p.value_and_grad([1e200, 0.0])
