@@ -91,8 +91,9 @@ def _setup(args, stepsize_mode: str, gammas=None) -> tuple[harness.RunConfig, ha
     try:
         problem = harness.build_problem(args.problem, params)
     except harness.ProblemParamError as exc:  # name the flag, not the parameter
+        # Every message names the parameter before the value it echoes.
         flag = _PROBLEM_FLAGS[exc.param][0]
-        raise ValueError(str(exc).replace(repr(exc.param), flag)) from None
+        raise ValueError(str(exc).replace(repr(exc.param), flag, 1)) from None
     return harness.RunConfig(
         problem=args.problem, optimizer=_infer_optimizer(args.betas), betas=args.betas,
         stepsize_mode=stepsize_mode, gammas=gammas, iters=args.iters, seed=args.seed,

@@ -139,8 +139,9 @@ def start_point(config: RunConfig, problem: Problem) -> np.ndarray:
         x0 = np.asarray(config.problem_params["x0"], dtype=float)
     else:
         x0 = default_start(problem, config.seed)
-    if x0.shape[0] != problem.dim:
-        raise ValueError(f"x0 has dimension {x0.shape[0]}, problem has {problem.dim}")
+    if x0.shape != (problem.dim,):
+        raise ValueError(f"x0 has shape {x0.shape}, not a vector of the problem's "
+                         f"dimension {problem.dim}")
     if not np.all(np.isfinite(x0)):
         raise ValueError("starting point contains non-finite values")
     return x0

@@ -33,7 +33,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -256,41 +256,27 @@ def serialize_libsvm(records: Iterable[LibsvmRecord]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def to_dataset(
-    parsed: ParseResult,
-    label_policy: Mapping[float, int] | None = None,
-    n_features: int | None = None,
-) -> Dataset:
+def to_dataset(parsed: ParseResult, n_features: int | None = None) -> Dataset:
     """Build a compressed-row Dataset with +-1 labels from a parse.
 
-    Labels already in {-1, +1} are kept; {0, 1} maps 0 to -1.  Any other
-    label set needs an explicit two-valued ``label_policy`` mapping raw
-    labels to -1 or +1.  ``n_features`` overrides the inferred column count
-    (some files omit trailing all-zero columns).
+    Of two label values the larger maps to +1 and the smaller to -1, so
+    {-1, +1} is kept and {0, 1}, {1, 2} or {2, 4} map their smaller value to
+    -1; a lone value maps to +1 when positive and to -1 otherwise.  Three or
+    more values are refused.  ``n_features`` overrides the inferred column
+    count (some files omit trailing all-zero columns).
     """
     raw_labels = parsed.labels
     if raw_labels.size == 0:
         raise ValueError("cannot build a dataset from zero records")
 
-    distinct, position = np.unique(raw_labels, return_inverse=True)
-    distinct = distinct.tolist()
-    if label_policy is not None:
-        mapping = {float(k): int(v) for k, v in label_policy.items()}
-        if not set(mapping.values()) <= {-1, 1}:
-            raise ValueError("label policy must map onto {-1, +1}")
-        unknown = sorted(set(distinct) - set(mapping))
-        if unknown:
-            raise ValueError(f"labels {unknown} not covered by the label policy")
-        labels = np.array([mapping[l] for l in distinct], dtype=float)[position]
-    elif set(distinct) <= {-1.0, 1.0}:
-        labels = raw_labels.astype(float)
-    elif set(distinct) <= {0.0, 1.0}:
-        labels = np.where(raw_labels == 0.0, -1.0, 1.0)
-    else:
+    distinct = np.unique(raw_labels)
+    if distinct.size > 2:
         raise ValueError(
-            f"label set {distinct} is not {{-1,+1}} or {{0,1}}; "
-            "supply an explicit label mapping"
+            f"label set {distinct.tolist()} has more than two values; "
+            "a binary classification set has two"
         )
+    lower = distinct[0] if distinct.size == 2 else 0.0
+    labels = np.where(raw_labels > lower, 1.0, -1.0)
 
     n = feature_count(parsed, n_features)
     features = sp.csr_matrix(

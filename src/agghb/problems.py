@@ -82,8 +82,13 @@ class Dataset:
     def logistic_L(self) -> float:
         """Gradient Lipschitz constant of the mean logistic loss on this data,
         lambda_max(A'A)/(4M), with the spectral norm estimate inflated by 1%
-        so it stays a true upper bound.  Computed once per dataset."""
-        sn, _ = spectral_norm(self.features)
+        so it stays a true upper bound.  Computed once per dataset.  An estimate
+        that did not converge is refused: power iteration approaches
+        lambda_max from below, so it could give too small an L."""
+        sn, converged = spectral_norm(self.features)
+        if not converged:
+            raise ValueError("the spectral norm of the features did not converge "
+                             f"within {_POWER_MAX_ITERS} power iterations")
         return 1.01 * sn / (4.0 * self.M)
 
 
@@ -422,10 +427,10 @@ def spectral_norm(A) -> tuple[float, bool]:
     iteration starts from a seeded random direction and stops once the
     Rayleigh quotient moves by at most ``_POWER_REL_TOL`` of itself, or after
     ``_POWER_MAX_ITERS`` products.  Returns (estimate, converged).  The zero
-    matrix yields (0.0, True).
+    matrix, stored entries that are all zero included, yields (0.0, True).
     """
     A = sp.csr_matrix(A)
-    if A.nnz == 0:
+    if not A.data.any():
         return 0.0, True
 
     n = A.shape[1]

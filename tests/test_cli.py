@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import agghb
 from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
-from agghb.libsvm import load_libsvm, to_dataset
+from agghb.libsvm import load_libsvm, parse_libsvm, to_dataset
 
 from conftest import synthetic_libsvm_text
 
@@ -244,6 +245,7 @@ class TestRun:
         ("quadratic", "--quad-dim", "", "--quad-dim must be an integer, got ''"),
         ("logreg-l2", "--n-features", "8.0", "--n-features must be an integer, got '8.0'"),
         ("logreg-l2", "--l2", "abc", "--l2 must be a number or 'auto', got 'abc'"),
+        ("logreg-l2", "--l2", "'l2'", "--l2 must be a number or 'auto', got \"'l2'\""),
         ("logreg-ncvx", "--lambda", "", "--lambda must be a number or 'auto', got ''"),
         ("logreg-ncvx", "--data", "", "--data must be a non-empty string, got ''"),
     ])
@@ -259,6 +261,25 @@ class TestRun:
         )
         assert code == EXIT_USAGE and out == ""
         assert err == f"error: {message}\n"
+
+    def test_unconverged_spectral_norm_is_an_error(self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        flags = ("--problem", "logreg-l2", "--data", str(data), "--betas", "0.9")
+        trace = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "run", *flags, "--gammas", "theory-ncvx",
+                             "--iters", "5", "--out", str(trace))
+        assert code == EXIT_OK
+        monkeypatch.setattr(agghb.problems, "_POWER_MAX_ITERS", 1)
+        for argv in (["run", *flags, "--gammas", "0.1", "--iters", "5",
+                      "--out", str(tmp_path / "u.csv")],
+                     ["tune", *flags, "--iters", "5"],
+                     ["verify", "--trace", str(trace)]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and out == "", argv
+            assert err.startswith("error: the spectral norm of the features did not "
+                                  "converge within 1 power iterations"), argv
+        assert not (tmp_path / "u.csv").exists()
 
     def test_quadratic_theory_cvx_thousand_iterations(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
@@ -419,6 +440,44 @@ class TestConstants:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
+
+
+class TestLabelSets:
+    """Any two label values load, the larger as +1: a 1/2-labelled file runs
+    exactly as its -1/+1 twin."""
+
+    COMMON = ("--problem", "logreg-l2", "--l2", "auto", "--betas", "0.9,0.95")
+
+    def test_one_two_labels_run_as_their_plus_minus_one_twin(self, capsys, tmp_path):
+        text = synthetic_libsvm_text(M=40, n=6, seed=11)
+        twin = re.sub(r"^(-?1)\b", lambda m: {"-1": "1", "1": "2"}[m[1]], text, flags=re.M)
+        assert set(parse_libsvm(twin).labels) == {1.0, 2.0}
+        traces, tuned = [], []
+        for name, body in (("pm", text), ("one_two", twin)):
+            data, out = tmp_path / f"{name}.libsvm", tmp_path / f"{name}.csv"
+            data.write_text(body)
+            code, _, _ = run_cli(capsys, "run", *self.COMMON, "--data", str(data),
+                                 "--gammas", "theory-cvx", "--iters", "100", "--out", str(out))
+            assert code == EXIT_OK
+            traces.append(out.read_bytes())
+            code, report, _ = run_cli(capsys, "verify", "--trace", str(out))
+            assert code == EXIT_OK and parse_kv(report)["all_passed"] == ["true"]
+            code, sweep, _ = run_cli(capsys, "tune", *self.COMMON, "--data", str(data),
+                                     "--iters", "50")
+            assert code == EXIT_OK
+            tuned.append(sweep)
+        assert traces[0] == traces[1]
+        assert tuned[0] == tuned[1]
+
+    def test_three_label_values_refused_listing_them(self, capsys, tmp_path):
+        data = tmp_path / "d.libsvm"
+        data.write_text("1 1:1.0\n2 1:2.0\n3 2:1.0\n")
+        code, out, err = run_cli(capsys, "run", *self.COMMON, "--data", str(data),
+                                 "--gammas", "0.1", "--iters", "5",
+                                 "--out", str(tmp_path / "t.csv"))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: label set [1.0, 2.0, 3.0] has more than two values")
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestVerify:

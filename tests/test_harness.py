@@ -636,6 +636,20 @@ class TestTune:
         with pytest.raises(ValueError, match="dimension"):
             tune(self._base(params={"x0": [1.0, 2.0]}), identity_quadratic(3))
 
+    @pytest.mark.parametrize("x0", [1.0, [[1.0]], [[1.0, 2.0]]],
+                             ids=["scalar", "1x1", "1x2"])
+    @pytest.mark.parametrize("mode", ["run", "tune"])
+    def test_x0_not_a_vector_of_the_dimension_raises(self, mode, x0):
+        if mode == "run":
+            cfg = RunConfig(problem="quadratic", optimizer="gd", betas=(0.0,),
+                            stepsize_mode="explicit", gammas=(0.5,), iters=3,
+                            problem_params={"x0": x0})
+            call = lambda: run(cfg, identity_quadratic())
+        else:
+            call = lambda: tune(self._base(params={"x0": x0}), identity_quadratic())
+        with pytest.raises(ValueError, match=r"x0 has shape .* problem's dimension 1"):
+            call()
+
     def test_requires_tune_mode(self):
         cfg = RunConfig(
             problem="quadratic", optimizer="gd", betas=(0.0,),
@@ -771,6 +785,45 @@ class TestReferenceSolution:
         assert calls["hessian"] == agghb.harness.NEWTON_MAX_ITERS
         assert not ref.certified
         assert ref.grad_norm > 1e-10
+
+    # Each way the line search can end, on logreg-l2 with the value each
+    # trial point reads passed through ``value`` and the Hessian scaled.
+    def _newton_with(self, dataset, value=lambda f: f, hessian_scale=1.0, grad_tol=1e-10):
+        problem = logreg_l2(dataset, l2=1e-3)
+        calls = collections.Counter()
+
+        def trial_value(x):
+            calls["value"] += 1
+            return value(problem.value(x))
+
+        def hessian(x):
+            calls["hessian"] += 1
+            return hessian_scale * problem.hessian(x)
+
+        altered = dataclasses.replace(problem, value=trial_value, hessian=hessian)
+        return reference_solution(altered, grad_tol=grad_tol), calls
+
+    def test_newton_backtracks_a_step_too_long(self, small_dataset):
+        # A quarter of the Hessian makes each Newton step four times too long.
+        ref, calls = self._newton_with(small_dataset, hessian_scale=0.25)
+        assert ref.certified
+        assert calls["value"] > calls["hessian"]  # some steps were halved
+
+    def test_newton_gives_up_when_no_trial_point_decreases(self, small_dataset):
+        ref, calls = self._newton_with(small_dataset, value=lambda f: f + 1.0)
+        assert not ref.certified
+        np.testing.assert_array_equal(ref.x, np.zeros(small_dataset.n))
+        # t = 1, 1/2, ..., 2^-33 (the last above 1e-10), all from x = 0
+        assert (calls["hessian"], calls["value"]) == (1, 34)
+
+    def test_newton_accepts_a_rise_within_rounding(self, small_dataset):
+        # Each trial point reads one ulp higher than the one before, so once
+        # the true decrease is below an ulp the Armijo test fails; only the
+        # rounding-noise rule accepts those steps and reaches the certificate.
+        drift = itertools.count(1)
+        ref, _ = self._newton_with(small_dataset, grad_tol=1e-14,
+                                   value=lambda f: f + next(drift) * np.spacing(f))
+        assert ref.certified and ref.grad_norm <= 1e-14
 
     def test_convex_problem_without_optimum_or_hessian_rejected(self):
         problem = quadratic(np.diag([0.0, 1.0]), np.array([0.0, 1.0]))

@@ -111,20 +111,26 @@ class TestToDataset:
             to_dataset(parsed)
         assert "1.0" in str(exc.value) and "3.0" in str(exc.value)
 
-    def test_explicit_mapping(self):
-        parsed = parse_libsvm("2 1:1.0\n4 1:2.0")
-        data = to_dataset(parsed, label_policy={2: -1, 4: 1})
-        np.testing.assert_array_equal(data.labels, [-1.0, 1.0])
-
-    def test_mapping_must_cover_all_labels(self):
-        parsed = parse_libsvm("2 1:1.0\n5 1:2.0")
-        with pytest.raises(ValueError, match="not covered"):
-            to_dataset(parsed, label_policy={2: -1, 4: 1})
-
-    def test_mapping_must_target_pm_one(self):
-        parsed = parse_libsvm("2 1:1.0")
-        with pytest.raises(ValueError, match=r"\{-1, \+1\}"):
-            to_dataset(parsed, label_policy={2: 0})
+    # Of two values the larger maps to +1; a lone value maps to +1 when
+    # positive.  The first five sets are those loaded before this rule, and
+    # each maps as it did then.
+    @pytest.mark.parametrize("raw, expected", [
+        ([-1, 1, 1], [-1, 1, 1]),
+        ([0, 1, 0], [-1, 1, -1]),
+        ([1, 1], [1, 1]),
+        ([-1], [-1]),
+        ([0, 0], [-1, -1]),
+        ([1, 2, 1], [-1, 1, -1]),
+        ([2, 4], [-1, 1]),
+        ([5, -2], [1, -1]),
+        ([-1, 0], [-1, 1]),
+        ([2], [1]),
+    ], ids=["-1,1", "0,1", "1", "-1", "0", "1,2", "2,4", "-2,5", "-1,0", "2"])
+    def test_label_rule(self, raw, expected):
+        text = "".join(f"{label} 1:1.0\n" for label in raw)
+        labels = to_dataset(parse_libsvm(text)).labels
+        assert labels.dtype == np.float64
+        assert labels.tobytes() == np.array(expected, dtype=float).tobytes()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="zero records"):

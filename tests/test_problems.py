@@ -287,6 +287,30 @@ class TestSpectralNorm:
         est, converged = spectral_norm(sp.csr_matrix((3, 3)))
         assert est == 0.0 and converged
 
+    def test_stored_zeros_are_the_zero_matrix(self):
+        data = to_dataset(parse_libsvm("1 1:0 2:0\n-1 3:0.0\n"))
+        assert data.features.nnz == 3
+        assert spectral_norm(data.features) == (0.0, True)
+        assert data.logistic_L == 0.0
+
+    def test_start_in_the_nullspace_restarts_and_converges(self):
+        v = np.random.default_rng(agghb.problems._POWER_SEED).standard_normal(2)
+        v /= np.linalg.norm(v)
+        A = sp.csr_matrix([[v[1], -v[0]]])
+        assert not (A @ v).any()  # the seeded start vector is in A's nullspace
+        est, converged = spectral_norm(A)
+        assert converged
+        assert est == pytest.approx(1.0, rel=1e-6)
+
+    def test_unconverged_estimate_refused_as_L(self, monkeypatch):
+        monkeypatch.setattr(agghb.problems, "_POWER_MAX_ITERS", 1)
+        A = np.diag([1.0, 2.0, 3.0])
+        est, converged = spectral_norm(A)
+        assert not converged and 0.0 < est < 9.0
+        data = Dataset(features=sp.csr_matrix(A), labels=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(ValueError, match="did not converge within 1 power iterations"):
+            data.logistic_L
+
     def test_random_rectangular_vs_dense_eigensolve(self):
         rng = np.random.default_rng(12)
         A = rng.standard_normal((20, 5))

@@ -1,7 +1,10 @@
-"""The README's library example runs as written against the package, and
-its CLI examples parse against the command's current flags."""
+"""The README's library example runs as written against the package, its
+CLI examples parse against the command's current flags, and the signatures
+and dotted names it quotes are the package's own."""
 
 import contextlib
+import importlib
+import inspect
 import io
 import re
 import shlex
@@ -36,3 +39,41 @@ def test_cli_examples_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv).command == argv[0]
+
+
+def _package_functions():
+    functions = {}
+    for module in ("optim", "theory", "problems", "libsvm", "harness", "cli"):
+        mod = importlib.import_module(f"agghb.{module}")
+        for name, obj in vars(mod).items():
+            if inspect.isfunction(obj) and obj.__module__ == mod.__name__:
+                assert name not in functions, name
+                functions[name] = obj
+    return functions
+
+
+def test_call_signatures_list_the_parameters():
+    # A backticked call such as `step(x, V, grad, betas, weights)` that names
+    # a package function lists that function's parameters, in order.
+    functions = _package_functions()
+    checked = set()
+    for name, args in re.findall(r"`(\w+)\(([^`()]*)\)`", README.read_text()):
+        if name in functions:
+            given = [arg.split("=")[0].strip() for arg in args.split(",")]
+            assert given == list(inspect.signature(functions[name]).parameters), name
+            checked.add(name)
+    assert checked >= {"init", "step", "virtual_iterate", "bound_nonconvex",
+                       "bound_convex", "to_dataset", "feature_count"}
+
+
+def test_dotted_names_resolve():
+    names = set(re.findall(r"`(agghb(?:\.\w+)+)`", README.read_text()))
+    assert "agghb.harness.PROBLEM_PARAMS" in names
+    for dotted in names:
+        parts = dotted.split(".")
+        obj = importlib.import_module(parts[0])
+        for depth, part in enumerate(parts[1:], start=2):
+            if hasattr(obj, part):
+                obj = getattr(obj, part)
+            else:
+                obj = importlib.import_module(".".join(parts[:depth]))
