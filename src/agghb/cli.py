@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -84,16 +84,23 @@ _PROBLEM_FLAGS = {
 }
 
 
+@contextmanager
+def _flag_named():
+    """Turn a ``ProblemParamError`` into a ``ValueError`` naming the flag, not
+    the parameter; every message names the parameter before the value it echoes."""
+    try:
+        yield
+    except harness.ProblemParamError as exc:
+        flag = _PROBLEM_FLAGS[exc.param][0]
+        raise ValueError(str(exc).replace(repr(exc.param), flag, 1)) from None
+
+
 def _setup(args, stepsize_mode: str, gammas=None) -> tuple[harness.RunConfig, harness.Problem]:
     """The run and problem the flags describe, from only the problem flags given."""
     params = {key: getattr(args, key) for key in _PROBLEM_FLAGS
               if getattr(args, key) is not None}
-    try:
+    with _flag_named():
         problem = harness.build_problem(args.problem, params)
-    except harness.ProblemParamError as exc:  # name the flag, not the parameter
-        # Every message names the parameter before the value it echoes.
-        flag = _PROBLEM_FLAGS[exc.param][0]
-        raise ValueError(str(exc).replace(repr(exc.param), flag, 1)) from None
     return harness.RunConfig(
         problem=args.problem, optimizer=_infer_optimizer(args.betas), betas=args.betas,
         stepsize_mode=stepsize_mode, gammas=gammas, iters=args.iters, seed=args.seed,
@@ -217,8 +224,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_parse_check(args) -> int:
+    with _flag_named():
+        n_features = harness.PARAM_PARSERS["n_features"]("n_features", args.n_features)
     result = load_libsvm(harness.resolve_data_path(args.data))
-    n = feature_count(result, args.n_features)
+    n = feature_count(result, n_features)
     _emit("records", result.labels.size)
     _emit("n_features", n)
     _emit("n_inferred", result.n_features)
@@ -266,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_parse = sub.add_parser("parse-check", help="parse a LIBSVM file and report shape")
     p_parse.add_argument("--data", required=True)
-    p_parse.add_argument("--n-features", type=int, default=None,
-                         help="override the inferred feature count")
+    flag, text = _PROBLEM_FLAGS["n_features"]
+    p_parse.add_argument(flag, dest="n_features", help=text)
     p_parse.set_defaults(func=cmd_parse_check)
 
     return parser

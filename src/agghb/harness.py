@@ -465,7 +465,7 @@ def _newton(
             if t < 1e-10:
                 return x, f, g
         x, f = x_new, f_new
-        g = problem.gradient(x)
+        g = problem.value_and_grad(x)[1]
     return x, f, g
 
 
@@ -485,7 +485,7 @@ def reference_solution(problem: Problem, grad_tol: float = 1e-10) -> Reference:
         )
     if problem.reference_opt is not None:
         x, f = problem.reference_opt
-        x, g = np.asarray(x, dtype=float), problem.gradient(x)
+        x, g = np.asarray(x, dtype=float), problem.value_and_grad(x)[1]
     elif problem.hessian is not None:
         x, f, g = _newton(problem, np.zeros(problem.dim), grad_tol)
     else:

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
+
+from . import theory
 
 # Below this column count a dense copy of the feature matrix is kept; numpy
 # dense matvecs beat sparse ones on such narrow matrices.
@@ -105,14 +106,15 @@ class Problem:
     a gradient-free copy; it too maps x (dim,) to a float and X (dim, P) to
     f (P,), and ``harness.run`` in theory-cvx mode calls it once per block
     of averaged iterates.  ``gradient`` takes x (dim,) only and is
-    ``value_and_grad``'s gradient.
+    ``value_and_grad``'s gradient; the package does not read it, and it is
+    kept for tests and the benchmark's tracer.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
-    holds only on a region, not globally.
-    ``convex`` marks objectives for which a reference solution may be
-    computed by descent.  ``hessian``, when set, returns the dense Hessian
-    matrix at a point; the reference solver then uses Newton's method.
+    holds only on a region, not globally.  ``convex`` marks objectives with
+    a reference solution: ``reference_opt`` or Newton's method on
+    ``hessian``, the dense Hessian at a point.  ``L`` and ``mu`` are
+    checked as every entry point of :mod:`agghb.theory` checks them.
     The logistic objectives reuse one scratch buffer across calls (see
     :func:`_logistic_objectives`), so a logistic ``Problem`` serves one call
     at a time; nothing in the package calls one concurrently.
@@ -130,6 +132,9 @@ class Problem:
     f_lower: float | None = None
     L_is_local_estimate: bool = False
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        theory._check_L_mu(self.L, self.mu)
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -154,45 +159,30 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         raise ValueError("Q must be nonzero positive semidefinite")
     if lam_min < -1e-10 * lam_max:
         raise ValueError(f"Q is not positive semidefinite (lambda_min = {lam_min:.3g})")
-    mu = max(lam_min, 0.0)
 
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
-        X = np.asarray(X, dtype=float)
-        QX = Q @ X
-        # b broadcasts along the last axis, so it is subtracted from QX.T: a
-        # column-shaped b would broadcast a single x (d,) to (d, d).
-        return 0.5 * np.add.reduce(X * QX) - b @ X, (QX.T - b).T
-
-    def value(X: np.ndarray) -> float | np.ndarray:
         # A block's columns go through one matrix-vector product and one dot
         # each, as a single x does: a matrix-matrix product rounds Qx
         # differently, and f crosses zero on the way to a nonzero optimum.
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            return value_and_grad(X)[0]
+            Qx = Q @ X
+            return 0.5 * np.add.reduce(X * Qx) - b @ X, Qx - b
         xs = np.ascontiguousarray(X.T)  # (P, d)
         Qx = (Q @ xs[:, :, None])[:, :, 0]
-        return 0.5 * np.add.reduce(xs * Qx, axis=1) - (xs[:, None, :] @ b)[:, 0]
+        f = 0.5 * np.add.reduce(xs * Qx, axis=1) - (xs[:, None, :] @ b)[:, 0]
+        return f, (Qx - b).T
 
     reference = None
-    f_lower = None
     if lam_min > 1e-12 * lam_max:
         x_star = np.linalg.solve(Q, b)
-        f_star = float(value_and_grad(x_star)[0])
-        reference = (x_star, f_star)
-        f_lower = f_star
+        reference = (x_star, float(value_and_grad(x_star)[0]))
 
     return Problem(
-        name="quadratic",
-        dim=Q.shape[0],
-        value=value,
-        gradient=lambda x: value_and_grad(x)[1],
-        L=lam_max,
-        mu=mu,
-        convex=True,
-        reference_opt=reference,
-        f_lower=f_lower,
-        value_and_grad=value_and_grad,
+        name="quadratic", dim=Q.shape[0], value_and_grad=value_and_grad,
+        value=lambda X: value_and_grad(X)[0], gradient=lambda x: value_and_grad(x)[1],
+        L=lam_max, mu=max(lam_min, 0.0), convex=True,
+        reference_opt=reference, f_lower=None if reference is None else reference[1],
     )
 
 
@@ -223,17 +213,10 @@ def rosenbrock() -> Problem:
     L_local = (hxx + hyy) / 2.0 + math.sqrt(((hxx - hyy) / 2.0) ** 2 + hxy ** 2)
 
     return Problem(
-        name="rosenbrock",
-        dim=2,
-        value=lambda p: value_and_grad(p)[0],
-        gradient=lambda p: value_and_grad(p)[1],
-        L=L_local,
-        mu=0.0,
-        convex=False,
-        reference_opt=(np.array([1.0, 1.0]), 0.0),
-        f_lower=0.0,
-        L_is_local_estimate=True,
-        value_and_grad=value_and_grad,
+        name="rosenbrock", dim=2, value_and_grad=value_and_grad,
+        value=lambda p: value_and_grad(p)[0], gradient=lambda p: value_and_grad(p)[1],
+        L=L_local, L_is_local_estimate=True, mu=0.0, convex=False,
+        reference_opt=(np.array([1.0, 1.0]), 0.0), f_lower=0.0,
     )
 
 
@@ -261,11 +244,11 @@ def _feature_operator(data: Dataset):
 
 def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> np.ndarray:
     """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is overwritten
-    with expit(-z).
+    with the sigmoid s(-z) = 1 / (1 + exp(z)).
 
     Both come from one exp(-|z|) = exp(min(z, -z)) per entry:
     log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
-    expit(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
+    s(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
     otherwise; both forms stay finite for any finite z.  The numerator is
     max(e, [z < 0]) with e = exp(-|z|) in [0, 1]: e for z >= 0, 1 for z < 0
     and NaN for NaN z, as ``np.where`` would give.
@@ -294,7 +277,7 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     ``value_and_grad`` forms the margins Z = B @ X once, one exp(-|z|) per
     entry (see :func:`_logistic`) and one product with B.T, over all columns
     of X at once.  On a block it runs the logistic over row chunks of
-    ``_BLOCK_BYTES // (8 P)`` rows, writing expit(-z) back into the margins,
+    ``_BLOCK_BYTES // (8 P)`` rows, writing s(-z) back into the margins,
     so the margins are its only M x P array; a single x is one chunk.
     ``value`` skips the gradient and with it the product with B.T; it takes
     a block in groups of ``_GROUP_BYTES // (8 M)`` columns, each group's
@@ -355,15 +338,24 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     return value, value_and_grad
 
 
+def _check_strength(name: str, value: float, data: Dataset) -> None:
+    """Refuse a strength outside [0, inf), and 0 on data with no nonzero
+    feature value, where the objective is the constant log 2 and L is 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    if value == 0.0 and not data.features.data.any():
+        raise ValueError(f"the data has no nonzero feature value, so with {name} = 0 the "
+                         f"objective is constant and has no positive L; give {name} > 0")
+
+
 def logreg_l2(data: Dataset, l2: float) -> Problem:
     """Mean logistic loss plus (l2/2) ||x||^2.
 
     L = lambda_max(A'A)/(4M) + l2 (see :attr:`Dataset.logistic_L`) and
-    mu = l2.  The Hessian is A' diag(s(1 - s)) A / M + l2 I with
-    s = expit(y * Ax).
+    mu = l2.  The Hessian is A' diag(w) A / M + l2 I, w = e / (1 + e)^2 with
+    e = exp(-|Ax|): the sigmoid's s(1 - s) without its rounding to 0.
     """
-    if not 0.0 <= l2 < math.inf:
-        raise ValueError(f"l2 must be finite and nonnegative, got {l2!r}")
+    _check_strength("l2", l2, data)
     matvec, rmatvec, weighted_gram = _feature_operator(data)
     value, value_and_grad = _logistic_objectives(
         data, matvec, rmatvec,
@@ -371,22 +363,15 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     )
 
     def hessian(x: np.ndarray) -> np.ndarray:
-        s = expit(matvec(np.asarray(x, dtype=float)))
-        H = weighted_gram(s * (1.0 - s)) / data.M
+        e = np.exp(-np.abs(matvec(np.asarray(x, dtype=float))))
+        H = weighted_gram(e / (1.0 + e) ** 2) / data.M
         H[np.diag_indices_from(H)] += l2
         return H
 
     return Problem(
-        name="logreg-l2",
-        dim=data.n,
-        value=value,
-        gradient=lambda x: value_and_grad(x)[1],
-        L=data.logistic_L + l2,
-        mu=l2,
-        convex=True,
-        f_lower=0.0,
-        hessian=hessian,
-        value_and_grad=value_and_grad,
+        name="logreg-l2", dim=data.n, value_and_grad=value_and_grad,
+        value=value, gradient=lambda x: value_and_grad(x)[1],
+        L=data.logistic_L + l2, mu=l2, convex=True, f_lower=0.0, hessian=hessian,
     )
 
 
@@ -396,27 +381,18 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     The penalty's curvature is at most 2 per coordinate, so
     L = lambda_max(A'A)/(4M) + 2*lam; the objective is non-convex for lam > 0.
     """
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam!r}")
+    _check_strength("lambda", lam, data)
 
     def penalty(X: np.ndarray):
         xsq = X * X
         return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
     matvec, rmatvec, _ = _feature_operator(data)
-    value, value_and_grad = _logistic_objectives(
-        data, matvec, rmatvec, penalty
-    )
+    value, value_and_grad = _logistic_objectives(data, matvec, rmatvec, penalty)
     return Problem(
-        name="logreg-ncvx",
-        dim=data.n,
-        value=value,
-        gradient=lambda x: value_and_grad(x)[1],
-        L=data.logistic_L + 2.0 * lam,
-        mu=0.0,
-        convex=False,
-        f_lower=0.0,
-        value_and_grad=value_and_grad,
+        name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad,
+        value=value, gradient=lambda x: value_and_grad(x)[1],
+        L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False, f_lower=0.0,
     )
 
 

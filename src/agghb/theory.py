@@ -87,8 +87,9 @@ class ConvexConditions:
 def _check_L_mu(L: float = 1.0, mu: float = 0.0) -> None:
     """Refuse L outside (0, inf) and mu outside [0, inf); NaN is outside both.
 
-    Every entry point that reads L or mu reaches this check.  The defaults
-    pass, so a caller that reads only one of them checks only that one.
+    Every entry point that reads L or mu reaches this check, as does every
+    ``Problem`` when it is made.  The defaults pass, so a caller that reads
+    only one of them checks only that one.
     """
     if not 0.0 < L < math.inf:
         raise ValueError(f"L must be positive and finite, got {L!r}")

@@ -281,6 +281,31 @@ class TestRun:
                                   "converge within 1 power iterations"), argv
         assert not (tmp_path / "u.csv").exists()
 
+    def test_data_without_a_nonzero_feature_is_an_error(self, capsys, tmp_path):
+        # L = 0 there unless the regularizer is positive; tune divided by it
+        data = tmp_path / "zeros.libsvm"
+        data.write_text("1 1:0\n-1 2:0\n")
+        flags = ("--data", str(data), "--betas", "0.9", "--iters", "5")
+        trace = tmp_path / "t.csv"
+        for argv, name in (
+            (["tune", "--problem", "logreg-l2", *flags], "l2"),
+            (["run", "--problem", "logreg-l2", *flags, "--gammas", "tune",
+              "--out", str(trace)], "l2"),
+            (["tune", "--problem", "logreg-ncvx", *flags, "--lambda", "auto"], "lambda"),
+            (["run", "--problem", "logreg-l2", *flags, "--gammas", "theory-cvx",
+              "--out", str(trace)], "l2"),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_USAGE and out == "", argv
+            assert err == (f"error: the data has no nonzero feature value, so with {name} = 0 "
+                           f"the objective is constant and has no positive L; give {name} > 0\n")
+        assert not trace.exists()
+        code, _, _ = run_cli(capsys, "run", "--problem", "logreg-l2", *flags, "--l2", "0.1",
+                             "--gammas", "theory-cvx", "--out", str(trace))
+        assert code == EXIT_OK
+        code, out, _ = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_OK and parse_kv(out)["all_passed"] == ["true"]
+
     def test_quadratic_theory_cvx_thousand_iterations(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(
@@ -800,17 +825,26 @@ class TestTuneCommand:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_runs_the_cli(self):
+    @staticmethod
+    def _python(*argv):
+        """A fresh interpreter that finds this package, run on ``argv``."""
         src = str(Path(agghb.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "agghb", "constants", "--betas", "0.9"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    def test_python_dash_m_runs_the_cli(self):
+        done = self._python("-m", "agghb", "constants", "--betas", "0.9")
         assert done.returncode == EXIT_OK, done.stderr
         kv = parse_kv(done.stdout)
         assert kv["m"] == ["1"] and kv["beta_hat"] == ["0.9"]
+
+    def test_cli_import_leaves_out_scipy_special(self):
+        # every command starts with this import; nothing in the package needs it
+        done = self._python("-c", "import sys, agghb.cli; print('scipy.special' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
 
 
 class TestParseCheck:
@@ -842,17 +876,34 @@ class TestParseCheck:
         assert kv["n_inferred"] == ["2"]
 
     def test_n_features_refusal_is_to_datasets(self, capsys, tmp_path):
-        # parse-check and run apply the one rule of agghb.libsvm, with its message
+        # parse-check, run and tune apply the one rule of agghb.libsvm, with its message
         path = tmp_path / "d.libsvm"
         path.write_text("1 5:1.0\n-1 2:1.0\n")
         with pytest.raises(ValueError) as refused:
             to_dataset(load_libsvm(path), n_features=3)
         run_argv = ["run", "--problem", "logreg-l2", "--betas", "0.9", "--gammas", "0.1",
                     "--out", str(tmp_path / "t.csv")]
-        for argv in (["parse-check"], run_argv):
+        tune_argv = ["tune", "--problem", "logreg-l2", "--betas", "0.9", "--iters", "5"]
+        for argv in (["parse-check"], run_argv, tune_argv):
             code, out, err = run_cli(capsys, *argv, "--data", str(path), "--n-features", "3")
             assert code == EXIT_USAGE and out == ""
             assert err == f"error: {refused.value}\n"
+
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    @pytest.mark.parametrize("command", ["parse-check", "run", "tune"])
+    def test_n_features_its_parser_refuses(self, capsys, tmp_path, command, value):
+        # one reader of the flag's text, naming the flag, for every command
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 5:1.0\n-1 2:1.0\n")
+        argv = {
+            "parse-check": ["parse-check"],
+            "run": ["run", "--problem", "logreg-l2", "--betas", "0.9", "--gammas", "0.1",
+                    "--out", str(tmp_path / "t.csv")],
+            "tune": ["tune", "--problem", "logreg-l2", "--betas", "0.9", "--iters", "5"],
+        }[command]
+        code, out, err = run_cli(capsys, *argv, "--data", str(path), "--n-features", value)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: --n-features must be an integer, got {value!r}\n"
 
     def test_n_features_override_too_small(self, capsys, tmp_path):
         path = tmp_path / "d.libsvm"
@@ -891,7 +942,7 @@ class TestMetadataContents:
 ALPHABET = ("nan", "inf", "-0", "", "auto", "abc", "2.5", "true", "-1", "0",
             str(10 ** 12), str(10 ** 30))
 _PROBLEM_FLAG_VALUES = {
-    "--problem": [*TAKES], "--data": ["<data>"], "--n-features": ["6", "8"],
+    "--problem": [*TAKES], "--data": ["<data>", "<zeros>"], "--n-features": ["6", "8"],
     "--quad-dim": [],  # from the alphabet only
     "--l2": ["auto", "1e-3"], "--lambda": ["auto", "1e-3"],
     "--betas": ["0.9", "0.5,0.9"], "--iters": ["1", "5"], "--seed": ["0"],
@@ -902,7 +953,7 @@ USABLE = {
     "verify": {"--trace": ["<trace>"]},
     "constants": {"--betas": ["0.9", "0.5,0.9"], "--gammas": ["0.01"], "--L": ["1", "4"],
                   "--mu": ["0", "0.1"], "--horizon": ["10"]},
-    "parse-check": {"--data": ["<data>"], "--n-features": ["6", "8"]},
+    "parse-check": {"--data": ["<data>", "<zeros>"], "--n-features": ["6", "8"]},
 }
 _ALPHABET_FOR = {"--iters": ALPHABET[:-2]}  # at most 5 iterations
 
@@ -911,8 +962,8 @@ _ALPHABET_FOR = {"--iters": ALPHABET[:-2]}  # at most 5 iterations
 def cli_argv(draw):
     """A subcommand and its flags, each given seven times in eight at nominal
     odds, except that a problem flag the drawn problem does not take is given
-    once in eight.  ``<data>``, ``<trace>`` and ``<out>`` stand for the files of the
-    ``fuzz_files`` fixture; ``run`` always writes to ``<out>``."""
+    once in eight.  ``<data>``, ``<zeros>``, ``<trace>`` and ``<out>`` stand for the
+    files of the ``fuzz_files`` fixture; ``run`` always writes to ``<out>``."""
     command = draw(st.sampled_from(sorted(USABLE)))
     argv = [command] + (["--out", "<out>"] if command == "run" else [])
     takes = None
@@ -939,16 +990,20 @@ SIDECAR_VALUES = (None, [1], True, False, "abc", "", "auto", "1e-3", 2.5, 8.0, 0
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """A tiny LIBSVM file and one real logreg-l2 theory-cvx trace of it."""
+    """A tiny LIBSVM file, one real logreg-l2 theory-cvx trace of it, and a
+    file with no nonzero feature value."""
     root = tmp_path_factory.mktemp("fuzz")
     data = root / "d.libsvm"
     data.write_text(synthetic_libsvm_text(M=20, n=6, seed=3))
+    zeros = root / "zeros.libsvm"
+    zeros.write_text("1 1:0\n-1 2:0\n")
     trace = root / "real.csv"
     code, _, _ = _outcome(["run", "--problem", "logreg-l2", "--data", str(data),
                            "--n-features", "6", "--l2", "auto", "--betas", "0.9,0.95",
                            "--gammas", "theory-cvx", "--iters", "5", "--out", str(trace)])
     assert code == EXIT_OK
-    return {"<data>": str(data), "<trace>": str(trace), "<out>": str(root / "out.csv"),
+    return {"<data>": str(data), "<zeros>": str(zeros), "<trace>": str(trace),
+            "<out>": str(root / "out.csv"),
             "meta": json.loads(trace.with_suffix(".meta.json").read_text())}
 
 
@@ -981,6 +1036,8 @@ class TestNoInputEndsInATraceback:
                    "--out", "<out>"])
     @example(argv=["run", "--problem", "quadratic", "--quad-dim", str(10 ** 12),
                    "--betas", "0.9", "--gammas", "0.01", "--iters", "5", "--out", "<out>"])
+    @example(argv=["tune", "--problem", "logreg-l2", "--data", "<zeros>", "--betas", "0.9",
+                   "--iters", "5"])
     @settings(derandomize=True, deadline=None, max_examples=150)
     def test_any_flags(self, fuzz_files, argv):
         _assert_clean_exit(*_outcome([fuzz_files.get(arg, arg) for arg in argv]))

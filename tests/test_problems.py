@@ -1,5 +1,6 @@
 """Tests for the objective constructors and their constants."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,18 @@ class TestQuadratic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="got dimension 0"):
             quadratic(np.zeros((0, 0)), np.zeros(0))
+
+
+class TestProblem:
+    @pytest.mark.parametrize("field, value", [
+        ("L", 0.0), ("L", -1.0), ("L", float("inf")), ("L", float("nan")),
+        ("mu", -1.0), ("mu", float("inf")), ("mu", float("nan")),
+    ])
+    def test_constants_checked_when_made(self, field, value):
+        # as theory checks them: tune divides by L before any theory call
+        p = quadratic(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            dataclasses.replace(p, **{field: value})
 
 
 class TestRosenbrock:
@@ -196,6 +209,22 @@ class TestLogregL2:
         x = 0.3 * np.random.default_rng(1).standard_normal(p.dim)
         fd_hessian_check(p, np.zeros(p.dim))
         fd_hessian_check(p, x)
+
+    def test_hessian_where_the_sigmoid_saturates(self):
+        # s(1 - s) of the sigmoid rounds to 0 at z = 40; e / (1 + e)^2 does not
+        data = Dataset(features=sp.csr_matrix([[40.0]]), labels=np.array([1.0]))
+        H = logreg_l2(data, l2=0.0).hessian(np.array([1.0]))
+        e = np.exp(-40.0)
+        assert H[0, 0] == pytest.approx(1600.0 * e / (1.0 + e) ** 2, rel=1e-12, abs=0.0)
+
+    def test_data_without_a_nonzero_feature_needs_a_regularizer(self):
+        # stored zeros only: the loss is the constant log 2 and L would be 0
+        data = to_dataset(parse_libsvm("1 1:0\n-1 2:0\n"))
+        for build, name, L in ((logreg_l2, "l2", 0.1), (logreg_nonconvex, "lambda", 0.2)):
+            with pytest.raises(ValueError, match=f"^the data has no nonzero feature value, "
+                                                 f"so with {name} = 0 "):
+                build(data, 0.0)
+            assert build(data, 0.1).L == L
 
     def test_strong_convexity_audit(self):
         data = tiny_dataset()
@@ -406,6 +435,22 @@ class TestBatchObjective:
         B = rng.standard_normal((6, 6))
         for p in (quadratic(B @ B.T + np.eye(6), np.arange(6.0)), rosenbrock()):
             self._assert_matches_columns(p, self._points(p.dim, 15, seed=32))
+
+    @pytest.mark.parametrize("P", [1, 3, 64])
+    def test_quadratic_block_is_its_columns_bit_for_bit(self, P):
+        # so theory-cvx's block f_avg and each tuning column keep the bits of
+        # single-point calls; f crosses zero on the way to this optimum
+        rng = np.random.default_rng(36)
+        B = rng.standard_normal((40, 40))
+        p = quadratic(B @ B.T + np.eye(40), rng.standard_normal(40))
+        X = rng.standard_normal((40, P))
+        f, G = p.value_and_grad(X)
+        values = p.value(X)
+        assert f.shape == values.shape == (P,) and G.shape == X.shape
+        for j in range(P):
+            fj, gj = p.value_and_grad(X[:, j].copy())
+            assert f[j] == fj and values[j] == fj and p.value(X[:, j].copy()) == fj
+            assert np.array_equal(G[:, j], gj)
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
     @pytest.mark.parametrize("build", [
