@@ -7,20 +7,26 @@ Files ending in ``.gz`` are transparently decompressed.
 
 A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
 ``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
-CSR matrix without another pass over the samples.  Text is parsed in blocks
-of :data:`BLOCK_LINES` lines.  Each block first takes a columnar path: it
-splits every line into tokens, every ``index:value`` token once at its
-colon, converts all labels, indices and values with numpy's string
-conversion (which applies Python's ``int``/``float`` to each string) and
-checks the strict rules on whole arrays: one ``:`` per token, index >= 1,
-finite labels and values, and indices strictly increasing within a row.  A
-block holding a ``#``, failing any check, or whose conversion raises
-(including ``OverflowError`` for an index beyond int64) is parsed again by
-the line-by-line parser.  That parser alone reports errors with their line
-number and re-sorts lines whose indices arrive out of order; the tests use
-it as the oracle for the columnar path.  Parsing by blocks keeps the token
-strings of only one block alive at a time, which holds peak memory near the
-size of the result instead of that of every token of the file.
+CSR matrix without another pass over the samples.  Bytes are decoded as
+UTF-8, skipping a leading byte-order mark.  Text is parsed in blocks of
+:data:`BLOCK_LINES` lines.  An ASCII block without ``#`` takes the byte
+path: it is encoded as one byte array, split into tokens at the bytes
+``str.split()`` splits on, and checked on whole arrays: a label first on
+each line, one ``:`` per entry with an index before it and a value after
+it, index >= 1, finite labels and values, and indices strictly increasing
+within a line.  Indices of at most 18 digits are converted in numpy, and
+so are labels and values of at most 18 digits with at most a leading sign
+and one ``.``: as mantissa / 10^k, which is correctly rounded, and so bit
+for bit what ``float`` gives, when the mantissa is at most 2^53.  Every
+other number (an exponent, ``_``, ``inf``, a ``+``-signed index, a longer
+mantissa such as most 17-digit ``repr`` output) goes through Python's
+``int``/``float`` one by one.  A block that is not ASCII, holds a ``#``,
+breaks a rule or has a token that does not convert (including an index
+beyond int64) is parsed again by the line-by-line parser.  That parser
+alone reports errors with their line number and re-sorts lines whose
+indices arrive out of order; the tests use it as the oracle for the byte
+path.  Parsing by blocks keeps the byte arrays of only one block alive at a
+time, which holds peak memory near the size of the result.
 
 All failure modes raise :class:`LibsvmFormatError` carrying the offending
 line number; the parser never raises anything else on malformed input.
@@ -29,9 +35,7 @@ line number; the parser never raises anything else on malformed input.
 from __future__ import annotations
 
 import gzip
-import re
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,8 +47,13 @@ from .problems import Dataset
 BLOCK_LINES = 4096
 # Largest file index that is still a CSR column index and column count.
 MAX_INDEX = np.iinfo(np.int64).max
-# A token with two or more colons, in tokens joined by single spaces.
-_MULTI_COLON = re.compile(r":[^ :]*:")
+
+# The byte path converts fields of at most this many digits in numpy, where
+# their mantissas are exact in int64 (10^18 < 2^63); 10^k is exact in float64.
+_FAST_DIGITS = 18
+_POW10 = 10.0 ** np.arange(_FAST_DIGITS + 1)
+# Spaces after a block: the longest field _fields reads by columns.
+_PAD = " " * (_FAST_DIGITS + 2)
 
 
 class LibsvmFormatError(ValueError):
@@ -107,30 +116,90 @@ def _result(labels, counts, indices, values, reordered: int) -> ParseResult:
 
 
 def _parse_columnar(lines: Sequence[str]) -> ParseResult | None:
-    """Parse a block of lines with whole-array conversions and checks, or
-    return None when the block needs the line parser."""
-    if any("#" in line for line in lines):
+    """Parse a block of lines as one byte array, or return None when the
+    block needs the line parser."""
+    text = "\n".join(lines)
+    if not text.isascii() or "#" in text:
         return None
-    rows = [tokens for tokens in map(str.split, lines) if tokens]
-    entries = list(chain.from_iterable(tokens[1:] for tokens in rows))
-    joined = " ".join(entries)
-    if joined.count(":") != len(entries) or _MULTI_COLON.search(joined):
-        return None  # some token has no ':' or more than one
-    parts = joined.replace(" ", ":").split(":") if entries else []
-    try:
-        labels = np.array([tokens[0] for tokens in rows], dtype=float)
-        idx = np.array(parts[0::2], dtype=np.int64)
-        values = np.array(parts[1::2], dtype=float)
-    except (ValueError, OverflowError):
+    # Spaces around the block bound its first and last token, and let
+    # _fields read columns past the end of the last field.
+    buf = (" " + text + _PAD).encode("ascii")
+    b = np.frombuffer(buf, dtype=np.uint8)
+    solid = (b > 32) | ((b - 14) < 14) | (b < 9)  # not an ASCII space of str.split()
+    edges = np.flatnonzero(solid[1:] != solid[:-1]) + 1
+    start, stop = edges[0::2], edges[1::2]  # tokens: runs of solid bytes
+    # A line's first token is its label; the others are its entries.
+    breaks = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+    label = np.zeros(start.size + 1, dtype=bool)
+    label[0] = True
+    label[np.searchsorted(start, breaks)] = True
+    label = label[:-1]
+    entry = ~label
+    # One ':' per entry and none in a label, with bytes on both sides of it.
+    colon = np.flatnonzero(b == ord(":"))
+    e_start, e_stop = start[entry], stop[entry]
+    if colon.size != e_start.size or np.any(colon <= e_start) or np.any(colon >= e_stop - 1):
         return None
-    counts = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) - 1
+    labels = _fields(buf, start[label], stop[label], float)
+    idx = _fields(buf, e_start, colon, int)
+    values = _fields(buf, colon + 1, e_stop, float)
+    if labels is None or idx is None or values is None:
+        return None
     if not (np.isfinite(labels).all() and np.isfinite(values).all()):
         return None
-    if idx.size:
-        row = np.repeat(np.arange(len(rows)), counts)
-        if idx.min() < 1 or np.any((np.diff(row) == 0) & (np.diff(idx) <= 0)):
-            return None
+    first_entry = label[:-1][entry[1:]]  # entries right after their label
+    if idx.size and (idx.min() < 1 or not np.all(first_entry[1:] | (idx[1:] > idx[:-1]))):
+        return None
+    counts = np.diff(np.flatnonzero(np.append(label, True))) - 1
     return _result(labels, counts, idx - 1, values, reordered=0)
+
+
+def _fields(buf: bytes, start: np.ndarray, stop: np.ndarray, convert) -> np.ndarray | None:
+    """``convert`` (``int`` or ``float``) of each field ``buf[start:stop]``,
+    or None when one of them does not convert or an index exceeds int64.
+
+    Plain fields of at most :data:`_FAST_DIGITS` digits are read in numpy,
+    one column of bytes at a time, as mantissa / 10^k.  When the mantissa is
+    at most 2^53 both operands are exact in float64, so the quotient is
+    correctly rounded, bit for bit what ``float`` gives.  Every other field
+    goes through ``convert`` one by one.  ``buf`` must end in ``_PAD``.
+    """
+    b = np.frombuffer(buf, dtype=np.uint8)
+    width = stop - start
+    mantissa = np.zeros(width.size, dtype=np.int64)
+    # Byte counts and columns fit uint8 (at most len(_PAD) columns are read).
+    n_digits = np.zeros(width.size, dtype=np.uint8)
+    n_dots = np.zeros(width.size, dtype=np.uint8)
+    dot_col = np.zeros(width.size, dtype=np.uint8)
+    for col in range(min(int(width.max(initial=0)), len(_PAD))):
+        byte = b[start + col]
+        inside = width > col
+        digit = byte - ord("0")  # uint8: wraps round for bytes below '0'
+        is_digit = (digit < 10) & inside
+        n_digits += is_digit
+        mantissa *= 1 + is_digit * np.uint8(9)  # a Horner step on digits only
+        mantissa += digit * is_digit
+        if convert is not int:
+            is_dot = (byte == ord(".")) & inside
+            n_dots += is_dot
+            dot_col += is_dot * np.uint8(col)
+    if convert is int:
+        fast = (n_digits == width) & (width <= _FAST_DIGITS)
+        out = mantissa
+    else:
+        first = b[start]
+        signed = (first == ord("+")) | (first == ord("-"))
+        fast = ((n_digits + n_dots + signed == width) & (n_dots <= 1) & (n_digits >= 1)
+                & (n_digits <= _FAST_DIGITS) & (mantissa <= 2**53))
+        fraction = (width - 1 - dot_col) * (n_dots > 0)
+        out = mantissa / _POW10.take(fraction, mode="clip")
+        out *= 1 - 2 * (first == ord("-"))
+    slow = np.flatnonzero(~fast)
+    try:
+        out[slow] = [convert(buf[a:z]) for a, z in zip(start[slow].tolist(), stop[slow].tolist())]
+    except (ValueError, OverflowError):
+        return None
+    return out
 
 
 def _parse_lines(lines: Iterable[str], first_line: int = 1) -> ParseResult:
@@ -203,7 +272,7 @@ def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
     """Parse LIBSVM text into compressed-row samples."""
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8")
+            source = source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
     lines = source.splitlines() if isinstance(source, str) else list(source)

@@ -857,6 +857,15 @@ class TestParseCheck:
         assert kv["records"] == ["25"]
         assert kv["n_features"] == ["7"]
 
+    def test_byte_order_mark_skipped(self, capsys, tmp_path):
+        path = tmp_path / "bom.libsvm"
+        path.write_bytes(b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n")
+        code, out, _ = run_cli(capsys, "parse-check", "--data", str(path))
+        assert code == EXIT_OK
+        kv = parse_kv(out)
+        assert kv["records"] == ["2"]
+        assert kv["labels"] == ["-1:1 1:1"]
+
     def test_malformed_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.libsvm"
         path.write_text("1 1:1.0\n1 2:zap\n")

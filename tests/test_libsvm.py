@@ -2,6 +2,7 @@
 the columnar path checked against the line parser."""
 
 import gzip
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -92,6 +93,10 @@ class TestParse:
     def test_invalid_utf8_bytes_structured_error(self):
         with pytest.raises(LibsvmFormatError, match="UTF-8"):
             parse_libsvm(b"\xff\xfe\x00 1:1.0")
+
+    def test_byte_order_mark_skipped(self):
+        result = parse_libsvm(b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n")
+        assert_same_parse(result, parse_libsvm("+1 1:0.5\n-1 1:1\n"))
 
 
 class TestToDataset:
@@ -222,7 +227,7 @@ class TestFuzz:
         except LibsvmFormatError:
             return
         assert result.n_features >= 0
-        assert_same_parse(result, _parse_lines(blob.decode("utf-8").splitlines()))
+        assert_same_parse(result, _parse_lines(blob.decode("utf-8-sig").splitlines()))
 
     @given(st.text(max_size=400))
     @settings(max_examples=300, deadline=None)
@@ -247,25 +252,43 @@ def _full_width(digits: str) -> str:
     return "".join(chr(ord(c) - ord("0") + 0xFF10) for c in digits)
 
 
+# Numbers at the limits of the byte path's numpy conversion (at most 18
+# digits, a mantissa of at most 2^53) and of the float() syntax it takes.
+EDGE_NUMBERS = [
+    "0.123456789012345", "0.1234567890123456", "0.12345678901234567",  # 15-17 digits
+    "123456789012345", "-1234567890123456", "12345678901234567",
+    "9007199254740992", "9007199254740993", "-900719925474099.3",  # 2^53, 2^53 + 1
+    "0." + "0" * 21 + "1", "0." + "0" * 22 + "1", "1." + "0" * 22,  # 22, 23 fraction digits
+    "123456789012345678", "1234567890123456789", "0." + "0" * 16 + "1",  # 18, 19 digits
+    "12345678901234567890", "." + "0" * 18 + "1",  # 20 bytes, 19 or 20 digits
+    "5.", ".5", "+.5", "-0", "-0.0", "000.25", "+0", "-.0",
+]
 # Accepted spellings, each as int() and float() read them.
 good_labels = st.sampled_from(
-    ["1", "-1", "+1", "0", "-0", "2.5", "1e3", "1_0", _full_width("1")]
+    ["1", "-1", "+1", "0", "-0", "2.5", "1e3", "1_0", _full_width("1")] + EDGE_NUMBERS
 )
 good_values = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
-    st.sampled_from(["1", "-0", "+2", "1_5", "1e-300", _full_width("12") + ".5"]),
+    st.sampled_from(["1", "-0", "+2", "1_5", "1e-300", _full_width("12") + ".5"]
+                    + EDGE_NUMBERS),
 )
-separators = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000"])
+# "\x1f" is whitespace to str.split() but does not end a line.
+separators = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000", "\x1f"])
+# Indices of 18 and 19 digits, the longest the byte path converts and the
+# shortest it leaves to int().
+big_indices = st.sampled_from([10**17, 10**18 - 1, 10**18, MAX_INDEX])
 
 
 @st.composite
 def good_lines(draw):
     label = draw(good_labels)
-    indices = sorted(draw(st.sets(st.integers(min_value=1, max_value=60), max_size=6)))
+    index_set = st.one_of(st.integers(min_value=1, max_value=60), big_indices)
+    indices = sorted(draw(st.sets(index_set, max_size=6)))
     tokens = [label]
     for idx in indices:
         spelled = draw(st.sampled_from(
-            [str(idx), f"+{idx}", f"00{idx}", _full_width(str(idx))]
+            [str(idx), f"+{idx}", f"00{idx}", _full_width(str(idx)),
+             f"{idx:018d}", f"{idx:019d}"]
         ))
         tokens.append(f"{spelled}:{draw(good_values)}")
     line = tokens[0]
@@ -274,14 +297,18 @@ def good_lines(draw):
     return draw(st.sampled_from(["", " ", "\t"])) + line
 
 
-# Each one makes the columnar path hand its block to the line parser; the
-# first two are accepted there, the rest are errors.
+# Each one makes the byte path hand its block to the line parser: a comment,
+# a line the line parser re-sorts, or a rule the byte path checks on whole
+# arrays or a token that neither it nor int()/float() converts.  (Non-ASCII
+# blocks go there too; see TestBytePath.)  The first two are accepted
+# there, the rest are errors.
 FALLBACK_TRIGGERS = {
     "comment": "+1 1:1.0 # note\n-1 2:1.0\n",
     "out_of_order": "+1 3:1.0 1:2.0\n-1 2:1.0\n",
     "duplicate": "+1 2:1.0 2:3.0\n",
     "index_zero": "+1 0:1.0\n",
     "float_index": "+1 1.0:1.0\n",
+    "two_dots": "+1 1:1.2.3\n",
     "two_colons": "+1 1:2:3\n",
     "colon_count_balanced": "+1 1:2:3 23\n",
     "empty_value": "-1 2:1\n+1 1:\n",
@@ -324,7 +351,7 @@ class TestColumnarMatchesLineParser:
         lines = text.splitlines()
         want = parse_or_error(_parse_lines, lines)
         fast = _parse_columnar(lines)
-        if clean:
+        if clean and text.isascii():
             assert fast is not None
         if fast is not None:
             assert not isinstance(want, tuple), want
@@ -361,3 +388,62 @@ class TestColumnarMatchesLineParser:
             got = parse_libsvm(text)
         assert_same_parse(got, _parse_lines(text.splitlines()))
         assert got.reordered == 1
+
+    @pytest.mark.parametrize("number", EDGE_NUMBERS)
+    def test_edge_numbers_bit_for_bit(self, number):
+        lines = [f"{number} 1:{number} {'0' * 17}2:1 {'0' * 18}3:{number}"]
+        fast = _parse_columnar(lines)
+        assert fast is not None
+        assert_same_parse(fast, _parse_lines(lines))
+
+
+A9A_GROUPS = (5, 8, 5, 16, 5, 7, 14, 6, 5, 2, 2, 2, 5, 41)
+
+
+def a9a_shaped(n_lines: int, seed: int = 0) -> str:
+    """Lines shaped like the a9a set: ``+1``/``-1`` labels and one-hot
+    ``k:1`` entries over 123 columns, one per group of columns."""
+    rng = np.random.default_rng(seed)
+    offsets = np.cumsum((0,) + A9A_GROUPS[:-1]) + 1
+    cols = offsets + (rng.random((n_lines, len(A9A_GROUPS))) * A9A_GROUPS).astype(np.int64)
+    keep = rng.random(cols.shape) >= 0.02
+    labels = np.where(rng.random(n_lines) < 0.24, "+1", "-1")
+    return "".join(
+        label + "".join(f" {c}:1" for c, k in zip(row, keep_row) if k) + "\n"
+        for label, row, keep_row in zip(labels.tolist(), cols.tolist(), keep.tolist())
+    )
+
+
+class TestBytePath:
+    def test_a9a_shaped_blocks_never_reach_line_parser(self):
+        text = a9a_shaped(3 * libsvm.BLOCK_LINES + 100)
+        want = _parse_lines(text.splitlines())
+        with mock.patch.object(libsvm, "_parse_lines", side_effect=AssertionError):
+            got = parse_libsvm(text.encode())
+        assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("swap", [("1", _full_width("1")), (" ", "\u3000")],
+                             ids=["full_width_digit", "ideographic_space"])
+    def test_non_ascii_block_goes_to_line_parser(self, swap):
+        lines = a9a_shaped(3 * libsvm.BLOCK_LINES).splitlines()
+        at = libsvm.BLOCK_LINES + 7  # in the second block
+        lines[at] = lines[at].replace(*swap)
+        text = "\n".join(lines)
+        with mock.patch.object(libsvm, "_parse_lines", wraps=_parse_lines) as spy:
+            got = parse_libsvm(text)
+        assert [c.kwargs["first_line"] for c in spy.call_args_list] == [libsvm.BLOCK_LINES + 1]
+        assert_same_parse(got, _parse_lines(lines))
+
+    # tracemalloc peak of the string-token parser the byte path replaced, on
+    # the same 20,000 lines; per-block position arrays must not lift it.
+    STRING_PATH_PEAK = 17_213_114
+
+    def test_peak_memory(self):
+        data = a9a_shaped(20_000).encode()
+        tracemalloc.start()
+        try:
+            parse_libsvm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.STRING_PATH_PEAK
