@@ -31,11 +31,9 @@ from .problems import (
 )
 from .libsvm import (
     LibsvmFormatError,
-    LibsvmRecord,
     ParseResult,
     load_libsvm,
     parse_libsvm,
-    serialize_libsvm,
     to_dataset,
 )
 from .harness import (

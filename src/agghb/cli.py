@@ -64,14 +64,6 @@ def _emit(key: str, value) -> None:
         print(f"{key}={value}")
 
 
-def _infer_optimizer(betas: tuple[float, ...]) -> str:
-    if all(b == 0.0 for b in betas):
-        return "gd"
-    if len(betas) == 1:
-        return "hb"
-    return "agghb"
-
-
 # Each ``build_problem`` parameter (also the dest) with its flag and help.  The
 # flags pass their text through: ``build_problem`` parses every value.
 _PROBLEM_FLAGS = {
@@ -102,9 +94,8 @@ def _setup(args, stepsize_mode: str, gammas=None) -> tuple[harness.RunConfig, ha
     with _flag_named():
         problem = harness.build_problem(args.problem, params)
     return harness.RunConfig(
-        problem=args.problem, optimizer=_infer_optimizer(args.betas), betas=args.betas,
-        stepsize_mode=stepsize_mode, gammas=gammas, iters=args.iters, seed=args.seed,
-        problem_params=params,
+        problem=args.problem, betas=args.betas, stepsize_mode=stepsize_mode,
+        gammas=gammas, iters=args.iters, seed=args.seed, problem_params=params,
     ), problem
 
 

@@ -55,19 +55,26 @@ class RunConfig:
     ``stepsize_mode`` is the single stepsize source: explicit/tuned carry the
     values in ``gammas``, the theory modes derive a uniform stepsize from the
     problem constants, and ``tune`` is a request that :func:`tune` resolves.
+    ``optimizer`` is the kind ``betas`` make: "gd" when all are 0, else "hb"
+    for one and "agghb" for several; a kind given that differs is refused.
     """
 
     problem: str
-    optimizer: str  # "gd" | "hb" | "agghb"
     betas: tuple[float, ...]
     stepsize_mode: str
     gammas: tuple[float, ...] | None = None
     iters: int = 1000
     seed: int = 0
     problem_params: dict = field(default_factory=dict)
+    optimizer: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        kind = "gd" if not any(self.betas) else "hb" if len(self.betas) == 1 else "agghb"
+        if self.optimizer not in (None, kind):
+            raise ValueError(f"optimizer {self.optimizer!r} does not match betas "
+                             f"{self.betas}, which make it {kind!r}")
+        object.__setattr__(self, "optimizer", kind)
         if self.gammas is not None:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if isinstance(self.iters, bool) or operator.index(self.iters) < 1:
@@ -86,12 +93,6 @@ class RunConfig:
             )
         if self.gammas is not None and len(self.gammas) != len(self.betas):
             raise ValueError("betas and gammas must have equal length")
-        if self.optimizer not in ("gd", "hb", "agghb"):
-            raise ValueError(f"unknown optimizer kind {self.optimizer!r}")
-        if self.optimizer == "gd" and any(b != 0.0 for b in self.betas):
-            raise ValueError("gd requires all momentum parameters to be zero")
-        if self.optimizer == "hb" and len(self.betas) != 1:
-            raise ValueError("hb uses exactly one momentum parameter")
 
 
 @dataclass

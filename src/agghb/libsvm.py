@@ -8,8 +8,9 @@ Files ending in ``.gz`` are transparently decompressed.
 A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
 ``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
 CSR matrix without another pass over the samples.  Bytes are decoded as
-UTF-8, skipping a leading byte-order mark.  Text is parsed in blocks of
-:data:`BLOCK_LINES` lines.  An ASCII block without ``#`` takes the byte
+UTF-8; one leading byte-order mark is skipped in bytes, text or the first
+of a list of lines.  Text is parsed in blocks of :data:`BLOCK_LINES`
+lines.  An ASCII block without ``#`` takes the byte
 path: it is encoded as one byte array, split into tokens at the bytes
 ``str.split()`` splits on, and checked on whole arrays: a label first on
 each line, one ``:`` per entry with an index before it and a value after
@@ -64,14 +65,6 @@ class LibsvmFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class LibsvmRecord:
-    """One parsed sample: raw label and (1-based index, value) pairs."""
-
-    label: float
-    entries: tuple[tuple[int, float], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class ParseResult:
     """Parsed samples in compressed-row form.
@@ -87,17 +80,6 @@ class ParseResult:
     values: np.ndarray  # (nnz,) float64
     n_features: int     # max 1-based index seen (0 when no entries at all)
     reordered: int      # lines whose indices arrived out of order
-
-    @property
-    def records(self) -> tuple[LibsvmRecord, ...]:
-        """The samples as records with 1-based indices, for :func:`serialize_libsvm`."""
-        cols = (self.indices + 1).tolist()
-        vals = self.values.tolist()
-        bounds = self.indptr.tolist()
-        return tuple(
-            LibsvmRecord(label=label, entries=tuple(zip(cols[a:b], vals[a:b])))
-            for label, a, b in zip(self.labels.tolist(), bounds, bounds[1:])
-        )
 
 
 def _result(labels, counts, indices, values, reordered: int) -> ParseResult:
@@ -272,10 +254,12 @@ def parse_libsvm(source: str | bytes | Iterable[str]) -> ParseResult:
     """Parse LIBSVM text into compressed-row samples."""
     if isinstance(source, bytes):
         try:
-            source = source.decode("utf-8-sig")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
     lines = source.splitlines() if isinstance(source, str) else list(source)
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]  # a byte-order mark
 
     blocks = []
     for start in range(0, len(lines), BLOCK_LINES):
@@ -306,23 +290,6 @@ def load_libsvm(path: str | Path) -> ParseResult:
     except (OSError, gzip.BadGzipFile) as exc:
         raise LibsvmFormatError(f"cannot read {path}: {exc}") from None
     return parse_libsvm(data)
-
-
-def serialize_libsvm(records: Iterable[LibsvmRecord]) -> str:
-    """Render records back to LIBSVM text with canonical index order.
-
-    Values are written with full round-trip precision, so
-    ``parse(serialize(parse(text)))`` reproduces the records exactly.
-    """
-    lines = []
-    for rec in records:
-        parts = [repr(float(rec.label))]
-        parts.extend(
-            f"{int(idx)}:{float(val)!r}"
-            for idx, val in sorted(rec.entries, key=lambda e: e[0])
-        )
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def to_dataset(parsed: ParseResult, n_features: int | None = None) -> Dataset:

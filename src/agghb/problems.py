@@ -102,12 +102,11 @@ class Problem:
     of X (dim, P) to their values f (P,) and gradients G (dim, P), as it
     maps each column alone up to rounding.  ``harness.run`` makes one call
     per iterate on x, and ``harness.tune`` one per iterate on the block of
-    its live grid points.  ``value`` is its value or, where that saves work,
-    a gradient-free copy; it too maps x (dim,) to a float and X (dim, P) to
-    f (P,), and ``harness.run`` in theory-cvx mode calls it once per block
-    of averaged iterates.  ``gradient`` takes x (dim,) only and is
-    ``value_and_grad``'s gradient; the package does not read it, and it is
-    kept for tests and the benchmark's tracer.
+    its live grid points.  ``value`` maps x (dim,) to a float and X (dim, P)
+    to f (P,); ``harness.run`` in theory-cvx mode calls it once per block of
+    averaged iterates.  ``gradient`` maps x (dim,) to its gradient and is
+    kept for tests and the benchmark's tracer.  Both default to those of
+    ``value_and_grad``; give ``value`` only where a gradient-free pass saves work.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
@@ -122,8 +121,6 @@ class Problem:
 
     name: str
     dim: int
-    value: Callable[[np.ndarray], float | np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
     value_and_grad: Callable[[np.ndarray], tuple[float | np.ndarray, np.ndarray]]
     L: float
     mu: float = 0.0
@@ -132,9 +129,16 @@ class Problem:
     f_lower: float | None = None
     L_is_local_estimate: bool = False
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
+    value: Callable[[np.ndarray], float | np.ndarray] | None = None
+    gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         theory._check_L_mu(self.L, self.mu)
+        value_and_grad = self.value_and_grad
+        if self.value is None:
+            object.__setattr__(self, "value", lambda X: value_and_grad(X)[0])
+        if self.gradient is None:
+            object.__setattr__(self, "gradient", lambda x: value_and_grad(x)[1])
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -179,10 +183,9 @@ def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
         reference = (x_star, float(value_and_grad(x_star)[0]))
 
     return Problem(
-        name="quadratic", dim=Q.shape[0], value_and_grad=value_and_grad,
-        value=lambda X: value_and_grad(X)[0], gradient=lambda x: value_and_grad(x)[1],
-        L=lam_max, mu=max(lam_min, 0.0), convex=True,
-        reference_opt=reference, f_lower=None if reference is None else reference[1],
+        name="quadratic", dim=Q.shape[0], value_and_grad=value_and_grad, L=lam_max,
+        mu=max(lam_min, 0.0), convex=True, reference_opt=reference,
+        f_lower=None if reference is None else reference[1],
     )
 
 
@@ -213,10 +216,8 @@ def rosenbrock() -> Problem:
     L_local = (hxx + hyy) / 2.0 + math.sqrt(((hxx - hyy) / 2.0) ** 2 + hxy ** 2)
 
     return Problem(
-        name="rosenbrock", dim=2, value_and_grad=value_and_grad,
-        value=lambda p: value_and_grad(p)[0], gradient=lambda p: value_and_grad(p)[1],
-        L=L_local, L_is_local_estimate=True, mu=0.0, convex=False,
-        reference_opt=(np.array([1.0, 1.0]), 0.0), f_lower=0.0,
+        name="rosenbrock", dim=2, value_and_grad=value_and_grad, L=L_local, convex=False,
+        L_is_local_estimate=True, reference_opt=(np.array([1.0, 1.0]), 0.0), f_lower=0.0,
     )
 
 
@@ -369,8 +370,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         return H
 
     return Problem(
-        name="logreg-l2", dim=data.n, value_and_grad=value_and_grad,
-        value=value, gradient=lambda x: value_and_grad(x)[1],
+        name="logreg-l2", dim=data.n, value_and_grad=value_and_grad, value=value,
         L=data.logistic_L + l2, mu=l2, convex=True, f_lower=0.0, hessian=hessian,
     )
 
@@ -390,8 +390,7 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
     matvec, rmatvec, _ = _feature_operator(data)
     value, value_and_grad = _logistic_objectives(data, matvec, rmatvec, penalty)
     return Problem(
-        name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad,
-        value=value, gradient=lambda x: value_and_grad(x)[1],
+        name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad, value=value,
         L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False, f_lower=0.0,
     )
 

@@ -19,7 +19,7 @@ from agghb.harness import (
     tune,
     verify_bounds,
 )
-from agghb.libsvm import LibsvmFormatError, LibsvmRecord, load_libsvm, parse_libsvm, serialize_libsvm
+from agghb.libsvm import LibsvmFormatError, load_libsvm, parse_libsvm
 from agghb.optim import init, step
 from agghb.problems import (
     logreg_l2,
@@ -31,7 +31,9 @@ from agghb.problems import (
 from agghb.theory import effective_betas
 
 from conftest import AUSTRALIAN_M, AUSTRALIAN_N
-from oracles import finite_diff_gradient, hb_init, hb_step
+from oracles import (
+    LibsvmRecord, as_records, finite_diff_gradient, hb_init, hb_step, serialize_libsvm,
+)
 
 BETA_SETS = ((0.9,), (0.9, 0.95), (0.9, 0.95, 0.99))
 CONVERGENCE_FLOOR = 1e-12  # objective values below this are float residue
@@ -317,7 +319,7 @@ def test_criterion_9_parser_robustness(australian_file):
             )
             label = float(rng.choice([-1.0, 1.0, 0.0, 3.5]))
             records.append(LibsvmRecord(label=label, entries=entries))
-        assert parse_libsvm(serialize_libsvm(records)).records == tuple(records)
+        assert as_records(parse_libsvm(serialize_libsvm(records))) == tuple(records)
 
         for _ in range(400):
             blob = rng.bytes(int(rng.integers(0, 300)))
@@ -327,5 +329,5 @@ def test_criterion_9_parser_robustness(australian_file):
                 pass  # structured rejection is the point
 
         result = load_libsvm(australian_file)
-        assert len(result.records) == AUSTRALIAN_M
+        assert len(as_records(result)) == AUSTRALIAN_M
         assert result.n_features == AUSTRALIAN_N

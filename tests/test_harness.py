@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -81,18 +82,33 @@ class TestRunConfig:
             )
 
     def test_gd_requires_zero_momentum(self):
-        with pytest.raises(ValueError, match="zero"):
+        with pytest.raises(ValueError, match=r"^optimizer 'gd' does not match betas \(0\.5,\), "
+                                             r"which make it 'hb'$"):
             RunConfig(
                 problem="quadratic", optimizer="gd", betas=(0.5,),
                 stepsize_mode="explicit", gammas=(0.1,), iters=10,
             )
 
     def test_hb_requires_single_beta(self):
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(ValueError, match=r"^optimizer 'hb' does not match betas "
+                                             r"\(0\.9, 0\.5\), which make it 'agghb'$"):
             RunConfig(
                 problem="quadratic", optimizer="hb", betas=(0.9, 0.5),
                 stepsize_mode="explicit", gammas=(0.1, 0.1), iters=10,
             )
+
+    @pytest.mark.parametrize("betas, kind", [
+        ((0.0,), "gd"), ((0.0, 0.0), "gd"), ((0.9,), "hb"), ((0.9, 0.5), "agghb"),
+        ((0.0, 0.5), "agghb"),
+    ])
+    def test_kind_derived_from_betas(self, betas, kind):
+        common = dict(problem="quadratic", betas=betas, stepsize_mode="theory-cvx")
+        assert RunConfig(**common).optimizer == kind
+        assert RunConfig(optimizer=kind, **common).optimizer == kind
+        for other in {"gd", "hb", "agghb", "heavy-ball"} - {kind}:
+            with pytest.raises(ValueError, match=f"^optimizer {other!r} does not match betas "
+                                                 f".*, which make it {kind!r}$"):
+                RunConfig(optimizer=other, **common)
 
     def test_budget_positive(self):
         with pytest.raises(ValueError, match="budget"):
@@ -141,17 +157,6 @@ class TestRun:
         )
         trace = run(cfg, problem)
         np.testing.assert_allclose(trace.f, [0.5, 0.405, 0.3081125], rtol=1e-12)
-
-    def test_hb_kind_equals_agghb_kind_with_same_settings(self):
-        problem = quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
-        common = dict(
-            problem="quadratic", betas=(0.9,), stepsize_mode="explicit",
-            gammas=(0.05,), iters=300, problem_params={"x0": [2.0, -1.0]},
-        )
-        t_hb = run(RunConfig(optimizer="hb", **common), problem)
-        t_agg = run(RunConfig(optimizer="agghb", **common), problem)
-        np.testing.assert_array_equal(t_hb.f, t_agg.f)
-        np.testing.assert_array_equal(t_hb.grad_norm, t_agg.grad_norm)
 
     def test_determinism_bitwise(self):
         problem = quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3))
@@ -992,6 +997,15 @@ class TestTraceExport:
         np.testing.assert_array_equal(loaded.x0, trace.x0)
         assert loaded.config == trace.config
         assert loaded.gammas == trace.gammas
+
+    def test_read_refuses_a_kind_its_betas_do_not_make(self, tmp_path):
+        _, meta_path = export_trace(self._trace(3), tmp_path / "t.csv")
+        meta = json.loads(meta_path.read_text())
+        assert meta["config"]["optimizer"] == "hb"
+        meta["config"]["optimizer"] = "agghb"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="^optimizer 'agghb' does not match betas"):
+            read_trace(tmp_path / "t.csv")
 
     def test_read_corrupted_reports_line(self, tmp_path):
         trace = self._trace(3)

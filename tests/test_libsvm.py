@@ -14,29 +14,28 @@ from agghb import libsvm
 from agghb.libsvm import (
     MAX_INDEX,
     LibsvmFormatError,
-    LibsvmRecord,
     _parse_columnar,
     _parse_lines,
     load_libsvm,
     parse_libsvm,
-    serialize_libsvm,
     to_dataset,
 )
+
+from oracles import LibsvmRecord, as_records, serialize_libsvm
 
 
 class TestParse:
     def test_basic_record(self):
         result = parse_libsvm("+1 1:0.5 3:-2.0")
-        assert len(result.records) == 1
-        rec = result.records[0]
+        (rec,) = as_records(result)
         assert rec.label == 1.0
         assert rec.entries == ((1, 0.5), (3, -2.0))
         assert result.n_features == 3
 
     def test_label_only_record(self):
         result = parse_libsvm("-1")
-        assert result.records[0].label == -1.0
-        assert result.records[0].entries == ()
+        assert as_records(result)[0].label == -1.0
+        assert as_records(result)[0].entries == ()
         assert result.n_features == 0
 
     def test_malformed_value_reports_line(self):
@@ -69,17 +68,17 @@ class TestParse:
     def test_out_of_order_reordered_with_counter(self):
         result = parse_libsvm("1 3:1.0 1:2.0\n-1 1:1.0 2:2.0")
         assert result.reordered == 1
-        assert result.records[0].entries == ((1, 2.0), (3, 1.0))
+        assert as_records(result)[0].entries == ((1, 2.0), (3, 1.0))
 
     def test_blank_lines_and_comments_skipped(self):
         text = "# header comment\n\n+1 1:1.0  # trailing note\n   \n-1 2:0.5\n"
         result = parse_libsvm(text)
-        assert len(result.records) == 2
-        assert result.records[0].entries == ((1, 1.0),)
+        assert len(as_records(result)) == 2
+        assert as_records(result)[0].entries == ((1, 1.0),)
 
     def test_tabs_and_multiple_spaces(self):
         result = parse_libsvm("1\t1:1.0   2:2.0\t\t3:3.0")
-        assert result.records[0].entries == ((1, 1.0), (2, 2.0), (3, 3.0))
+        assert as_records(result)[0].entries == ((1, 1.0), (2, 2.0), (3, 3.0))
 
     def test_index_beyond_int64_rejected(self):
         with pytest.raises(LibsvmFormatError, match="index >") as exc:
@@ -94,9 +93,22 @@ class TestParse:
         with pytest.raises(LibsvmFormatError, match="UTF-8"):
             parse_libsvm(b"\xff\xfe\x00 1:1.0")
 
-    def test_byte_order_mark_skipped(self):
-        result = parse_libsvm(b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n")
-        assert_same_parse(result, parse_libsvm("+1 1:0.5\n-1 1:1\n"))
+    @pytest.mark.parametrize("source", [
+        b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n", "\ufeff+1 1:0.5\n-1 1:1\n", ["\ufeff+1 1:0.5", "-1 1:1"],
+    ], ids=["bytes", "str", "lines"])
+    def test_byte_order_mark_skipped(self, source):
+        assert_same_parse(parse_libsvm(source), parse_libsvm("+1 1:0.5\n-1 1:1\n"))
+
+    @pytest.mark.parametrize("lines, bad_line", [
+        (["\ufeff\ufeff+1 1:0.5", "-1 1:1"], 1), (["\ufeff+1 1:0.5", "\ufeff-1 1:1"], 2),
+    ], ids=["two_marks", "second_line"])
+    @pytest.mark.parametrize("kind", [bytes, str, list])
+    def test_only_one_leading_byte_order_mark_skipped(self, lines, bad_line, kind):
+        text = "\n".join(lines)
+        source = {bytes: text.encode("utf-8"), str: text, list: lines}[kind]
+        with pytest.raises(LibsvmFormatError, match="not numeric") as exc:
+            parse_libsvm(source)
+        assert exc.value.line == bad_line
 
 
 class TestToDataset:
@@ -170,13 +182,13 @@ class TestFiles:
         with gzip.open(path, "wt") as fh:
             fh.write("+1 1:1.5\n-1 2:-0.5\n")
         result = load_libsvm(path)
-        assert len(result.records) == 2
+        assert len(as_records(result)) == 2
         assert result.n_features == 2
 
     def test_plain_file(self, tmp_path):
         path = tmp_path / "sample.libsvm"
         path.write_text("1 1:1.0\n")
-        assert len(load_libsvm(path).records) == 1
+        assert len(as_records(load_libsvm(path))) == 1
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(LibsvmFormatError, match="cannot read"):
@@ -212,7 +224,7 @@ class TestRoundTrip:
     def test_serialize_parse_roundtrip(self, records):
         text = serialize_libsvm(records)
         result = parse_libsvm(text)
-        assert result.records == tuple(records)
+        assert as_records(result) == tuple(records)
 
     def test_serialize_empty(self):
         assert serialize_libsvm([]) == ""

@@ -12,6 +12,7 @@ import agghb.problems
 from agghb.libsvm import parse_libsvm, to_dataset
 from agghb.problems import (
     Dataset,
+    Problem,
     logreg_l2,
     logreg_nonconvex,
     quadratic,
@@ -21,6 +22,21 @@ from agghb.problems import (
 
 from conftest import synthetic_libsvm_text
 from oracles import finite_diff_gradient, logistic_oracle
+
+
+def shipped_problem(name, data):
+    """One of the four built problems, the logistic ones on ``data``."""
+    return {
+        "quadratic": lambda: quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3)),
+        "rosenbrock": rosenbrock,
+        "logreg-l2": lambda: logreg_l2(data, 1e-3),
+        "logreg-ncvx": lambda: logreg_nonconvex(data, 1e-2),
+    }[name]()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def fd_hessian_check(problem, x, rel=1e-5):
@@ -93,6 +109,30 @@ class TestProblem:
         p = quadratic(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match=f"^{field} must be "):
             dataclasses.replace(p, **{field: value})
+
+    @pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx"])
+    def test_derived_objectives_are_value_and_grads(self, small_dataset, name):
+        p = shipped_problem(name, small_dataset)
+        rng = np.random.default_rng(46)
+        for x in (rng.standard_normal(p.dim), 1e3 * rng.standard_normal(p.dim)):
+            assert same_bits(p.gradient(x), p.value_and_grad(x)[1])
+            if name in ("quadratic", "rosenbrock"):  # the logistic ones give their own value
+                X = rng.standard_normal((p.dim, 7))
+                assert same_bits(p.value(x), p.value_and_grad(x)[0])
+                assert same_bits(p.value(X), p.value_and_grad(X)[0])
+
+    def test_hand_built_problem_needs_only_value_and_grad(self):
+        def value_and_grad(X):
+            return 0.5 * (X * X).sum(axis=0), X
+
+        p = Problem(name="bowl", dim=2, value_and_grad=value_and_grad, L=1.0)
+        x, X = np.array([3.0, -4.0]), np.array([[1.0, 0.0], [2.0, 3.0]])
+        assert p.value(x) == 12.5
+        np.testing.assert_array_equal(p.value(X), [2.5, 4.5])
+        np.testing.assert_array_equal(p.gradient(x), x)
+        own = Problem(name="bowl", dim=2, value_and_grad=value_and_grad, L=1.0,
+                      value=np.sum, gradient=np.negative)
+        assert own.value is np.sum and own.gradient is np.negative
 
 
 class TestRosenbrock:
@@ -363,8 +403,6 @@ class TestFiniteDiffGradient:
         assert out[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_constant_function(self):
-        from agghb.problems import Problem
-
         p = Problem(
             name="flat", dim=2, value=lambda x: 3.0,
             gradient=lambda x: np.zeros(2), L=1.0,
@@ -663,12 +701,7 @@ class TestValueAndGrad:
 
     @pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx"])
     def test_shapes_of_every_shipped_problem(self, small_dataset, name):
-        p = {
-            "quadratic": lambda: quadratic(np.diag([1.0, 2.0, 3.0]), np.ones(3)),
-            "rosenbrock": rosenbrock,
-            "logreg-l2": lambda: logreg_l2(small_dataset, 1e-3),
-            "logreg-ncvx": lambda: logreg_nonconvex(small_dataset, 1e-2),
-        }[name]()
+        p = shipped_problem(name, small_dataset)
         rng = np.random.default_rng(44)
         f, g = p.value_and_grad(rng.standard_normal(p.dim))
         assert isinstance(f, float) and g.shape == (p.dim,)
