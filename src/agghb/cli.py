@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager, suppress
+from dataclasses import asdict
 
 import numpy as np
 
@@ -139,7 +140,7 @@ def cmd_run(args) -> int:
     _emit("optimizer", config.optimizer)
     _emit("stepsize_mode", config.stepsize_mode)
     _emit("gammas", ",".join(repr(g) for g in trace.gammas))
-    _emit("iters", int(trace.ks[-1]))
+    _emit("iters", len(trace.f) - 1)
     _emit("final_f", float(trace.f[-1]))
     _emit("final_grad_norm", float(trace.grad_norm[-1]))
     _emit("diverged", trace.diverged)
@@ -179,12 +180,9 @@ def cmd_constants(args) -> int:
     # Every value is computed before the first line is printed, so a refused
     # input leaves stdout empty.
     betas = args.betas
-    eb = theory.effective_betas(betas)
     lines = [
         ("m", len(betas)),
-        ("beta_tilde", eb.beta_tilde),
-        ("beta_hat", eb.beta_hat),
-        ("beta_max", eb.beta_max),
+        *asdict(theory.effective_betas(betas)).items(),
         ("L", args.L),
         ("mu", args.mu),
         ("stepsize_nonconvex", theory.stepsize_nonconvex(betas, args.L)),
@@ -195,9 +193,9 @@ def cmd_constants(args) -> int:
         config = AggConfig(betas=betas, gammas=_per_buffer(args.gammas, betas))
         consts = theory.constants(config, horizon=args.horizon)
         ncvx = theory.check_nonconvex_condition(consts, args.L, config.m)
-        cvx = theory.check_convex_conditions(config, args.L, args.mu, horizon=args.horizon)
-        lines += [(key, getattr(consts, key)) for key in ("A", "C", "D", "E", "F", "B")]
+        cvx = theory.check_convex_conditions(config, consts, args.L, args.mu)
         lines += [
+            *asdict(consts).items(),
             ("nonconvex_margin", ncvx.margin),
             ("nonconvex_check",
              "VACUOUS" if ncvx.vacuous else "PASS" if ncvx.admissible else "FAIL"),

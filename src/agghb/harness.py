@@ -99,16 +99,16 @@ class RunConfig:
 class Trace:
     """Per-iteration metrics of one run plus reproduction metadata.
 
-    Row ``k`` holds the metrics at iterate ``x_k`` (before step ``k+1``);
-    ``f_avg`` is the objective at the running weighted-average iterate and is
-    tracked only in the convex theory mode.  ``max_virtual_residual`` is the
-    largest relative defect of the momentum-corrected iterate recursion seen
-    during the run, a cheap self-check of the update arithmetic.  :func:`run`
-    records ``f`` and ``grad_norm`` at each iterate and settles ``dist_opt``,
-    ``f_avg`` and ``max_virtual_residual`` once per block of iterates.
+    Row ``k`` of each array holds the metrics at iterate ``x_k`` (before
+    step ``k+1``); ``f_avg`` is the objective at the running weighted-average
+    iterate and is tracked only in the convex theory mode.
+    ``max_virtual_residual`` is the largest relative defect of the
+    momentum-corrected iterate recursion seen during the run, a cheap
+    self-check of the update arithmetic.  :func:`run` records ``f`` and
+    ``grad_norm`` at each iterate and settles ``dist_opt``, ``f_avg`` and
+    ``max_virtual_residual`` once per block of iterates.
     """
 
-    ks: np.ndarray
     f: np.ndarray
     grad_norm: np.ndarray
     dist_opt: np.ndarray | None
@@ -167,25 +167,11 @@ def _constants_snapshot(
     acfg: AggConfig, problem: Problem, horizon: int
 ) -> dict[str, float]:
     consts = theory.constants(acfg, horizon=horizon)
-    eb = theory.effective_betas(acfg.betas)
     ncvx = theory.check_nonconvex_condition(consts, problem.L, acfg.m)
-    cvx = theory.check_convex_conditions(acfg, problem.L, problem.mu, horizon=horizon)
-    return {
-        "A": consts.A,
-        "C": consts.C,
-        "D": consts.D,
-        "E": consts.E,
-        "F": consts.F,
-        "B": consts.B,
-        "beta_tilde": eb.beta_tilde,
-        "beta_hat": eb.beta_hat,
-        "beta_max": eb.beta_max,
-        "L": problem.L,
-        "mu": problem.mu,
-        "nonconvex_margin": ncvx.margin,
-        "f_margin": cvx.f_margin,
-        "bf_margin": cvx.bf_margin,
-    }
+    cvx = theory.check_convex_conditions(acfg, consts, problem.L, problem.mu)
+    return {**asdict(consts), **asdict(theory.effective_betas(acfg.betas)),
+            "L": problem.L, "mu": problem.mu, "nonconvex_margin": ncvx.margin,
+            "f_margin": cvx.f_margin, "bf_margin": cvx.bf_margin}
 
 
 # ``run`` keeps its per-iterate arrays in blocks of this many rows and
@@ -320,7 +306,6 @@ def run(config: RunConfig, problem: Problem) -> Trace:
 
     wall = time.perf_counter() - t0
     return Trace(
-        ks=np.arange(len(fs)),
         f=np.asarray(fs, dtype=float),
         grad_norm=np.sqrt(np.asarray(gsqs, dtype=float)),
         dist_opt=None if dists is None else np.concatenate(dists),
@@ -543,11 +528,18 @@ def verify_bounds(
     fails the theorem's admissibility check (convex: at horizon ``iters``)
     is refused with :class:`VerificationRefused` naming the failing margin,
     and a convex-mode trace of a problem that is not convex is refused
-    naming the problem.
+    naming the problem, as is a trace whose start has another dimension or
+    whose recorded ``L`` or ``mu`` is more than 1e-12 relative from the
+    problem's.
     """
     if trace.x0.shape != (problem.dim,):
         raise VerificationRefused(f"the trace starts at a point of shape {trace.x0.shape}, but "
                                   f"problem {problem.name!r} has dimension {problem.dim}")
+    for key, value in (("L", problem.L), ("mu", problem.mu)):
+        got = trace.constants.get(key)
+        if not (_finite_number(got) and abs(got - value) <= 1e-12 * value):
+            raise VerificationRefused(f"the trace records {key}={got!r}, but problem "
+                                      f"{problem.name!r} has {key}={value!r}")
     mode = trace.config.stepsize_mode
     if mode not in THEORY_MODES:
         raise VerificationRefused(
@@ -585,7 +577,7 @@ def verify_bounds(
             )
         if trace.f_avg is None:
             raise ValueError("trace carries no averaged-iterate objective values")
-        cond = theory.check_convex_conditions(acfg, problem.L, problem.mu, horizon=budget)
+        cond = theory.check_convex_conditions(acfg, consts, problem.L, problem.mu)
         if not cond.ok:
             margins = [("f_margin", cond.f_margin), ("bf_margin", cond.bf_margin)]
             margins += [(f"stepsize_margin_{i}", v) for i, v in enumerate(cond.stepsize_margins, 1)]
@@ -751,13 +743,9 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
     with full round-trip precision and the metadata keys are sorted.
     """
     csv_path = Path(path)
-    lines = [CSV_HEADER]
-    for i, k in enumerate(trace.ks):
-        dist = repr(float(trace.dist_opt[i])) if trace.dist_opt is not None else ""
-        favg = repr(float(trace.f_avg[i])) if trace.f_avg is not None else ""
-        lines.append(
-            f"{int(k)},{float(trace.f[i])!r},{float(trace.grad_norm[i])!r},{dist},{favg}"
-        )
+    columns = [[""] * len(trace.f) if c is None else map(repr, c.tolist())
+               for c in (trace.f, trace.grad_norm, trace.dist_opt, trace.f_avg)]
+    lines = [CSV_HEADER, *(f"{k},{','.join(row)}" for k, row in enumerate(zip(*columns)))]
     csv_path.write_text("\n".join(lines) + "\n")
 
     meta = {
@@ -799,9 +787,9 @@ def read_trace(path: str | Path) -> Trace:
     """Load a trace previously written by :func:`export_trace`.  A ``k``
     column other than 0, 1, 2, ..., a malformed field, a ``dist_opt`` or
     ``f_avg`` column filled on some rows only, or a sidecar of another
-    schema, that lacks a key or a ``RunConfig`` field, or whose top-level
-    values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError``
-    naming it."""
+    schema, that lacks a key or a ``RunConfig`` field, whose ``config``
+    ``RunConfig`` refuses, or whose top-level values are not what
+    :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -836,13 +824,15 @@ def read_trace(path: str | Path) -> Trace:
     try:
         if meta["schema"] != 1:
             raise ValueError(f"metadata sidecar {meta_path} has unknown schema {meta['schema']!r}")
-        config = RunConfig(**meta["config"])  # it makes betas and gammas tuples
+        try:
+            config = RunConfig(**meta["config"])  # it makes betas and gammas tuples
+        except ValueError as exc:
+            raise ValueError(f"metadata sidecar {meta_path} is malformed: {exc}") from None
         for key, (want, ok) in _SIDECAR_VALUES.items():
             if not ok(meta[key], config):
                 raise ValueError(f"metadata sidecar {meta_path} is malformed: "
                                  f"{key!r} must be {want}, got {meta[key]!r}")
         return Trace(
-            ks=np.arange(len(fs)),
             f=np.asarray(fs, dtype=float),
             grad_norm=np.asarray(gnorms, dtype=float),
             dist_opt=None if not dists or dists[0] is None else np.asarray(dists, dtype=float),

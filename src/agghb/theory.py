@@ -199,15 +199,15 @@ def stepsize_convex(betas, L: float, mu: float) -> float:
 
 
 def check_convex_conditions(
-    config: AggConfig, L: float, mu: float, horizon: int | None = None
+    config: AggConfig, consts: TheoryConstants, L: float, mu: float
 ) -> ConvexConditions:
     """Verify the three parameter conditions of the convex guarantee.
 
     Per buffer: gamma_i <= (1 - max beta)*(1 - beta_i)/(2 mu)  (vacuous at mu = 0).
-    Globally:   F <= 1/(4L)  and  B*F <= (1 - max beta)/(48 L^2).
+    Globally:   F <= 1/(4L)  and  B*F <= (1 - max beta)/(48 L^2),
+    with ``consts`` the :func:`constants` of ``config`` at the checked horizon.
     """
     _check_L_mu(L, mu)
-    consts = constants(config, horizon=horizon)
     bmax = max(config.betas)
     if mu == 0.0:
         step_margins = tuple(math.inf for _ in config.betas)

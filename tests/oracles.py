@@ -209,7 +209,6 @@ def plain_run(config: RunConfig, problem: Problem) -> Trace:
             max_residual = max(max_residual, residual)
 
     return Trace(
-        ks=np.arange(len(fs)),
         f=np.asarray(fs, dtype=float),
         grad_norm=np.asarray(gnorms, dtype=float),
         dist_opt=None if dists is None else np.asarray(dists, dtype=float),

@@ -699,6 +699,46 @@ class TestVerify:
         assert err == ("refused: the trace starts at a point of shape (6,), "
                        "but problem 'logreg-ncvx' has dimension 8\n")
 
+    def test_data_file_cut_since_the_run_refused(self, capsys, tmp_path):
+        # Same dimension, fewer rows: the rebuilt problem's L is not the one
+        # every ceiling was computed for.
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        trace = tmp_path / "ncvx.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "logreg-ncvx", "--data", str(data),
+            "--lambda", "auto", "--betas", "0.9", "--gammas", "theory-ncvx",
+            "--iters", "200", "--out", str(trace),
+        )
+        assert code == EXIT_OK
+        recorded = json.loads(trace.with_suffix(".meta.json").read_text())["constants"]["L"]
+        data.write_text("".join(data.read_text().splitlines(keepends=True)[:20]))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert err.startswith(f"refused: the trace records L={recorded!r}, but problem "
+                              "'logreg-ncvx' has L=")
+
+    def test_regularizer_edited_in_the_sidecar_refused(self, capsys, tmp_path):
+        data = tmp_path / "d.libsvm"
+        data.write_text(synthetic_libsvm_text(M=40, n=6, seed=11))
+        trace = tmp_path / "cvx.csv"
+        code, _, _ = run_cli(
+            capsys, "run", "--problem", "logreg-l2", "--data", str(data), "--l2", "auto",
+            "--betas", "0.9", "--gammas", "theory-cvx", "--iters", "20", "--out", str(trace),
+        )
+        assert code == EXIT_OK
+        self._edit_meta(trace, lambda meta: meta["config"]["problem_params"].update(l2=0.5))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert err.startswith("refused: the trace records L=")
+
+    def test_recorded_mu_edited_refused(self, capsys, tmp_path):
+        trace = self._write_trace(capsys, tmp_path, gammas="theory-cvx")
+        self._edit_meta(trace, lambda meta: meta["constants"].update(mu=0.5))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_VERIFY and out == ""
+        assert err == "refused: the trace records mu=0.5, but problem 'quadratic' has mu=1.0\n"
+
     @pytest.mark.parametrize("mode, column, row", [
         ("theory-cvx", "f_avg", 5),      # one cell of a filled column blanked
         ("theory-cvx", "dist_opt", 0),   # the first cell blanked

@@ -4,12 +4,16 @@ import collections
 import dataclasses
 import itertools
 import json
+import math
+import re
 
 import numpy as np
 import pytest
 
+import agghb.cli
 import agghb.harness
 import agghb.problems
+from agghb import theory
 from agghb.harness import (
     PROBLEM_PARAMS,
     ProblemParamError,
@@ -30,6 +34,7 @@ from agghb.harness import (
     verify_bounds,
 )
 from agghb.libsvm import load_libsvm, to_dataset
+from agghb.optim import AggConfig
 from agghb.problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
@@ -245,14 +250,29 @@ class TestRun:
             run(cfg, problem)
 
     def test_constants_snapshot_recorded(self):
-        problem = identity_quadratic(2)
+        # The record is the theory dataclasses at the run's horizon plus the
+        # problem constants and the three margins, each value bit for bit.
+        problem = quadratic(np.diag([1.0, 4.0]), np.ones(2))
         cfg = RunConfig(
-            problem="quadratic", optimizer="hb", betas=(0.9,),
+            problem="quadratic", optimizer="agghb", betas=(0.9, 0.5),
             stepsize_mode="theory-cvx", iters=10, seed=0,
         )
         trace = run(cfg, problem)
-        for key in ("A", "C", "D", "E", "F", "B", "beta_tilde", "beta_hat"):
-            assert key in trace.constants
+        acfg = AggConfig(betas=cfg.betas, gammas=trace.gammas)
+        consts = theory.constants(acfg, horizon=cfg.iters)
+        eb = theory.effective_betas(cfg.betas)
+        cvx = theory.check_convex_conditions(acfg, consts, problem.L, problem.mu)
+        want = {
+            "A": consts.A, "C": consts.C, "D": consts.D, "E": consts.E,
+            "F": consts.F, "B": consts.B, "beta_tilde": eb.beta_tilde,
+            "beta_hat": eb.beta_hat, "beta_max": eb.beta_max,
+            "L": problem.L, "mu": problem.mu,
+            "nonconvex_margin": theory.check_nonconvex_condition(consts, problem.L, 2).margin,
+            "f_margin": cvx.f_margin, "bf_margin": cvx.bf_margin,
+        }
+        assert len(want) == 14
+        assert {k: float(v).hex() for k, v in trace.constants.items()} == {
+            k: float(v).hex() for k, v in want.items()}
 
 
 def _hand_built(gradient, dim=2):
@@ -312,7 +332,6 @@ class TestRunMatchesPlainLoop:
                 np.testing.assert_array_equal(got, want, err_msg=name)
             else:
                 np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
-        np.testing.assert_array_equal(trace.ks, oracle.ks)
         assert trace.diverged == oracle.diverged
         np.testing.assert_allclose(trace.max_virtual_residual, oracle.max_virtual_residual,
                                    rtol=1e-13, atol=0.0)
@@ -561,6 +580,38 @@ class TestLoopsCallTracedNames:
         assert any(e.diverged for e in sweep) and not all(e.diverged for e in sweep)
         assert calls == {"init": 1, "step": 200, "virtual_iterate": 0, "averaging_update": 0}
         assert step_ndims == [2] * 200
+
+
+class TestConstantsComputedOnce:
+    """Each entry point that needs the aggregate constants computes them with
+    one ``theory.constants`` call and hands them to both admissibility checks."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        def counted(*args, _fn=theory.constants, **kwargs):
+            calls.append(kwargs.get("horizon"))
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(theory, "constants", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_run_and_verify(self, monkeypatch, mode):
+        problem = quadratic(np.diag([1.0, 4.0]), np.ones(2))
+        cfg = RunConfig(problem="quadratic", betas=(0.9, 0.5), stepsize_mode=mode, iters=30)
+        calls = self._count(monkeypatch)
+        trace = run(cfg, problem)
+        assert calls == [30]
+        calls.clear()
+        assert verify_bounds(trace, problem).passed
+        assert calls == [30]
+
+    def test_constants_command(self, monkeypatch, capsys):
+        calls = self._count(monkeypatch)
+        assert agghb.cli.main(["constants", "--betas", "0.9,0.5", "--gammas", "0.01",
+                               "--mu", "0.1", "--horizon", "7"]) == 0
+        assert "convex_check=PASS" in capsys.readouterr().out
+        assert calls == [7]
 
 
 class TestTuneObjectiveCalls:
@@ -896,7 +947,7 @@ class TestVerifyBounds:
         trace = run(cfg, problem)
         cut = dataclasses.replace(trace, **{
             name: getattr(trace, name)[:500]
-            for name in ("ks", "f", "grad_norm", "dist_opt", "f_avg")
+            for name in ("f", "grad_norm", "dist_opt", "f_avg")
             if getattr(trace, name) is not None
         })
         assert not cut.diverged
@@ -904,6 +955,38 @@ class TestVerifyBounds:
         assert full.passed and not report.passed
         assert report.rows[:2] == full.rows[:2]
         assert report.rows[2].K == 1000 and report.rows[2].observed == float("inf")
+
+    @staticmethod
+    def _with_recorded(key, recorded):
+        """A passing theory-cvx trace on a quadratic with L = 4 and mu = 1, its
+        recorded ``key`` replaced by ``recorded(value)`` or, for None, dropped."""
+        problem = quadratic(np.diag([1.0, 4.0]), np.ones(2))
+        cfg = RunConfig(problem="quadratic", betas=(0.9,), stepsize_mode="theory-cvx", iters=20)
+        trace = run(cfg, problem)
+        constants = dict(trace.constants)
+        if recorded is None:
+            del constants[key]
+        else:
+            constants[key] = recorded(getattr(problem, key))
+        return dataclasses.replace(trace, constants=constants), problem
+
+    @pytest.mark.parametrize("key", ["L", "mu"])
+    @pytest.mark.parametrize("recorded", [
+        None, str, bool, lambda v: math.inf, lambda v: math.nan, lambda v: v * (1 + 2e-12),
+    ], ids=["missing", "text", "bool", "inf", "nan", "off-by-2e-12"])
+    def test_recorded_problem_constant_must_match(self, key, recorded):
+        trace, problem = self._with_recorded(key, recorded)
+        value = getattr(problem, key)
+        message = (f"the trace records {key}={trace.constants.get(key)!r}, "
+                   f"but problem 'quadratic' has {key}={value!r}")
+        with pytest.raises(VerificationRefused, match=f"^{re.escape(message)}$"):
+            verify_bounds(trace, problem)
+
+    @pytest.mark.parametrize("key", ["L", "mu"])
+    def test_recorded_problem_constant_within_1e12_passes(self, key):
+        # the allowance for BLAS differences between machines
+        trace, problem = self._with_recorded(key, lambda v: v * (1 + 5e-13))
+        assert verify_bounds(trace, problem).passed
 
     def test_tuned_trace_refused(self):
         problem = identity_quadratic()
@@ -979,7 +1062,7 @@ class TestTraceExport:
             stepsize_mode="explicit", gammas=(0.1,), iters=1,
         )
         empty = Trace(
-            ks=np.array([], dtype=int), f=np.array([]), grad_norm=np.array([]),
+            f=np.array([]), grad_norm=np.array([]),
             dist_opt=None, f_avg=None, config=cfg, gammas=(0.1,), constants={},
             x0=np.zeros(1), wall_time=0.0, diverged=False,
             max_virtual_residual=0.0,
@@ -1004,7 +1087,8 @@ class TestTraceExport:
         assert meta["config"]["optimizer"] == "hb"
         meta["config"]["optimizer"] = "agghb"
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="^optimizer 'agghb' does not match betas"):
+        with pytest.raises(ValueError, match=r"^metadata sidecar .*t\.meta\.json is malformed: "
+                                             r"optimizer 'agghb' does not match betas"):
             read_trace(tmp_path / "t.csv")
 
     def test_read_corrupted_reports_line(self, tmp_path):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from agghb import libsvm
@@ -242,13 +242,16 @@ class TestFuzz:
         assert_same_parse(result, _parse_lines(blob.decode("utf-8-sig").splitlines()))
 
     @given(st.text(max_size=400))
+    @example(text="\ufeff")
+    @example(text="\ufeff+1 1:0.5\n-1 2:1\n")
     @settings(max_examples=300, deadline=None)
     def test_never_panics_on_text(self, text):
         try:
             result = parse_libsvm(text)
         except LibsvmFormatError:
             return
-        assert_same_parse(result, _parse_lines(text.splitlines()))
+        # One leading byte-order mark is dropped, as utf-8-sig does for bytes.
+        assert_same_parse(result, _parse_lines(text.removeprefix("\ufeff").splitlines()))
 
 
 def assert_same_parse(got, want):

@@ -63,7 +63,8 @@ def test_call_signatures_list_the_parameters():
             assert given == list(inspect.signature(functions[name]).parameters), name
             checked.add(name)
     assert checked >= {"init", "step", "virtual_iterate", "bound_nonconvex",
-                       "bound_convex", "to_dataset", "feature_count"}
+                       "bound_convex", "check_nonconvex_condition",
+                       "check_convex_conditions", "to_dataset", "feature_count"}
 
 
 def test_dotted_names_resolve():

@@ -222,7 +222,7 @@ class TestStepsizes:
                     for mu in (0.0, L / 100.0):
                         g = stepsize_convex(betas, L, mu)
                         cfg = AggConfig(betas=betas, gammas=(g,) * m)
-                        checks = check_convex_conditions(cfg, L, mu)
+                        checks = check_convex_conditions(cfg, constants(cfg), L, mu)
                         assert checks.ok, (betas, L, mu, checks)
 
     def test_convex_single_beta_never_exceeds_quarter_over_L_cap(self):
@@ -235,19 +235,19 @@ class TestStepsizes:
 class TestConvexConditions:
     def test_tiny_stepsizes_pass(self):
         cfg = AggConfig(betas=(0.9, 0.5), gammas=(1e-9, 1e-9))
-        checks = check_convex_conditions(cfg, L=1.0, mu=0.1)
+        checks = check_convex_conditions(cfg, constants(cfg), L=1.0, mu=0.1)
         assert checks.ok
         assert all(m > 0 for m in checks.stepsize_margins)
 
     def test_large_virtual_step_fails_with_margin(self):
         cfg = AggConfig(betas=(0.9,), gammas=(1.0,))
-        checks = check_convex_conditions(cfg, L=1.0, mu=0.0)
+        checks = check_convex_conditions(cfg, constants(cfg), L=1.0, mu=0.0)
         assert not checks.ok
         assert checks.f_margin == pytest.approx(0.25 - 10.0, rel=1e-12)
 
     def test_mu_zero_per_buffer_margins_infinite(self):
         cfg = AggConfig(betas=(0.5,), gammas=(0.01,))
-        checks = check_convex_conditions(cfg, L=1.0, mu=0.0)
+        checks = check_convex_conditions(cfg, constants(cfg), L=1.0, mu=0.0)
         assert checks.stepsize_margins == (math.inf,)
 
 
@@ -355,7 +355,7 @@ def _entry_points_taking(L: float, mu: float):
         "stepsize_nonconvex": lambda: stepsize_nonconvex(cfg.betas, L),
         "stepsize_convex": lambda: stepsize_convex(cfg.betas, L, mu),
         "check_nonconvex_condition": lambda: check_nonconvex_condition(consts, L, cfg.m),
-        "check_convex_conditions": lambda: check_convex_conditions(cfg, L, mu),
+        "check_convex_conditions": lambda: check_convex_conditions(cfg, consts, L, mu),
         "bound_nonconvex": lambda: bound_nonconvex(10, 1.0, L, consts, cfg.m),
         "bound_convex": lambda: bound_convex(10, 1.0, mu, 1e-3),
     }
