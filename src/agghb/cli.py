@@ -180,6 +180,8 @@ def cmd_constants(args) -> int:
     # Every value is computed before the first line is printed, so a refused
     # input leaves stdout empty.
     betas = args.betas
+    if args.horizon is not None and args.horizon < 0:  # refused with or without --gammas
+        raise ValueError(f"--horizon must be nonnegative, got {args.horizon}")
     lines = [
         ("m", len(betas)),
         *asdict(theory.effective_betas(betas)).items(),

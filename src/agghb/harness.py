@@ -727,7 +727,10 @@ def build_problem(name: str, params: dict) -> Problem:
 # Trace export / import
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = "k,f,grad_norm,dist_opt,f_avg"
+# The per-iterate columns after ``k`` in CSV order, each with whether a run may
+# leave it empty on every row (``dist_opt`` with no known optimum, ``f_avg``).
+TRACE_COLUMNS = {"f": False, "grad_norm": False, "dist_opt": True, "f_avg": True}
+CSV_HEADER = ",".join(["k", *TRACE_COLUMNS])
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -743,21 +746,14 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
     with full round-trip precision and the metadata keys are sorted.
     """
     csv_path = Path(path)
-    columns = [[""] * len(trace.f) if c is None else map(repr, c.tolist())
-               for c in (trace.f, trace.grad_norm, trace.dist_opt, trace.f_avg)]
+    columns = [[""] * len(trace.f) if (c := getattr(trace, name)) is None else map(repr, c.tolist())
+               for name in TRACE_COLUMNS]
     lines = [CSV_HEADER, *(f"{k},{','.join(row)}" for k, row in enumerate(zip(*columns)))]
     csv_path.write_text("\n".join(lines) + "\n")
 
-    meta = {
-        "schema": 1,
-        "config": asdict(trace.config),
-        "gammas": list(trace.gammas),
-        "constants": trace.constants,
-        "x0": [float(v) for v in trace.x0],
-        "wall_time": trace.wall_time,
-        "diverged": trace.diverged,
-        "max_virtual_residual": trace.max_virtual_residual,
-    }
+    meta = {key: getattr(trace, key) for key in _SIDECAR_VALUES}
+    meta.update(schema=1, config=asdict(trace.config), gammas=list(trace.gammas),
+                x0=[float(v) for v in trace.x0])
     meta_path = _meta_path(csv_path)
     meta_path.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return csv_path, meta_path
@@ -768,7 +764,7 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-# What each top-level sidecar value must be, given the run's config.
+# Each trace field the sidecar carries besides "schema" and "config": what it must be.
 _SIDECAR_VALUES = {
     "gammas": ("one finite positive number per beta", lambda v, config: (
         isinstance(v, list) and len(v) == len(config.betas)
@@ -783,13 +779,37 @@ _SIDECAR_VALUES = {
 }
 
 
+def _parse_rows(lines: list[str]) -> dict[str, list]:
+    """Each :data:`TRACE_COLUMNS` column of the CSV rows ``lines``: floats, None in an
+    empty optional cell.  The cells are read a column at a time from one flat list;
+    only if that fails are the rows walked one by one, to name the first bad line."""
+    width = len(TRACE_COLUMNS) + 1
+    with suppress(ValueError):
+        cells = ",".join(lines).split(",")
+        if ({line.count(",") for line in lines} == {width - 1}
+                and list(map(int, cells[::width])) == list(range(len(lines)))):
+            return {name: [float(c) if c else None for c in cells[j::width]] if optional
+                    else list(map(float, cells[j::width]))
+                    for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1)}
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            k_row = int(parts[0])
+            [float(c) for c, opt in zip(parts[1:], TRACE_COLUMNS.values()) if c or not opt]
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed numeric field") from None
+        if k_row != lineno - 2:
+            raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
+
+
 def read_trace(path: str | Path) -> Trace:
-    """Load a trace previously written by :func:`export_trace`.  A ``k``
-    column other than 0, 1, 2, ..., a malformed field, a ``dist_opt`` or
-    ``f_avg`` column filled on some rows only, or a sidecar of another
-    schema, that lacks a key or a ``RunConfig`` field, whose ``config``
-    ``RunConfig`` refuses, or whose top-level values are not what
-    :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it."""
+    """Load a trace previously written by :func:`export_trace`.  A CSV with no rows,
+    a ``k`` column other than 0, 1, 2, ..., a malformed field, an optional column
+    filled on some rows only, or a sidecar of another schema, that lacks a key or a
+    ``RunConfig`` field, whose ``config`` ``RunConfig`` refuses, or whose top-level
+    values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -800,23 +820,10 @@ def read_trace(path: str | Path) -> Trace:
     text = csv_path.read_text().splitlines()
     if not text or text[0] != CSV_HEADER:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-    fs, gnorms, dists, favgs = [], [], [], []
-    for lineno, line in enumerate(text[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise ValueError(f"line {lineno}: expected 5 fields, got {len(parts)}")
-        try:
-            k_row = int(parts[0])
-            fs.append(float(parts[1]))
-            gnorms.append(float(parts[2]))
-            dists.append(float(parts[3]) if parts[3] else None)
-            favgs.append(float(parts[4]) if parts[4] else None)
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed numeric field") from None
-        if k_row != lineno - 2:
-            raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
-
-    for name, column in (("dist_opt", dists), ("f_avg", favgs)):
+    if len(text) == 1:  # run records iterate 0 at least
+        raise ValueError(f"trace file {csv_path} has a header and no rows")
+    columns = _parse_rows(text[1:])
+    for name, column in columns.items():
         if column.count(None) not in (0, len(column)):
             bad = [v is None for v in column].index(column[0] is not None)
             raise ValueError(f"line {bad + 2}: {name} is empty on some rows and filled on others")
@@ -832,20 +839,12 @@ def read_trace(path: str | Path) -> Trace:
             if not ok(meta[key], config):
                 raise ValueError(f"metadata sidecar {meta_path} is malformed: "
                                  f"{key!r} must be {want}, got {meta[key]!r}")
-        return Trace(
-            f=np.asarray(fs, dtype=float),
-            grad_norm=np.asarray(gnorms, dtype=float),
-            dist_opt=None if not dists or dists[0] is None else np.asarray(dists, dtype=float),
-            f_avg=None if not favgs or favgs[0] is None else np.asarray(favgs, dtype=float),
-            config=config,
-            gammas=tuple(meta["gammas"]),
-            constants=meta["constants"],
-            x0=np.asarray(meta["x0"], dtype=float),
-            wall_time=meta["wall_time"],
-            diverged=meta["diverged"],
-            max_virtual_residual=meta["max_virtual_residual"],
-        )
     except KeyError as exc:
         raise ValueError(f"metadata sidecar {meta_path} lacks key {exc.args[0]!r}") from None
     except TypeError as exc:  # e.g. a config without one of RunConfig's fields
         raise ValueError(f"metadata sidecar {meta_path} is malformed: {exc}") from None
+    values = {name: None if column[0] is None else np.asarray(column, dtype=float)
+              for name, column in columns.items()}
+    values.update({key: meta[key] for key in _SIDECAR_VALUES}, config=config,
+                  gammas=tuple(meta["gammas"]), x0=np.asarray(meta["x0"], dtype=float))
+    return Trace(**values)

@@ -457,9 +457,10 @@ class TestConstants:
         ("--L", "inf"), ("--L", "nan"), ("--L", "0"),
         ("--mu", "nan"), ("--mu", "inf"),
         ("--gammas", "0.01", "--horizon", "-1"),
+        ("--horizon", "-1"),
         ("--gammas", "0.01", "--L", "nan"),
     ], ids=["L-inf", "L-nan", "L-zero", "mu-nan", "mu-inf", "horizon-minus-one",
-            "L-nan-with-gammas"])
+            "horizon-minus-one-without-gammas", "L-nan-with-gammas"])
     def test_refused_input_prints_nothing(self, capsys, flags):
         code, out, err = run_cli(capsys, "constants", "--betas", "0.9", *flags)
         assert code == EXIT_USAGE
@@ -757,6 +758,15 @@ class TestVerify:
         # the first line whose cell differs from line 2's is named
         line = 3 if row == 0 else row + 2
         assert err == f"error: line {line}: {column} is empty on some rows and filled on others\n"
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_header_only_trace_exit_one(self, capsys, tmp_path, mode):
+        # run always records iterate 0, so a CSV with no rows is not a trace
+        trace = self._write_trace(capsys, tmp_path, gammas=mode)
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: trace file {trace} has a header and no rows\n"
 
     @pytest.mark.parametrize("problem", [
         ("--problem", "rosenbrock"),

@@ -1070,16 +1070,40 @@ class TestTraceExport:
         csv_path, _ = export_trace(empty, tmp_path / "e.csv")
         assert csv_path.read_text() == "k,f,grad_norm,dist_opt,f_avg\n"
 
-    def test_read_back_roundtrip(self, tmp_path):
-        trace = self._trace(4)
-        csv_path, _ = export_trace(trace, tmp_path / "t.csv")
+    @pytest.mark.parametrize("problem, mode, empty", [
+        ("quadratic", "theory-cvx", set()),
+        ("quadratic", "theory-ncvx", {"f_avg"}),
+        ("logreg-ncvx", "theory-ncvx", {"dist_opt", "f_avg"}),
+    ], ids=["quadratic-cvx", "quadratic-ncvx", "logreg-ncvx"])
+    def test_read_back_roundtrip(self, tmp_path, problem, mode, empty):
+        # every Trace field, over the three column layouts run writes
+        params = {}
+        if problem == "logreg-ncvx":
+            params = {"data": str(tmp_path / "d.libsvm"), "lambda": "auto"}
+            (tmp_path / "d.libsvm").write_text(synthetic_libsvm_text(M=30, n=5, seed=2))
+        cfg = RunConfig(problem=problem, betas=(0.9, 0.95), stepsize_mode=mode, iters=4,
+                        problem_params=params)
+        trace = run(cfg, build_problem(problem, params))
+        assert {c for c in agghb.harness.TRACE_COLUMNS if getattr(trace, c) is None} == empty
+        csv_path, meta_path = export_trace(trace, tmp_path / "t.csv")
         loaded = read_trace(csv_path)
-        np.testing.assert_array_equal(loaded.f, trace.f)
-        np.testing.assert_array_equal(loaded.grad_norm, trace.grad_norm)
-        np.testing.assert_array_equal(loaded.f_avg, trace.f_avg)
-        np.testing.assert_array_equal(loaded.x0, trace.x0)
-        assert loaded.config == trace.config
-        assert loaded.gammas == trace.gammas
+        for field in dataclasses.fields(Trace):
+            want, got = getattr(trace, field.name), getattr(loaded, field.name)
+            assert type(got) is type(want), field.name
+            if isinstance(want, np.ndarray):
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), field.name
+            else:
+                assert got == want, field.name
+        assert set(json.loads(meta_path.read_text())) == {
+            "schema", "config", *agghb.harness._SIDECAR_VALUES}
+
+    def test_tables_name_every_trace_field_once(self):
+        # a Trace field missing from both tables would silently drop out of the files
+        tables = [{"config"}, set(agghb.harness.TRACE_COLUMNS), set(agghb.harness._SIDECAR_VALUES)]
+        fields = [field.name for field in dataclasses.fields(Trace)]
+        assert set().union(*tables) == set(fields)
+        assert sum(map(len, tables)) == len(fields)
+        assert agghb.harness.CSV_HEADER == ",".join(["k", *agghb.harness.TRACE_COLUMNS])
 
     def test_read_refuses_a_kind_its_betas_do_not_make(self, tmp_path):
         _, meta_path = export_trace(self._trace(3), tmp_path / "t.csv")

@@ -10,6 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
+from agghb import harness
 from agghb.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,3 +79,9 @@ def test_dotted_names_resolve():
                 obj = getattr(obj, part)
             else:
                 obj = importlib.import_module(".".join(parts[:depth]))
+
+
+def test_trace_header_is_the_package_header():
+    section = README.read_text().split("### Trace files", 1)[1].split("\n## ", 1)[0]
+    header = re.search(r"header `([^`]*)`", section)[1]
+    assert header == harness.CSV_HEADER
