@@ -19,13 +19,15 @@ import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
 from . import theory
 from .libsvm import load_libsvm, to_dataset
-from .optim import AggConfig, averaging_update, init, step, virtual_coefficients, virtual_iterate
+from .optim import (AggConfig, averaging_update, check_betas, init, step,
+                    virtual_coefficients, virtual_iterate)
 from .problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 STEPSIZE_MODES = ("explicit", "theory-ncvx", "theory-cvx", "tune", "tuned")
@@ -57,6 +59,7 @@ class RunConfig:
     problem constants, and ``tune`` is a request that :func:`tune` resolves.
     ``optimizer`` is the kind ``betas`` make: "gd" when all are 0, else "hb"
     for one and "agghb" for several; a kind given that differs is refused.
+    ``betas`` must pass :func:`optim.check_betas`, checked after every other field.
     """
 
     problem: str
@@ -93,6 +96,7 @@ class RunConfig:
             )
         if self.gammas is not None and len(self.gammas) != len(self.betas):
             raise ValueError("betas and gammas must have equal length")
+        check_betas(self.betas)
 
 
 @dataclass
@@ -731,6 +735,9 @@ def build_problem(name: str, params: dict) -> Problem:
 # leave it empty on every row (``dist_opt`` with no known optimum, ``f_avg``).
 TRACE_COLUMNS = {"f": False, "grad_norm": False, "dist_opt": True, "f_avg": True}
 CSV_HEADER = ",".join(["k", *TRACE_COLUMNS])
+# export_trace writes, and read_trace splits into one flat list of cells, this
+# many CSV rows at a time, so neither holds every row's text at once.
+_CHUNK_ROWS = 1024
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -748,8 +755,11 @@ def export_trace(trace: Trace, path: str | Path) -> tuple[Path, Path]:
     csv_path = Path(path)
     columns = [[""] * len(trace.f) if (c := getattr(trace, name)) is None else map(repr, c.tolist())
                for name in TRACE_COLUMNS]
-    lines = [CSV_HEADER, *(f"{k},{','.join(row)}" for k, row in enumerate(zip(*columns)))]
-    csv_path.write_text("\n".join(lines) + "\n")
+    rows = (f"{k},{','.join(row)}\n" for k, row in enumerate(zip(*columns)))
+    with csv_path.open("w") as fh:
+        fh.write(CSV_HEADER + "\n")
+        while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+            fh.write(chunk)
 
     meta = {key: getattr(trace, key) for key in _SIDECAR_VALUES}
     meta.update(schema=1, config=asdict(trace.config), gammas=list(trace.gammas),
@@ -781,16 +791,23 @@ _SIDECAR_VALUES = {
 
 def _parse_rows(lines: list[str]) -> dict[str, list]:
     """Each :data:`TRACE_COLUMNS` column of the CSV rows ``lines``: floats, None in an
-    empty optional cell.  The cells are read a column at a time from one flat list;
-    only if that fails are the rows walked one by one, to name the first bad line."""
+    empty optional cell.  The cells of each :data:`_CHUNK_ROWS` rows are read a column
+    at a time from one flat list; only if that fails are the rows walked one by one,
+    to name the first bad line."""
     width = len(TRACE_COLUMNS) + 1
+    columns = {name: [] for name in TRACE_COLUMNS}
     with suppress(ValueError):
-        cells = ",".join(lines).split(",")
-        if ({line.count(",") for line in lines} == {width - 1}
-                and list(map(int, cells[::width])) == list(range(len(lines)))):
-            return {name: [float(c) if c else None for c in cells[j::width]] if optional
-                    else list(map(float, cells[j::width]))
-                    for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1)}
+        for lo in range(0, len(lines), _CHUNK_ROWS):
+            chunk = lines[lo:lo + _CHUNK_ROWS]
+            cells = ",".join(chunk).split(",")
+            if ({line.count(",") for line in chunk} != {width - 1}
+                    or list(map(int, cells[::width])) != list(range(lo, lo + len(chunk)))):
+                break
+            for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1):
+                columns[name] += ([float(c) if c else None for c in cells[j::width]]
+                                  if optional else map(float, cells[j::width]))
+        else:
+            return columns
     for lineno, line in enumerate(lines, start=2):
         parts = line.split(",")
         if len(parts) != width:

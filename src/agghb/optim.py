@@ -25,6 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_betas(betas) -> tuple[float, ...]:
+    """``betas`` as floats: at least one, each in ``[0, 1)``.  The one check of
+    a set of momentum decays, whether it comes from flags, a sidecar or code."""
+    betas = tuple(float(b) for b in betas)
+    if not betas:
+        raise ValueError("need at least one beta")
+    for b in betas:
+        if not 0.0 <= b < 1.0:  # false for nan too
+            raise ValueError(f"momentum parameter {b} outside [0, 1)")
+    return betas
+
+
 @dataclass(frozen=True)
 class AggConfig:
     """Knobs of the aggregated method: momentum decays and stepsizes.
@@ -38,19 +50,14 @@ class AggConfig:
     gammas: tuple[float, ...]
 
     def __post_init__(self):
-        betas = tuple(float(b) for b in self.betas)
+        betas = check_betas(self.betas)
         gammas = tuple(float(g) for g in self.gammas)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "gammas", gammas)
-        if len(betas) < 1:
-            raise ValueError("need at least one (beta, gamma) pair")
         if len(betas) != len(gammas):
             raise ValueError(
                 f"betas and gammas must have equal length, got {len(betas)} != {len(gammas)}"
             )
-        for b in betas:
-            if not (0.0 <= b < 1.0) or not np.isfinite(b):
-                raise ValueError(f"momentum parameter {b} outside [0, 1)")
         for g in gammas:
             if not (g > 0.0) or not np.isfinite(g):
                 raise ValueError(f"stepsize {g} must be positive and finite")

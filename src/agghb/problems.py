@@ -362,10 +362,11 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
         data, matvec, rmatvec,
         lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
     )
+    M = data.M  # closing over data would keep its unsigned features alive beside B
 
     def hessian(x: np.ndarray) -> np.ndarray:
         e = np.exp(-np.abs(matvec(np.asarray(x, dtype=float))))
-        H = weighted_gram(e / (1.0 + e) ** 2) / data.M
+        H = weighted_gram(e / (1.0 + e) ** 2) / M
         H[np.diag_indices_from(H)] += l2
         return H
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .optim import AggConfig
+from .optim import AggConfig, check_betas
 
 # Derived stepsizes sit exactly on their admissibility boundaries in real
 # arithmetic; shave a relative hair so the strict float checks stay true.
@@ -127,12 +127,7 @@ def effective_betas(betas) -> EffectiveBetas:
     the root in [0, 1) of s*(1-b)^2 = b with s = (1/m) sum beta_i/(1-beta_i)^2,
     i.e. b = ((2s+1) - sqrt(4s+1)) / (2s) for s > 0 and b = 0 at s = 0.
     """
-    betas = [float(b) for b in betas]
-    if not betas:
-        raise ValueError("need at least one beta")
-    for b in betas:
-        if not (0.0 <= b < 1.0):
-            raise ValueError(f"momentum parameter {b} outside [0, 1)")
+    betas = check_betas(betas)
     m = len(betas)
     beta_hat = 1.0 - m / sum(1.0 / (1.0 - b) for b in betas)
     s = sum(b / (1.0 - b) ** 2 for b in betas) / m

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -619,6 +620,14 @@ class TestVerify:
          "is malformed: 'float' object cannot be interpreted as an integer"),
         (lambda meta: meta["config"].update(seed=2.5), "seed must be an integer >= 0, got 2.5"),
         (lambda meta: meta["config"].update(seed=-1), "seed must be an integer >= 0, got -1"),
+        (lambda meta: meta["config"].update(betas=[1.5]),
+         "is malformed: momentum parameter 1.5 outside [0, 1)"),
+        (lambda meta: meta["config"].update(betas=[-0.1]),
+         "is malformed: momentum parameter -0.1 outside [0, 1)"),
+        (lambda meta: meta["config"].update(betas=[math.nan]),
+         "is malformed: momentum parameter nan outside [0, 1)"),
+        (lambda meta: meta["config"].update(betas=[], optimizer=None),
+         "is malformed: need at least one beta"),
         (lambda meta: meta.update(gammas=[True]),
          "is malformed: 'gammas' must be one finite positive number per beta, got [True]"),
         (lambda meta: meta.update(gammas=[0.01, 0.01]),
@@ -643,6 +652,7 @@ class TestVerify:
          "is malformed: 'constants' must be an object, got []"),
     ], ids=["schema", "stray-problem-param", "params-null", "params-list", "dim-fraction",
             "dim-bool", "dim-null", "iters-fraction", "seed-fraction", "seed-negative",
+            "beta-above-one", "beta-negative", "beta-nan", "betas-none",
             "gammas-bool", "gammas-per-beta", "gammas-negative", "diverged-text",
             "diverged-int", "residual-text", "residual-bool", "wall-time-negative",
             "x0-text", "x0-null", "constants-list"])

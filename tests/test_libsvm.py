@@ -94,21 +94,33 @@ class TestParse:
             parse_libsvm(b"\xff\xfe\x00 1:1.0")
 
     @pytest.mark.parametrize("source", [
-        b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n", "\ufeff+1 1:0.5\n-1 1:1\n", ["\ufeff+1 1:0.5", "-1 1:1"],
-    ], ids=["bytes", "str", "lines"])
+        b"\xef\xbb\xbf+1 1:0.5\n-1 1:1\n", "\ufeff+1 1:0.5\n-1 1:1\n",
+    ], ids=["bytes", "str"])
     def test_byte_order_mark_skipped(self, source):
         assert_same_parse(parse_libsvm(source), parse_libsvm("+1 1:0.5\n-1 1:1\n"))
 
     @pytest.mark.parametrize("lines, bad_line", [
         (["\ufeff\ufeff+1 1:0.5", "-1 1:1"], 1), (["\ufeff+1 1:0.5", "\ufeff-1 1:1"], 2),
     ], ids=["two_marks", "second_line"])
-    @pytest.mark.parametrize("kind", [bytes, str, list])
+    @pytest.mark.parametrize("kind", [bytes, str])
     def test_only_one_leading_byte_order_mark_skipped(self, lines, bad_line, kind):
         text = "\n".join(lines)
-        source = {bytes: text.encode("utf-8"), str: text, list: lines}[kind]
+        source = {bytes: text.encode("utf-8"), str: text}[kind]
         with pytest.raises(LibsvmFormatError, match="not numeric") as exc:
             parse_libsvm(source)
         assert exc.value.line == bad_line
+
+    @pytest.mark.parametrize("source, kind", [
+        (["+1 1:0.5", "-1 1:1"], "list"), (bytearray(b"+1 1:0.5"), "bytearray"),
+    ], ids=["lines", "bytearray"])
+    def test_only_text_or_bytes_accepted(self, source, kind):
+        with pytest.raises(TypeError, match=f"^parse_libsvm takes str or bytes, not {kind}$"):
+            parse_libsvm(source)
+
+    @pytest.mark.parametrize("source", ["", b"", "\ufeff", "\n\n# a comment\n"],
+                             ids=["str", "bytes", "mark", "comment"])
+    def test_input_without_samples_parses_as_no_lines(self, source):
+        assert_same_parse(parse_libsvm(source), _parse_lines(()))
 
 
 class TestToDataset:
@@ -462,3 +474,18 @@ class TestBytePath:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * self.STRING_PATH_PEAK
+
+    def test_load_peak_memory(self, tmp_path):
+        # The parse holds the only reference to the file's bytes, drops the text
+        # once split and each block's lines once parsed; a parse that kept all
+        # of them to the end peaked at 3.39 times the result.
+        path = tmp_path / "a9a.libsvm"
+        path.write_text(a9a_shaped(20_000))
+        tracemalloc.start()
+        try:
+            result = load_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(a.nbytes for a in (result.labels, result.indptr, result.indices, result.values))
+        assert peak <= 2.6 * size

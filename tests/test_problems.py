@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ class TestLogregL2:
                 + 0.5 * l2 * np.linalg.norm(z - x) ** 2
             )
             assert lhs >= rhs - 1e-10 * (1.0 + abs(lhs))
+
+
+@pytest.mark.parametrize("build", [logreg_l2, logreg_nonconvex])
+@pytest.mark.parametrize("n", [6, 80], ids=["dense", "sparse"])
+def test_logistic_problem_does_not_keep_its_dataset(build, n):
+    # The problem keeps its own signed copy of the features; the Dataset, and
+    # with it the unsigned matrix, must be free to go once only the problem is left.
+    data = to_dataset(parse_libsvm(synthetic_libsvm_text(M=40, n=n, seed=3)))
+    gone = weakref.ref(data)
+    problem = build(data, 0.01)
+    del data
+    assert gone() is None
+    assert np.isfinite(problem.value(np.zeros(problem.dim)))
 
 
 class TestLogregNonconvex:
