@@ -21,6 +21,8 @@ from .optim import AggConfig
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+# The --gammas words that request stepsizes rather than give them.
+_GAMMA_REQUESTS = (*harness.THEORY_MODES, "tune")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -40,7 +42,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 def _parse_gammas(text: str) -> str | tuple[float, ...]:
     """A stepsize mode, or stepsizes as :func:`_parse_float_list` reads them."""
-    return text if text in ("theory-ncvx", "theory-cvx", "tune") else _parse_float_list(text)
+    return text if text in _GAMMA_REQUESTS else _parse_float_list(text)
 
 
 def _parse_seed(text: str) -> int:
@@ -241,8 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute one optimizer run and export its trace")
     _add_problem_flags(p_run)
     p_run.add_argument("--gammas", type=_parse_gammas, required=True,
-                       help="comma-separated stepsizes, or one of: "
-                            "theory-ncvx, theory-cvx, tune")
+                       help="comma-separated stepsizes, or one of: " + ", ".join(_GAMMA_REQUESTS))
     p_run.add_argument("--out", default="trace.csv", help="trace CSV path")
     p_run.set_defaults(func=cmd_run)
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import theory
 from .libsvm import load_libsvm, to_dataset
-from .optim import (AggConfig, averaging_update, check_betas, init, step,
+from .optim import (AggConfig, averaging_update, check_betas, check_gammas, init, step,
                     virtual_coefficients, virtual_iterate)
 from .problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
@@ -57,9 +57,10 @@ class RunConfig:
     ``stepsize_mode`` is the single stepsize source: explicit/tuned carry the
     values in ``gammas``, the theory modes derive a uniform stepsize from the
     problem constants, and ``tune`` is a request that :func:`tune` resolves.
-    ``optimizer`` is the kind ``betas`` make: "gd" when all are 0, else "hb"
-    for one and "agghb" for several; a kind given that differs is refused.
-    ``betas`` must pass :func:`optim.check_betas`, checked after every other field.
+    ``betas`` must pass :func:`optim.check_betas`, checked after every other
+    field but ``optimizer``: that is the kind ``betas`` make, "gd" when all
+    are 0, else "hb" for one and "agghb" for several, and a kind given that
+    differs is refused last.
     """
 
     problem: str
@@ -73,11 +74,6 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        kind = "gd" if not any(self.betas) else "hb" if len(self.betas) == 1 else "agghb"
-        if self.optimizer not in (None, kind):
-            raise ValueError(f"optimizer {self.optimizer!r} does not match betas "
-                             f"{self.betas}, which make it {kind!r}")
-        object.__setattr__(self, "optimizer", kind)
         if self.gammas is not None:
             object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
         if isinstance(self.iters, bool) or operator.index(self.iters) < 1:
@@ -97,6 +93,11 @@ class RunConfig:
         if self.gammas is not None and len(self.gammas) != len(self.betas):
             raise ValueError("betas and gammas must have equal length")
         check_betas(self.betas)
+        kind = "gd" if not any(self.betas) else "hb" if len(self.betas) == 1 else "agghb"
+        if self.optimizer not in (None, kind):
+            raise ValueError(f"optimizer {self.optimizer!r} does not match betas "
+                             f"{self.betas}, which make it {kind!r}")
+        object.__setattr__(self, "optimizer", kind)
 
 
 @dataclass
@@ -340,32 +341,33 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     ``problem.value_and_grad`` call on the block of live columns, and every
     column follows :func:`run`'s recurrence and divergence rule.  A point
     diverges when its objective or gradient turns non-finite, or a step
-    makes its iterate or buffers non-finite; its column is then dropped.
-    Only non-finite values count: a point that ends far above f(x0) without
-    overflowing is not ``diverged``, and its ``final_f`` is then chaotic,
-    so a change of rounding anywhere in the objective can move it far more
-    than it moves a converging point's.  Best is the lowest final objective
-    among non-diverged points, ties broken toward the smaller stepsize.
-    Returns the resolved config (mode "tuned") and the full sweep table.
+    makes its iterate or buffers non-finite; its column is then dropped and
+    its ``final_f`` stays +inf, which no point that reaches the last iterate
+    has.  Only non-finite values count: a point that ends far above f(x0)
+    without overflowing is not ``diverged``, and its ``final_f`` is then
+    chaotic, so a change of rounding anywhere in the objective can move it
+    far more than it moves a converging point's.  Best is the lowest final
+    objective among non-diverged points, ties broken toward the smaller
+    stepsize.  Returns the resolved config (mode "tuned") and the full sweep
+    table.
     """
     if base.stepsize_mode != "tune":
         raise ValueError("tune() expects a config with stepsize mode 'tune'")
     m = len(base.betas)
-    configs = [AggConfig(betas=base.betas, gammas=(a / problem.L,) * m) for a in TUNING_GRID]
+    with np.errstate(over="ignore"):  # check_gammas refuses what a tiny L overflows
+        gammas = check_gammas(np.array(TUNING_GRID) / problem.L)
     x0 = start_point(base, problem)
-    objective = problem.value_and_grad
 
     P = len(TUNING_GRID)
     live = np.arange(P)  # grid indices of the columns still advancing
     # Each column's stepsize for all m buffers, as step's single weight row.
-    weights = np.tile([c.gammas[0] for c in configs], (1, m, 1, 1))
+    weights = np.tile(gammas, (1, m, 1, 1))
     beta = np.array(base.betas)[:, None, None]
     X, V = init(m, np.repeat(x0.reshape(-1, 1), P, axis=1))
     final_f = np.full(P, np.inf)
-    diverged = np.zeros(P, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(base.iters + 1):
-            f, G = objective(X)
+            f, G = problem.value_and_grad(X)
             last = k == base.iters
             if not last:
                 step(X, V, G, beta, weights)
@@ -375,9 +377,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             # common case.
             checked = G if last else X
             if not np.isfinite(f.sum() + checked.sum()):
-                bad = ~(np.isfinite(f) & np.isfinite(checked).all(axis=0))
-                diverged[live[bad]] = True
-                keep = ~bad
+                keep = np.isfinite(f) & np.isfinite(checked).all(axis=0)
                 live, weights, f = live[keep], weights[..., keep], f[keep]
                 X, V = X[:, keep], V[:, :, keep]
             if last:
@@ -385,16 +385,10 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             if live.size == 0:
                 break
 
-    sweep = [
-        SweepEntry(a=a, gamma=c.gammas[0], final_f=float(fv), diverged=bool(d))
-        for a, c, fv, d in zip(TUNING_GRID, configs, final_f, diverged)
-    ]
-    best = None
-    for entry in sweep:  # grid order is ascending, so ties keep the smaller a
-        if entry.diverged:
-            continue
-        if best is None or entry.final_f < best.final_f:
-            best = entry
+    sweep = [SweepEntry(a=a, gamma=g, final_f=fv, diverged=fv == math.inf)
+             for a, g, fv in zip(TUNING_GRID, gammas, final_f.tolist())]
+    # min keeps the first of equal values, and the grid ascends: ties keep the smaller a
+    best = min((e for e in sweep if not e.diverged), key=lambda e: e.final_f, default=None)
     if best is None:
         raise TuningError("every stepsize in the tuning grid diverged", sweep)
     return replace(base, stepsize_mode="tuned", gammas=(best.gamma,) * m), sweep
@@ -421,12 +415,13 @@ ARMIJO_C = 1e-4
 def _newton(
     problem: Problem, x: np.ndarray, grad_tol: float
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Damped Newton with Armijo backtracking on ``problem.value``.
+    """Damped Newton with Armijo backtracking.
 
-    Returns the last iterate with its value and gradient once the gradient
-    norm reaches ``grad_tol``, or earlier on a singular Hessian, a
-    non-descent direction, a failed line search or after
-    ``NEWTON_MAX_ITERS`` iterations.
+    The start and each trial point are one ``problem.value_and_grad`` call,
+    and an accepted trial keeps its gradient.  Returns the last iterate with
+    its value and gradient once the gradient norm reaches ``grad_tol``, or
+    earlier on a singular Hessian, a non-descent direction, a failed line
+    search or after ``NEWTON_MAX_ITERS`` iterations.
     """
     f, g = problem.value_and_grad(x)
     for _ in range(NEWTON_MAX_ITERS):
@@ -446,7 +441,7 @@ def _newton(
         t = 1.0
         while True:
             x_new = x + t * d
-            f_new = problem.value(x_new)
+            f_new, g_new = problem.value_and_grad(x_new)
             if f_new <= f + ARMIJO_C * t * slope:
                 break
             if t == 1.0 and -slope <= noise and f_new <= f + noise:
@@ -454,8 +449,7 @@ def _newton(
             t *= 0.5
             if t < 1e-10:
                 return x, f, g
-        x, f = x_new, f_new
-        g = problem.value_and_grad(x)[1]
+        x, f, g = x_new, f_new, g_new
     return x, f, g
 
 
@@ -826,7 +820,8 @@ def read_trace(path: str | Path) -> Trace:
     a ``k`` column other than 0, 1, 2, ..., a malformed field, an optional column
     filled on some rows only, or a sidecar of another schema, that lacks a key or a
     ``RunConfig`` field, whose ``config`` ``RunConfig`` refuses, or whose top-level
-    values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it."""
+    values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it;
+    so is a row count other than the sidecar's ``iters + 1``, or above it if diverged."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -860,6 +855,10 @@ def read_trace(path: str | Path) -> Trace:
         raise ValueError(f"metadata sidecar {meta_path} lacks key {exc.args[0]!r}") from None
     except TypeError as exc:  # e.g. a config without one of RunConfig's fields
         raise ValueError(f"metadata sidecar {meta_path} is malformed: {exc}") from None
+    rows, full = len(columns["f"]), config.iters + 1
+    if rows > full or rows < full and not meta["diverged"]:
+        raise ValueError(f"trace file {csv_path} has {rows} rows, but sidecar iters={config.iters} "
+                         f"asks for {'at most' if meta['diverged'] else 'exactly'} {full}")
     values = {name: None if column[0] is None else np.asarray(column, dtype=float)
               for name, column in columns.items()}
     values.update({key: meta[key] for key in _SIDECAR_VALUES}, config=config,

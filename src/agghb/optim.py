@@ -37,6 +37,16 @@ def check_betas(betas) -> tuple[float, ...]:
     return betas
 
 
+def check_gammas(gammas) -> tuple[float, ...]:
+    """``gammas`` as floats, each positive and finite.  The one check of a set
+    of stepsizes, whether an :class:`AggConfig`'s or a tuning grid's."""
+    gammas = tuple(float(g) for g in gammas)
+    for g in gammas:
+        if not (g > 0.0) or not np.isfinite(g):
+            raise ValueError(f"stepsize {g} must be positive and finite")
+    return gammas
+
+
 @dataclass(frozen=True)
 class AggConfig:
     """Knobs of the aggregated method: momentum decays and stepsizes.
@@ -58,9 +68,7 @@ class AggConfig:
             raise ValueError(
                 f"betas and gammas must have equal length, got {len(betas)} != {len(gammas)}"
             )
-        for g in gammas:
-            if not (g > 0.0) or not np.isfinite(g):
-                raise ValueError(f"stepsize {g} must be positive and finite")
+        check_gammas(gammas)
 
     @property
     def m(self) -> int:

@@ -103,10 +103,11 @@ class Problem:
     maps each column alone up to rounding.  ``harness.run`` makes one call
     per iterate on x, and ``harness.tune`` one per iterate on the block of
     its live grid points.  ``value`` maps x (dim,) to a float and X (dim, P)
-    to f (P,); ``harness.run`` in theory-cvx mode calls it once per block of
-    averaged iterates.  ``gradient`` maps x (dim,) to its gradient and is
-    kept for tests and the benchmark's tracer.  Both default to those of
-    ``value_and_grad``; give ``value`` only where a gradient-free pass saves work.
+    to f (P,); only ``harness.run`` in theory-cvx mode reads it, once per
+    block of averaged iterates.  ``gradient`` maps x (dim,) to its gradient
+    and is kept for tests and the benchmark's tracer.  Both default to those
+    of ``value_and_grad``; give ``value`` only where a gradient-free pass
+    saves work.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that

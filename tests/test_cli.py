@@ -626,8 +626,7 @@ class TestVerify:
          "is malformed: momentum parameter -0.1 outside [0, 1)"),
         (lambda meta: meta["config"].update(betas=[math.nan]),
          "is malformed: momentum parameter nan outside [0, 1)"),
-        (lambda meta: meta["config"].update(betas=[], optimizer=None),
-         "is malformed: need at least one beta"),
+        (lambda meta: meta["config"].update(betas=[]), "is malformed: need at least one beta"),
         (lambda meta: meta.update(gammas=[True]),
          "is malformed: 'gammas' must be one finite positive number per beta, got [True]"),
         (lambda meta: meta.update(gammas=[0.01, 0.01]),
@@ -662,6 +661,24 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: ") and err.rstrip().endswith(message)
+
+    @pytest.mark.parametrize("edit, diverged, message", [
+        # 899 rows that continue k after the 101 a 100-iterate run writes
+        (lambda rows: rows + [f"{k},{rows[-1].split(',', 1)[1]}" for k in range(101, 1000)],
+         False, "has 1000 rows, but sidecar iters=100 asks for exactly 101"),
+        (lambda rows: rows[:50], False, "has 50 rows, but sidecar iters=100 asks for exactly 101"),
+        (lambda rows: rows + [f"101,{rows[-1].split(',', 1)[1]}"],
+         True, "has 102 rows, but sidecar iters=100 asks for at most 101"),
+    ], ids=["appended", "cut", "diverged-appended"])
+    def test_rows_the_sidecar_does_not_ask_for_exit_one(self, capsys, tmp_path, edit,
+                                                        diverged, message):
+        trace = self._write_trace(capsys, tmp_path)
+        header, *rows = trace.read_text().splitlines()
+        trace.write_text("\n".join([header, *edit(rows)]) + "\n")
+        self._edit_meta(trace, lambda meta: meta.update(diverged=diverged))
+        code, out, err = run_cli(capsys, "verify", "--trace", str(trace))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: trace file ") and err.rstrip().endswith(message)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda params: params.update(l2=None), "'l2' must be a number or 'auto', got None"),

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from agghb.harness import (
     verify_bounds,
 )
 from agghb.libsvm import load_libsvm, to_dataset
-from agghb.optim import AggConfig
+from agghb.optim import AggConfig, check_gammas
 from agghb.problems import Problem, logreg_l2, logreg_nonconvex, quadratic, rosenbrock
 
 from conftest import synthetic_libsvm_text
@@ -693,6 +694,33 @@ class TestTune:
         with pytest.raises(ValueError, match="dimension"):
             tune(self._base(params={"x0": [1.0, 2.0]}), identity_quadratic(3))
 
+    def test_grid_checked_once_as_one_vector(self, monkeypatch):
+        checked = []
+
+        def counted(gammas):
+            checked.append(np.array(gammas))
+            return check_gammas(gammas)
+
+        def no_config(*args, **kwargs):
+            raise AssertionError("tune built an AggConfig")
+
+        monkeypatch.setattr(agghb.harness, "check_gammas", counted)
+        monkeypatch.setattr(agghb.harness, "AggConfig", no_config)
+        problem = quadratic(np.diag([1.0, 3.0]), np.ones(2))
+        base = self._base(betas=(0.9, 0.5), optimizer="agghb", params={"x0": [1.0, 1.0]})
+        _, sweep = tune(base, problem)
+        assert len(checked) == 1
+        assert checked[0].tolist() == [a / problem.L for a in TUNING_GRID]
+        assert [e.gamma for e in sweep] == checked[0].tolist()
+
+    def test_grid_overflowing_on_a_tiny_L_refused(self):
+        # 32 / 1e-307 is the first grid point past the largest float
+        problem = dataclasses.replace(identity_quadratic(), L=1e-307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^stepsize inf must be positive and finite$"):
+                tune(self._base(), problem)
+
     @pytest.mark.parametrize("x0", [1.0, [[1.0]], [[1.0, 2.0]]],
                              ids=["scalar", "1x1", "1x2"])
     @pytest.mark.parametrize("mode", ["run", "tune"])
@@ -843,35 +871,40 @@ class TestReferenceSolution:
         assert not ref.certified
         assert ref.grad_norm > 1e-10
 
-    # Each way the line search can end, on logreg-l2 with the value each
-    # trial point reads passed through ``value`` and the Hessian scaled.
+    # Each way the line search can end, on logreg-l2 with the Hessian scaled
+    # and the value of each trial point, every ``value_and_grad`` call after
+    # the first (the start), passed through ``value``; gradients stay exact.
     def _newton_with(self, dataset, value=lambda f: f, hessian_scale=1.0, grad_tol=1e-10):
         problem = logreg_l2(dataset, l2=1e-3)
         calls = collections.Counter()
 
-        def trial_value(x):
-            calls["value"] += 1
-            return value(problem.value(x))
+        def objective(x):
+            f, g = problem.value_and_grad(x)
+            if not calls["start"]:
+                calls["start"] += 1
+                return f, g
+            calls["trials"] += 1
+            return value(f), g
 
         def hessian(x):
             calls["hessian"] += 1
             return hessian_scale * problem.hessian(x)
 
-        altered = dataclasses.replace(problem, value=trial_value, hessian=hessian)
+        altered = dataclasses.replace(problem, value_and_grad=objective, hessian=hessian)
         return reference_solution(altered, grad_tol=grad_tol), calls
 
     def test_newton_backtracks_a_step_too_long(self, small_dataset):
         # A quarter of the Hessian makes each Newton step four times too long.
         ref, calls = self._newton_with(small_dataset, hessian_scale=0.25)
         assert ref.certified
-        assert calls["value"] > calls["hessian"]  # some steps were halved
+        assert calls["trials"] > calls["hessian"]  # some steps were halved
 
     def test_newton_gives_up_when_no_trial_point_decreases(self, small_dataset):
         ref, calls = self._newton_with(small_dataset, value=lambda f: f + 1.0)
         assert not ref.certified
         np.testing.assert_array_equal(ref.x, np.zeros(small_dataset.n))
         # t = 1, 1/2, ..., 2^-33 (the last above 1e-10), all from x = 0
-        assert (calls["hessian"], calls["value"]) == (1, 34)
+        assert (calls["hessian"], calls["trials"]) == (1, 34)
 
     def test_newton_accepts_a_rise_within_rounding(self, small_dataset):
         # Each trial point reads one ulp higher than the one before, so once
@@ -881,6 +914,32 @@ class TestReferenceSolution:
         ref, _ = self._newton_with(small_dataset, grad_tol=1e-14,
                                    value=lambda f: f + next(drift) * np.spacing(f))
         assert ref.certified and ref.grad_norm <= 1e-14
+
+    @pytest.mark.parametrize("l2", [0.0, "auto"])
+    def test_newton_evaluates_each_point_once(self, australian_dataset, l2):
+        # One value_and_grad call at the start and one per trial point: no
+        # point is evaluated twice, every point where a Hessian is taken was
+        # evaluated, and value is never read.
+        data = australian_dataset
+        problem = logreg_l2(data, data.logistic_L / 1e5 if l2 == "auto" else l2)
+        points = collections.defaultdict(list)  # each callable's arguments, in call order
+
+        def counted(name):
+            def fn(x):
+                points[name].append(x.copy())
+                return getattr(problem, name)(x)
+            return fn
+
+        altered = dataclasses.replace(problem, **{
+            name: counted(name) for name in ("value", "value_and_grad", "hessian")})
+        ref, plain = reference_solution(altered), reference_solution(problem)
+        assert ref.certified and not points["value"]
+        evaluated = {x.tobytes() for x in points["value_and_grad"]}
+        assert len(evaluated) == len(points["value_and_grad"]) > len(points["hessian"]) > 0
+        assert not points["value_and_grad"][0].any()  # the start, x = 0
+        assert {x.tobytes() for x in points["hessian"]} <= evaluated
+        assert (ref.x.tobytes(), ref.f, ref.grad_norm) == (plain.x.tobytes(), plain.f,
+                                                          plain.grad_norm)
 
     def test_convex_problem_without_optimum_or_hessian_rejected(self):
         problem = quadratic(np.diag([0.0, 1.0]), np.array([0.0, 1.0]))
@@ -1127,6 +1186,23 @@ class TestTraceExport:
         with pytest.raises(ValueError, match=r"^metadata sidecar .*t\.meta\.json is malformed: "
                                              r"optimizer 'agghb' does not match betas"):
             read_trace(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_diverged_trace_short_of_its_budget_reads_back(self, tmp_path, mode):
+        # A run that diverges writes fewer than iters + 1 rows; read back, it
+        # verifies as the run did, failing the prefix it lacks.
+        problem = dataclasses.replace(_hand_built(lambda x: x), f_lower=0.0)
+        diverging = _hand_built(_turning_bad(50, lambda x: x, np.nan))
+        cfg = RunConfig(problem="hand", betas=(0.9,), stepsize_mode=mode, iters=100,
+                        problem_params={"x0": [1.0, -2.0]})
+        trace = run(cfg, diverging)
+        assert trace.diverged and len(trace.f) == 51
+        export_trace(trace, tmp_path / "t.csv")
+        loaded = read_trace(tmp_path / "t.csv")
+        assert loaded.diverged and len(loaded.f) == 51
+        report = verify_bounds(loaded, problem)
+        assert report == verify_bounds(trace, problem)
+        assert [(r.K, r.observed, r.passed) for r in report.rows[1:]] == [(100, math.inf, False)]
 
     def test_read_corrupted_reports_line(self, tmp_path):
         trace = self._trace(3)

@@ -7,6 +7,7 @@ from agghb.harness import RunConfig, run
 from agghb.optim import (
     AggConfig,
     averaging_update,
+    check_gammas,
     init,
     step,
     virtual_coefficients,
@@ -57,6 +58,17 @@ class TestAggConfig:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AggConfig(betas=(), gammas=())
+
+
+class TestCheckGammas:
+    def test_vector_becomes_floats(self):
+        checked = check_gammas(np.array([0.5, 2.0]))
+        assert checked == (0.5, 2.0) and all(type(g) is float for g in checked)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("inf"), float("nan")])
+    def test_first_bad_stepsize_named(self, gamma):
+        with pytest.raises(ValueError, match=rf"^stepsize {gamma} must be positive and finite$"):
+            check_gammas(np.array([0.5, gamma, -2.0]))
 
 
 class TestInit:
