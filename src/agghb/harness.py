@@ -783,25 +783,31 @@ _SIDECAR_VALUES = {
 }
 
 
-def _parse_rows(lines: list[str]) -> dict[str, list]:
-    """Each :data:`TRACE_COLUMNS` column of the CSV rows ``lines``: floats, None in an
-    empty optional cell.  The cells of each :data:`_CHUNK_ROWS` rows are read a column
-    at a time from one flat list; only if that fails are the rows walked one by one,
-    to name the first bad line."""
+def _parse_rows(lines: list[str]) -> dict[str, np.ndarray | None]:
+    """Each :data:`TRACE_COLUMNS` column of the CSV rows ``lines`` as a float64
+    array, None for an optional column empty on every row.  The cells of each
+    :data:`_CHUNK_ROWS` rows are read a column at a time from one flat list
+    into the arrays; only if that fails are the rows walked one by one, to name
+    the first bad line, and then an optional column empty on some rows and
+    filled on others, at the first row unlike row 0."""
     width = len(TRACE_COLUMNS) + 1
-    columns = {name: [] for name in TRACE_COLUMNS}
+    columns = {name: np.empty(len(lines)) for name in TRACE_COLUMNS}
     with suppress(ValueError):
         for lo in range(0, len(lines), _CHUNK_ROWS):
             chunk = lines[lo:lo + _CHUNK_ROWS]
             cells = ",".join(chunk).split(",")
             if ({line.count(",") for line in chunk} != {width - 1}
                     or list(map(int, cells[::width])) != list(range(lo, lo + len(chunk)))):
-                break
+                raise ValueError
             for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1):
-                columns[name] += ([float(c) if c else None for c in cells[j::width]]
-                                  if optional else map(float, cells[j::width]))
-        else:
-            return columns
+                cells_j = cells[j::width]
+                if columns[name] is not None and (lo or not optional or any(cells_j)):
+                    columns[name][lo:lo + len(chunk)] = list(map(float, cells_j))
+                elif any(cells_j):
+                    raise ValueError  # filled after rows left empty
+                else:
+                    columns[name] = None  # empty from row 0 on
+        return columns
     for lineno, line in enumerate(lines, start=2):
         parts = line.split(",")
         if len(parts) != width:
@@ -813,6 +819,12 @@ def _parse_rows(lines: list[str]) -> dict[str, list]:
             raise ValueError(f"line {lineno}: malformed numeric field") from None
         if k_row != lineno - 2:
             raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
+    for j, name in enumerate(TRACE_COLUMNS, start=1):
+        # every row parsed, so only an optional column has empty cells
+        blank = [not line.split(",")[j] for line in lines]
+        if (not blank[0]) in blank:
+            raise ValueError(f"line {blank.index(not blank[0]) + 2}: "
+                             f"{name} is empty on some rows and filled on others")
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -834,11 +846,7 @@ def read_trace(path: str | Path) -> Trace:
         raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
     if len(text) == 1:  # run records iterate 0 at least
         raise ValueError(f"trace file {csv_path} has a header and no rows")
-    columns = _parse_rows(text[1:])
-    for name, column in columns.items():
-        if column.count(None) not in (0, len(column)):
-            bad = [v is None for v in column].index(column[0] is not None)
-            raise ValueError(f"line {bad + 2}: {name} is empty on some rows and filled on others")
+    values = _parse_rows(text[1:])
     meta = json.loads(meta_path.read_text())
     try:
         if meta["schema"] != 1:
@@ -855,12 +863,10 @@ def read_trace(path: str | Path) -> Trace:
         raise ValueError(f"metadata sidecar {meta_path} lacks key {exc.args[0]!r}") from None
     except TypeError as exc:  # e.g. a config without one of RunConfig's fields
         raise ValueError(f"metadata sidecar {meta_path} is malformed: {exc}") from None
-    rows, full = len(columns["f"]), config.iters + 1
+    rows, full = len(values["f"]), config.iters + 1
     if rows > full or rows < full and not meta["diverged"]:
         raise ValueError(f"trace file {csv_path} has {rows} rows, but sidecar iters={config.iters} "
                          f"asks for {'at most' if meta['diverged'] else 'exactly'} {full}")
-    values = {name: None if column[0] is None else np.asarray(column, dtype=float)
-              for name, column in columns.items()}
     values.update({key: meta[key] for key in _SIDECAR_VALUES}, config=config,
                   gammas=tuple(meta["gammas"]), x0=np.asarray(meta["x0"], dtype=float))
     return Trace(**values)

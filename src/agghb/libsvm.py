@@ -7,7 +7,7 @@ Files ending in ``.gz`` are transparently decompressed.
 
 A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
 ``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
-CSR matrix without another pass over the samples.  The input is text or
+feature matrix without another pass over the samples.  The input is text or
 UTF-8 bytes; one leading byte-order mark is skipped.  Text is parsed in
 blocks of :data:`BLOCK_LINES` lines.  An ASCII block without ``#`` takes the byte
 path: it is encoded as one byte array, split into tokens at the bytes
@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .problems import Dataset
 
@@ -291,7 +290,9 @@ def load_libsvm(path: str | Path) -> ParseResult:
 
 
 def to_dataset(parsed: ParseResult, n_features: int | None = None) -> Dataset:
-    """Build a compressed-row Dataset with +-1 labels from a parse.
+    """Build a Dataset with +-1 labels from a parse, its features filled
+    straight from the parse's compressed rows: dense when narrow, CSR
+    otherwise (see :class:`Dataset`).
 
     Of two label values the larger maps to +1 and the smaller to -1, so
     {-1, +1} is kept and {0, 1}, {1, 2} or {2, 4} map their smaller value to
@@ -313,10 +314,7 @@ def to_dataset(parsed: ParseResult, n_features: int | None = None) -> Dataset:
     labels = np.where(raw_labels > lower, 1.0, -1.0)
 
     n = feature_count(parsed, n_features)
-    features = sp.csr_matrix(
-        (parsed.values, parsed.indices, parsed.indptr), shape=(raw_labels.size, n)
-    )
-    return Dataset(features=features, labels=labels)
+    return Dataset.from_rows(parsed.values, parsed.indices, parsed.indptr, n, labels)
 
 
 def feature_count(parsed: ParseResult, n_features: int | None) -> int:

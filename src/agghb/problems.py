@@ -10,17 +10,21 @@ bound on the objective.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import theory
 
-# Below this column count a dense copy of the feature matrix is kept; numpy
-# dense matvecs beat sparse ones on such narrow matrices.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
+# Up to this column count a Dataset holds its features dense: numpy dense
+# matvecs beat sparse ones on such narrow matrices, and only wider data pays
+# for importing scipy.sparse.
 _DENSE_FALLBACK_COLS = 64
 
 # The logistic ``value_and_grad`` takes its products over all P columns of
@@ -45,13 +49,28 @@ _POWER_SEED = 0
 
 @dataclass(frozen=True)
 class Dataset:
-    """Binary-classification data: sparse M x n feature matrix and +-1 labels."""
+    """Binary-classification data: an M x n feature matrix and +-1 labels.
 
-    features: sp.csr_matrix
+    ``features`` is held as a dense C-ordered float64 array when
+    n <= ``_DENSE_FALLBACK_COLS`` (M * n * 8 bytes, the size of the signed
+    copy the logistic objectives keep of it) and as a ``scipy.sparse`` CSR
+    matrix otherwise, whichever kind it is given as.  Only wide data imports
+    ``scipy.sparse``.
+    """
+
+    features: np.ndarray | sp.csr_matrix
     labels: np.ndarray
 
     def __post_init__(self):
-        feats = sp.csr_matrix(self.features)
+        feats = self.features
+        sp = _sparse_module(feats)
+        if sp is None:
+            feats = _dense(feats)
+        if feats.shape[1] > _DENSE_FALLBACK_COLS:
+            import scipy.sparse as sp
+            feats = sp.csr_matrix(feats)
+        elif sp is not None:
+            feats = _dense(feats.toarray())
         labels = np.asarray(self.labels, dtype=float).reshape(-1)
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
@@ -61,7 +80,7 @@ class Dataset:
             )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must all be -1 or +1")
-        if feats.nnz and not np.all(np.isfinite(feats.data)):
+        if not np.all(np.isfinite(_stored_values(feats))):
             raise ValueError("feature matrix contains non-finite values")
         try:
             np.empty(feats.shape[1])  # the dense iterate; untouched pages cost nothing
@@ -70,6 +89,21 @@ class Dataset:
                 f"feature count {feats.shape[1]} is too large: a dense iterate "
                 "of that many values cannot be allocated"
             ) from None
+
+    @classmethod
+    def from_rows(cls, values, indices, indptr, n: int, labels) -> Dataset:
+        """The Dataset of n columns whose row i has its entries at positions
+        ``indptr[i]:indptr[i + 1]`` of ``indices`` (0-based columns, none
+        twice in a row) and ``values``; narrow features are filled straight
+        into their dense array."""
+        M = len(indptr) - 1
+        if n > _DENSE_FALLBACK_COLS:
+            import scipy.sparse as sp
+            return cls(sp.csr_matrix((values, indices, indptr), shape=(M, n)), labels)
+        features = np.zeros((M, n))
+        # adding onto +0.0, as scipy's toarray does, turns a stored -0.0 into +0.0
+        features[np.repeat(np.arange(M), np.diff(indptr)), indices] = np.add(values, 0.0)
+        return cls(features, labels)
 
     @property
     def M(self) -> int:
@@ -225,15 +259,17 @@ def rosenbrock() -> Problem:
 def _feature_operator(data: Dataset):
     """Products with the label-signed features B = diag(y) A:
     (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix),
-    with a dense fast path for narrow matrices.  The labels are +-1, so
-    B @ x equals y * (A @ x) exactly.
+    dense on the narrow features a Dataset holds dense.  The labels are +-1,
+    so B @ x equals y * (A @ x) exactly.
 
     On the sparse path a CSR copy of B.T serves single vectors, where it is
     the faster kernel; a block R (M, P) goes through the CSC view ``B.T``,
     whose one pass over B beats both that copy and P separate products."""
     if data.n <= _DENSE_FALLBACK_COLS:
-        B = data.labels[:, None] * data.features.toarray()
+        B = data.labels[:, None] * data.features
         return (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
+    import scipy.sparse as sp
+
     B = data.features.copy()
     B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
     BT = B.T.tocsr()
@@ -345,7 +381,7 @@ def _check_strength(name: str, value: float, data: Dataset) -> None:
     feature value, where the objective is the constant log 2 and L is 0."""
     if not 0.0 <= value < math.inf:
         raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
-    if value == 0.0 and not data.features.data.any():
+    if value == 0.0 and not _stored_values(data.features).any():
         raise ValueError(f"the data has no nonzero feature value, so with {name} = 0 the "
                          f"objective is constant and has no positive L; give {name} > 0")
 
@@ -398,16 +434,32 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
 
 
 def spectral_norm(A) -> tuple[float, bool]:
-    """Largest eigenvalue of A'A by power iteration on repeated CSR matvecs.
+    """Largest eigenvalue of A'A by power iteration on repeated matvecs.
 
-    ``A`` may be any matrix ``scipy.sparse.csr_matrix`` accepts.  The
-    iteration starts from a seeded random direction and stops once the
-    Rayleigh quotient moves by at most ``_POWER_REL_TOL`` of itself, or after
+    ``A`` is a ``scipy.sparse`` matrix, whose products are CSR matvecs, or
+    anything ``np.asarray`` reads as a matrix, whose products add the same
+    terms in the same order (see :func:`_row_sum`): dense, a matrix gives
+    bitwise the estimate of its CSR form with sorted column indices (as
+    scipy builds it), and never imports ``scipy.sparse``.  The iteration
+    starts from a seeded random direction and stops once the Rayleigh
+    quotient moves by at most ``_POWER_REL_TOL`` of itself, or after
     ``_POWER_MAX_ITERS`` products.  Returns (estimate, converged).  The zero
     matrix, stored entries that are all zero included, yields (0.0, True).
     """
-    A = sp.csr_matrix(A)
-    if not A.data.any():
+    sp = _sparse_module(A)
+    if sp is not None:
+        A = sp.csr_matrix(A)
+        matvec, rmatvec = (lambda v: A @ v), (lambda z: A.T @ z)
+    else:
+        # Row j of AT * v[:, None] is column j of A times v[j], so summing
+        # its rows in order adds each row of A in column order, as a CSR
+        # matvec does; the rows of A * z[:, None], in order, are what the
+        # transposed (CSC) matvec adds into each column.
+        A = _dense(A)
+        AT = np.ascontiguousarray(A.T)
+        matvec, rmatvec = ((lambda v: _row_sum(AT * v[:, None])),
+                           (lambda z: _row_sum(A * z[:, None])))
+    if not _stored_values(A).any():
         return 0.0, True
 
     n = A.shape[1]
@@ -416,7 +468,7 @@ def spectral_norm(A) -> tuple[float, bool]:
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(_POWER_MAX_ITERS):
-        w = A.T @ (A @ v)
+        w = rmatvec(matvec(v))
         lam_new = float(v @ w)  # Rayleigh quotient, ||v|| = 1
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0:
@@ -429,3 +481,34 @@ def spectral_norm(A) -> tuple[float, bool]:
             return lam_new, True
         lam = lam_new
     return lam, False
+
+
+def _row_sum(T: np.ndarray) -> np.ndarray:
+    """The sum of the rows of a C-ordered T (k, l), added in row order onto
+    +0.0 as scipy's sparse matvecs add their terms, so bitwise theirs.  In C
+    order reduce adds the rows in order, unless each is one value: numpy
+    then adds them pairwise, so accumulate, and + 0.0 turns a -0.0 sum into
+    the +0.0 that adding onto +0.0 gives."""
+    if T.shape[1] == 1:
+        return np.add.accumulate(T, axis=0)[-1] + 0.0
+    return np.add.reduce(T, axis=0, initial=0.0)
+
+
+def _sparse_module(A):
+    """``scipy.sparse`` when ``A`` is one of its matrices, else None.  Such an
+    ``A`` has loaded the module already, so this never imports it."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp if sp is not None and sp.issparse(A) else None
+
+
+def _dense(A) -> np.ndarray:
+    """``A`` as a C-ordered float64 matrix."""
+    A = np.ascontiguousarray(A, dtype=float)
+    if A.ndim != 2:
+        raise ValueError(f"a feature matrix must be 2-D, got shape {A.shape}")
+    return A
+
+
+def _stored_values(A) -> np.ndarray:
+    """The values a matrix holds: all of a dense one, the stored ones of CSR."""
+    return A if isinstance(A, np.ndarray) else A.data

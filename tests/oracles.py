@@ -9,7 +9,8 @@ values alone, and :func:`gradient_descent_reference` reaches the optimum the
 slow way, with no Hessian, as an oracle for the Newton reference.
 :class:`LibsvmRecord`, :func:`as_records` and :func:`serialize_libsvm` turn
 a parse into per-sample records and back into LIBSVM text, for round-trip
-checks of the parser.
+checks of the parser.  :func:`as_dense` reads a feature matrix as a dense
+array, whether a ``Dataset`` holds it dense or CSR.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+import scipy.sparse as sp
 
 from agghb.harness import (
     Reference,
@@ -257,3 +259,8 @@ def serialize_libsvm(records: Iterable[LibsvmRecord]) -> str:
         )
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def as_dense(features) -> np.ndarray:
+    """A feature matrix as a dense array: a copy of a sparse one, a dense one as is."""
+    return features.toarray() if sp.issparse(features) else np.asarray(features)

@@ -917,11 +917,43 @@ class TestModuleEntryPoint:
         kv = parse_kv(done.stdout)
         assert kv["m"] == ["1"] and kv["beta_hat"] == ["0.9"]
 
-    def test_cli_import_leaves_out_scipy_special(self):
-        # every command starts with this import; nothing in the package needs it
-        done = self._python("-c", "import sys, agghb.cli; print('scipy.special' in sys.modules)")
+    def test_cli_import_leaves_out_scipy_special(self, tmp_path):
+        # Every command starts with this import.  Nothing in the package needs
+        # scipy.special, and only data wider than the dense cutoff (64
+        # columns) needs scipy.sparse: one interpreter runs each command in
+        # turn and reports the scipy modules loaded after it.
+        data = {}
+        for n in (14, 65):
+            data[n] = tmp_path / f"n{n}.libsvm"
+            data[n].write_text(synthetic_libsvm_text(M=60, n=n, seed=3))
+        run = ["run", "--betas", "0.9,0.99", "--iters", "100"]
+        logreg = ["--problem", "logreg-l2", "--l2", "auto", "--gammas", "theory-cvx"]
+        commands = [
+            ["constants", "--betas", "0.9,0.99"],
+            [*run, "--problem", "quadratic", "--gammas", "theory-cvx",
+             "--out", str(tmp_path / "quad.csv")],
+            [*run, "--problem", "rosenbrock", "--gammas", "theory-ncvx",
+             "--out", str(tmp_path / "rosenbrock.csv")],
+            [*run, *logreg, "--data", str(data[14]), "--out", str(tmp_path / "t14.csv")],
+            ["verify", "--trace", str(tmp_path / "t14.csv")],
+            [*run, *logreg, "--data", str(data[65]), "--out", str(tmp_path / "t65.csv")],
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import agghb.cli\n"
+            "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([0, scipy()]))\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = agghb.cli.main(argv)\n"
+            "    print(json.dumps([code, scipy()]))\n"
+        )
+        done = self._python("-c", script, json.dumps(commands))
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "False\n"
+        after = [json.loads(line) for line in done.stdout.splitlines()]
+        assert after[:-1] == [[EXIT_OK, []]] * len(commands)
+        code, loaded = after[-1]
+        assert code == EXIT_OK and "scipy.sparse" in loaded
 
 
 class TestParseCheck:

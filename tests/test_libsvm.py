@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +22,8 @@ from agghb.libsvm import (
     to_dataset,
 )
 
-from oracles import LibsvmRecord, as_records, serialize_libsvm
+from conftest import synthetic_libsvm_text
+from oracles import LibsvmRecord, as_dense, as_records, serialize_libsvm
 
 
 class TestParse:
@@ -168,8 +170,26 @@ class TestToDataset:
     def test_matrix_layout_zero_based(self):
         parsed = parse_libsvm("1 1:7.0 3:-1.0\n-1 2:4.0")
         data = to_dataset(parsed)
-        dense = data.features.toarray()
-        np.testing.assert_array_equal(dense, [[7.0, 0.0, -1.0], [0.0, 4.0, 0.0]])
+        np.testing.assert_array_equal(as_dense(data.features),
+                                      [[7.0, 0.0, -1.0], [0.0, 4.0, 0.0]])
+
+    @pytest.mark.parametrize("n_features", [None, 20], ids=["inferred", "override"])
+    @pytest.mark.parametrize("path", ["columnar", "lines"])
+    def test_dense_features_are_the_csr_matrix_bit_for_bit(self, path, n_features):
+        # narrow features are filled straight from the parse; scipy's CSR of
+        # the same parse, densified, is the oracle
+        text = synthetic_libsvm_text(M=50, n=9, seed=4) + "-1 2:-0.0 4:0\n"
+        if path == "lines":  # a comment and indices out of order: the line parser
+            text = "# header\n" + text + "1 7:2.5 3:-1.25  # late\n"
+        with mock.patch.object(libsvm, "_parse_lines", wraps=_parse_lines) as spy:
+            parsed = parse_libsvm(text)
+        assert spy.called == (path == "lines")
+        data = to_dataset(parsed, n_features=n_features)
+        shape = (parsed.labels.size, n_features or parsed.n_features)
+        want = sp.csr_matrix((parsed.values, parsed.indices, parsed.indptr), shape=shape).toarray()
+        assert type(data.features) is np.ndarray and data.features.flags.c_contiguous
+        assert data.features.dtype == want.dtype and data.features.shape == want.shape
+        assert data.features.tobytes() == want.tobytes()
 
     def test_n_override(self):
         parsed = parse_libsvm("1 1:1.0")
@@ -185,7 +205,7 @@ class TestToDataset:
         parsed = parse_libsvm("-1\n+1 2:1.0")
         data = to_dataset(parsed)
         assert data.M == 2
-        np.testing.assert_array_equal(data.features.toarray()[0], [0.0, 0.0])
+        np.testing.assert_array_equal(as_dense(data.features)[0], [0.0, 0.0])
 
 
 class TestFiles:

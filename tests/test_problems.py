@@ -12,6 +12,7 @@ from scipy.special import expit
 import agghb.problems
 from agghb.libsvm import parse_libsvm, to_dataset
 from agghb.problems import (
+    _DENSE_FALLBACK_COLS,
     Dataset,
     Problem,
     logreg_l2,
@@ -22,7 +23,7 @@ from agghb.problems import (
 )
 
 from conftest import synthetic_libsvm_text
-from oracles import finite_diff_gradient, logistic_oracle
+from oracles import as_dense, finite_diff_gradient, logistic_oracle
 
 
 def shipped_problem(name, data):
@@ -191,6 +192,34 @@ class TestDataset:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rows"):
             Dataset(features=sp.eye(3, format="csr"), labels=np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("n", [0, 1, _DENSE_FALLBACK_COLS, _DENSE_FALLBACK_COLS + 1])
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_held_dense_up_to_the_cutoff(self, kind, n):
+        A = np.random.default_rng(n).standard_normal((5, n))
+        A[1] = 0.0
+        data = Dataset(features=A if kind == "dense" else sp.csr_matrix(A), labels=np.ones(5))
+        if n <= _DENSE_FALLBACK_COLS:
+            assert type(data.features) is np.ndarray and data.features.flags.c_contiguous
+        else:
+            assert data.features.format == "csr"
+        np.testing.assert_array_equal(as_dense(data.features), A)
+        assert as_dense(data.features).dtype == np.float64
+
+    @pytest.mark.parametrize("n", [2, _DENSE_FALLBACK_COLS + 1], ids=["dense", "csr"])
+    def test_checks_read_either_form(self, n):
+        A = np.zeros((2, n))
+        A[1, 1] = np.inf
+        with pytest.raises(ValueError, match="^feature matrix contains non-finite values$"):
+            Dataset(features=A, labels=np.array([1.0, -1.0]))
+        # stored zeros only, on the CSR form as well
+        data = to_dataset(parse_libsvm("1 1:0\n-1 2:0\n"), n_features=n)
+        with pytest.raises(ValueError, match="^the data has no nonzero feature value"):
+            logreg_l2(data, 0.0)
+
+    def test_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"must be 2-D, got shape \(3,\)"):
+            Dataset(features=np.ones(3), labels=np.ones(1))
 
     def test_unallocatable_feature_count_rejected(self):
         A = sp.csr_matrix((np.array([1.0]), np.array([0]), np.array([0, 1])), shape=(1, 2**62))
@@ -371,8 +400,12 @@ class TestSpectralNorm:
         assert est == 0.0 and converged
 
     def test_stored_zeros_are_the_zero_matrix(self):
-        data = to_dataset(parse_libsvm("1 1:0 2:0\n-1 3:0.0\n"))
-        assert data.features.nnz == 3
+        parsed = parse_libsvm("1 1:0 2:0\n-1 3:0.0\n")
+        stored = sp.csr_matrix((parsed.values, parsed.indices, parsed.indptr))
+        assert stored.nnz == 3  # the CSR form keeps the three zeros the file stores
+        assert spectral_norm(stored) == (0.0, True)
+        data = to_dataset(parsed)
+        assert np.count_nonzero(as_dense(data.features)) == 0
         assert spectral_norm(data.features) == (0.0, True)
         assert data.logistic_L == 0.0
 
@@ -408,6 +441,57 @@ class TestSpectralNorm:
         est_sp, _ = spectral_norm(sp.csr_matrix(dense))
         est_d, _ = spectral_norm(dense)
         assert est_sp == pytest.approx(est_d, rel=1e-9)
+
+
+class TestDenseSpectralNormMatchesCsr:
+    """The dense products of :func:`spectral_norm` add the terms of the CSR
+    matvecs in their order, so on a matrix and its CSR form, the oracle, the
+    estimates are equal exactly, not within a tolerance."""
+
+    @staticmethod
+    def _csr(rng, M, n, density):
+        """A random M x n CSR matrix with zero rows, zero columns and stored zeros."""
+        stored = rng.random((M, n)) < density
+        stored[rng.random(M) < 0.1] = False
+        stored[:, rng.random(n) < 0.1] = False
+        values = np.where(rng.random((M, n)) < 0.1, 0.0, rng.standard_normal((M, n)))
+        rows, cols = np.nonzero(stored)
+        indptr = np.searchsorted(rows, np.arange(M + 1))
+        return sp.csr_matrix((values[rows, cols], cols, indptr), shape=(M, n))
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(27)
+        shapes = [(1, 1), (1, 2), (2, 1), (1, 64), (200, 1), (200, 64)]
+        shapes += [(int(rng.integers(1, 201)), int(rng.integers(1, 65))) for _ in range(250)]
+        stored_zeros = zero_rows = zero_cols = 0
+        for M, n in shapes:
+            A = self._csr(rng, M, n, rng.random())
+            dense = A.toarray()
+            assert spectral_norm(dense) == spectral_norm(A)
+            stored_zeros += A.nnz > np.count_nonzero(A.data)
+            zero_rows += not dense.any(axis=1).all()
+            zero_cols += not dense.any(axis=0).all()
+        assert min(stored_zeros, zero_rows, zero_cols) >= 50
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (200, 64)])
+    def test_all_zero_matrix(self, shape):
+        empty = sp.csr_matrix(shape)
+        stored_zeros = sp.csr_matrix((np.zeros(shape[0]), np.zeros(shape[0], dtype=int),
+                                      np.arange(shape[0] + 1)), shape=shape)
+        for A in (empty, stored_zeros, np.zeros(shape)):
+            assert spectral_norm(A) == (0.0, True)
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_benchmark_row_orders(self, seed):
+        # the australian-shaped benchmark data: the suite's set, its rows in
+        # an order drawn from the seed
+        lines = synthetic_libsvm_text().splitlines()
+        order = np.random.default_rng(seed).permutation(len(lines))
+        parsed = parse_libsvm("\n".join(lines[i] for i in order))
+        data = to_dataset(parsed)
+        A = sp.csr_matrix((parsed.values, parsed.indices, parsed.indptr), shape=data.features.shape)
+        assert type(data.features) is np.ndarray
+        assert spectral_norm(data.features) == spectral_norm(A)
 
 
 class TestFiniteDiffGradient:
@@ -740,7 +824,7 @@ class TestValueAndGrad:
     @pytest.mark.parametrize("kind", ["l2-zero", "l2", "ncvx"])
     def test_logistic_on_both_feature_branches(self, request, dataset, kind):
         data = request.getfixturevalue(dataset)
-        A, y, M = data.features.toarray(), data.labels, data.M
+        A, y, M = as_dense(data.features), data.labels, data.M
         reg = {"l2-zero": 0.0, "l2": 1e-3, "ncvx": 1e-2}[kind]
         p = logreg_nonconvex(data, reg) if kind == "ncvx" else logreg_l2(data, reg)
         big = 0.0
