@@ -119,7 +119,8 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
 def _emit_sweep(sweep) -> None:
     for entry in sweep:
         _emit("sweep", f"a={entry.a!r} gamma={entry.gamma!r} final_f={entry.final_f!r} "
-                       f"diverged={'true' if entry.diverged else 'false'}")
+                       f"diverged={'true' if entry.diverged else 'false'} "
+                       f"diverged_at={'none' if entry.diverged_at is None else entry.diverged_at}")
 
 
 def cmd_run(args) -> int:

@@ -19,8 +19,9 @@ import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -327,22 +328,30 @@ def run(config: RunConfig, problem: Problem) -> Trace:
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One grid point of :func:`tune`: its ``final_f`` is +inf when it
+    ``diverged``, and ``diverged_at`` is then the iterate k at which its
+    column was dropped, else None."""
+
     a: float
     gamma: float
     final_f: float
     diverged: bool
+    diverged_at: int | None
 
 
 def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]]:
     """Grid-search the uniform stepsize gamma = a/L over a in 2^-6 .. 2^8.
 
     All grid points advance together: the iterates are the columns of one
-    X (d, P) and the momentum buffers one V (m, d, P), each step makes one
-    ``problem.value_and_grad`` call on the block of live columns, and every
-    column follows :func:`run`'s recurrence and divergence rule.  A point
-    diverges when its objective or gradient turns non-finite, or a step
-    makes its iterate or buffers non-finite; its column is then dropped and
-    its ``final_f`` stays +inf, which no point that reaches the last iterate
+    X (d, P) and the momentum buffers one V (m, d, P), and every column
+    follows :func:`run`'s recurrence and divergence rule.  Each iterate
+    k < K makes one ``problem.finite_and_grad`` call on the block of live
+    columns, since the rule reads only whether their objective values are
+    finite, and the last, k = K, one ``problem.value_and_grad`` call for
+    the values.  A point diverges when its objective or gradient turns
+    non-finite, or a step makes its iterate or buffers non-finite; its
+    column is then dropped at that k, its ``diverged_at``, and its
+    ``final_f`` stays +inf, which no point that reaches the last iterate
     has.  Only non-finite values count: a point that ends far above f(x0)
     without overflowing is not ``diverged``, and its ``final_f`` is then
     chaotic, so a change of rounding anywhere in the objective can move it
@@ -365,28 +374,36 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     beta = np.array(base.betas)[:, None, None]
     X, V = init(m, np.repeat(x0.reshape(-1, 1), P, axis=1))
     final_f = np.full(P, np.inf)
+    diverged_at = [None] * P
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(base.iters + 1):
-            f, G = problem.value_and_grad(X)
             last = k == base.iters
-            if not last:
-                step(X, V, G, beta, weights)
             # A non-finite gradient entry makes its buffers, and through them
             # the new iterate, non-finite, so X covers G except at the last
-            # iterate, where no step is taken.  One finite scalar clears the
-            # common case.
-            checked = G if last else X
-            if not np.isfinite(f.sum() + checked.sum()):
-                keep = np.isfinite(f) & np.isfinite(checked).all(axis=0)
-                live, weights, f = live[keep], weights[..., keep], f[keep]
+            # iterate, where no step is taken.
+            if last:
+                f, G = problem.value_and_grad(X)
+                finite, checked = np.isfinite(f), G
+            else:
+                finite, G = problem.finite_and_grad(X)
+                step(X, V, G, beta, weights)
+                checked = X
+            # One mask reduction and one finite scalar clear the common case.
+            if not (finite.all() and np.isfinite(checked.sum())):
+                keep = finite & np.isfinite(checked).all(axis=0)
+                for i in live[~keep].tolist():
+                    diverged_at[i] = k
+                live, weights = live[keep], weights[..., keep]
                 X, V = X[:, keep], V[:, :, keep]
+                if last:
+                    f = f[keep]
             if last:
                 final_f[live] = f
             if live.size == 0:
                 break
 
-    sweep = [SweepEntry(a=a, gamma=g, final_f=fv, diverged=fv == math.inf)
-             for a, g, fv in zip(TUNING_GRID, gammas, final_f.tolist())]
+    sweep = [SweepEntry(a=a, gamma=g, final_f=fv, diverged=k is not None, diverged_at=k)
+             for a, g, fv, k in zip(TUNING_GRID, gammas, final_f.tolist(), diverged_at)]
     # min keeps the first of equal values, and the grid ascends: ties keep the smaller a
     best = min((e for e in sweep if not e.diverged), key=lambda e: e.final_f, default=None)
     if best is None:
@@ -729,9 +746,10 @@ def build_problem(name: str, params: dict) -> Problem:
 # leave it empty on every row (``dist_opt`` with no known optimum, ``f_avg``).
 TRACE_COLUMNS = {"f": False, "grad_norm": False, "dist_opt": True, "f_avg": True}
 CSV_HEADER = ",".join(["k", *TRACE_COLUMNS])
-# export_trace writes, and read_trace splits into one flat list of cells, this
-# many CSV rows at a time, so neither holds every row's text at once.
+# export_trace writes this many CSV rows at a time, and read_trace reads this
+# many characters at a time, so neither holds every row's text at once.
 _CHUNK_ROWS = 1024
+_READ_CHARS = 1 << 14
 
 
 def _meta_path(csv_path: Path) -> Path:
@@ -783,48 +801,84 @@ _SIDECAR_VALUES = {
 }
 
 
-def _parse_rows(lines: list[str]) -> dict[str, np.ndarray | None]:
-    """Each :data:`TRACE_COLUMNS` column of the CSV rows ``lines`` as a float64
-    array, None for an optional column empty on every row.  The cells of each
-    :data:`_CHUNK_ROWS` rows are read a column at a time from one flat list
-    into the arrays; only if that fails are the rows walked one by one, to name
-    the first bad line, and then an optional column empty on some rows and
-    filled on others, at the first row unlike row 0."""
+def _line_chunks(fh) -> Iterator[list[str]]:
+    """The lines of the text file ``fh``, cut as ``str.splitlines`` cuts its
+    whole text, in one list per :data:`_READ_CHARS` characters read that end
+    a line.  Universal newlines leave only one-character breaks (no "\\r"
+    to split from its "\\n"), so a block's breaks are those of the text; a
+    sentinel after the block makes its last piece the start of a line that
+    a later block ends, kept in pieces so that a long line is joined once."""
+    pieces = []  # the start of the line no block read so far ends
+    while block := fh.read(_READ_CHARS):
+        lines = (block + "x").splitlines()
+        last = lines.pop()[:-1]
+        if lines:
+            pieces.append(lines[0])
+            lines[0] = "".join(pieces)
+            pieces = []
+            yield lines
+        pieces.append(last)
+    if tail := "".join(pieces):
+        yield [tail]
+
+
+def _parse_rows(chunks: Iterator[list[str]]) -> dict[str, np.ndarray | None]:
+    """Each :data:`TRACE_COLUMNS` column of the CSV rows, given in lists of
+    lines, as a float64 array, None for an optional column empty on every
+    row.  The cells of each list are read a column at a time from one flat
+    list; once that fails, the rows are walked one by one to name the first
+    bad line, and when no row is bad, an optional column empty on some rows
+    and filled on others, at the first row unlike row 0 (the first such
+    column in column order)."""
     width = len(TRACE_COLUMNS) + 1
-    columns = {name: np.empty(len(lines)) for name in TRACE_COLUMNS}
-    with suppress(ValueError):
-        for lo in range(0, len(lines), _CHUNK_ROWS):
-            chunk = lines[lo:lo + _CHUNK_ROWS]
-            cells = ",".join(chunk).split(",")
-            if ({line.count(",") for line in chunk} != {width - 1}
-                    or list(map(int, cells[::width])) != list(range(lo, lo + len(chunk)))):
-                raise ValueError
-            for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1):
-                cells_j = cells[j::width]
-                if columns[name] is not None and (lo or not optional or any(cells_j)):
-                    columns[name][lo:lo + len(chunk)] = list(map(float, cells_j))
-                elif any(cells_j):
-                    raise ValueError  # filled after rows left empty
-                else:
-                    columns[name] = None  # empty from row 0 on
-        return columns
-    for lineno, line in enumerate(lines, start=2):
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
-        try:
-            k_row = int(parts[0])
-            [float(c) for c, opt in zip(parts[1:], TRACE_COLUMNS.values()) if c or not opt]
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed numeric field") from None
-        if k_row != lineno - 2:
-            raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
-    for j, name in enumerate(TRACE_COLUMNS, start=1):
+    # each column's arrays, led by an empty one so that no rows concatenate
+    columns = {name: [np.empty(0)] for name in TRACE_COLUMNS}
+    unlike = None  # once walking: each column's first row unlike row 0
+    lo = 0  # row of the list's first line
+    for lines in filter(None, chunks):
+        if lo == 0:
+            blank0 = [not c for c in lines[0].split(",")]
+        if unlike is None:
+            try:
+                cells = ",".join(lines).split(",")
+                if ({line.count(",") for line in lines} != {width - 1}
+                        or list(map(int, cells[::width])) != list(range(lo, lo + len(lines)))):
+                    raise ValueError
+                for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1):
+                    cells_j = cells[j::width]
+                    if columns[name] is not None and (lo or not optional or any(cells_j)):
+                        columns[name].append(np.array(list(map(float, cells_j))))
+                    elif any(cells_j):
+                        raise ValueError  # filled after rows left empty
+                    else:
+                        columns[name] = None  # empty from row 0 on
+                lo += len(lines)
+                continue
+            except ValueError:
+                unlike, columns = {}, None
+        for lineno, line in enumerate(lines, start=lo + 2):
+            parts = line.split(",")
+            if len(parts) != width:
+                raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
+            try:
+                k_row = int(parts[0])
+                [float(c) for c, opt in zip(parts[1:], TRACE_COLUMNS.values()) if c or not opt]
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed numeric field") from None
+            if k_row != lineno - 2:
+                raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
+            for j, name in enumerate(TRACE_COLUMNS, start=1):
+                if (not parts[j]) != blank0[j]:
+                    unlike.setdefault(name, lineno)
+        lo += len(lines)
+    if unlike is not None:
         # every row parsed, so only an optional column has empty cells
-        blank = [not line.split(",")[j] for line in lines]
-        if (not blank[0]) in blank:
-            raise ValueError(f"line {blank.index(not blank[0]) + 2}: "
-                             f"{name} is empty on some rows and filled on others")
+        name = next(name for name in TRACE_COLUMNS if name in unlike)
+        raise ValueError(f"line {unlike[name]}: {name} is empty on some rows and filled on others")
+    for name, arrays in columns.items():  # each list is freed as its array is made
+        if arrays is not None:
+            columns[name] = np.concatenate(arrays)
+    return columns
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -833,7 +887,10 @@ def read_trace(path: str | Path) -> Trace:
     filled on some rows only, or a sidecar of another schema, that lacks a key or a
     ``RunConfig`` field, whose ``config`` ``RunConfig`` refuses, or whose top-level
     values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it;
-    so is a row count other than the sidecar's ``iters + 1``, or above it if diverged."""
+    so is a row count other than the sidecar's ``iters + 1``, or above it if diverged.
+    The CSV is read :data:`_READ_CHARS` characters at a time, and each block's
+    rows are parsed before the next is read; a CSV that does not decode is
+    refused as reading it whole refuses it, before any other fault of the CSV."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -841,12 +898,24 @@ def read_trace(path: str | Path) -> Trace:
     if not meta_path.exists():
         raise FileNotFoundError(f"metadata sidecar {meta_path} not found")
 
-    text = csv_path.read_text().splitlines()
-    if not text or text[0] != CSV_HEADER:
-        raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-    if len(text) == 1:  # run records iterate 0 at least
-        raise ValueError(f"trace file {csv_path} has a header and no rows")
-    values = _parse_rows(text[1:])
+    try:
+        with csv_path.open() as fh:
+            chunks = _line_chunks(fh)
+            try:
+                head = next(chunks, [])
+                if not head or head[0] != CSV_HEADER:
+                    raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
+                values = _parse_rows(chain([head[1:]], chunks))
+                if len(values["f"]) == 0:  # run records iterate 0 at least
+                    raise ValueError(f"trace file {csv_path} has a header and no rows")
+            except ValueError as exc:
+                if not isinstance(exc, UnicodeDecodeError):
+                    for _ in chunks:  # the rest must decode before a row is refused
+                        pass
+                raise
+    except UnicodeDecodeError:
+        csv_path.read_text()  # raises the error with its offset in the whole file
+        raise
     meta = json.loads(meta_path.read_text())
     try:
         if meta["schema"] != 1:

@@ -40,6 +40,11 @@ _BLOCK_BYTES = 256 * 1024
 # array than the tuning sweep does.
 _GROUP_BYTES = 16 * _BLOCK_BYTES
 
+# The logistic ``finite_and_grad`` certifies a column's value finite without
+# computing it while the loss sum M (max|z| + 1) and the penalty stay within
+# this size, 1e8 below overflow (see :func:`_logistic_objectives`).
+_FINITE_CAP = 1e300
+
 # Power iteration in :func:`spectral_norm`: relative change of the Rayleigh
 # quotient that ends it, the cap on its products, and its start's seed.
 _POWER_REL_TOL = 1e-6
@@ -135,13 +140,18 @@ class Problem:
     ``(value(x), gradient(x))`` from one pass over the data, and the columns
     of X (dim, P) to their values f (P,) and gradients G (dim, P), as it
     maps each column alone up to rounding.  ``harness.run`` makes one call
-    per iterate on x, and ``harness.tune`` one per iterate on the block of
-    its live grid points.  ``value`` maps x (dim,) to a float and X (dim, P)
-    to f (P,); only ``harness.run`` in theory-cvx mode reads it, once per
-    block of averaged iterates.  ``gradient`` maps x (dim,) to its gradient
-    and is kept for tests and the benchmark's tracer.  Both default to those
-    of ``value_and_grad``; give ``value`` only where a gradient-free pass
-    saves work.
+    per iterate on x, and ``harness.tune`` one on the block of its live grid
+    points at its last iterate.  ``finite_and_grad`` is the value-free pass
+    ``harness.tune`` makes at every other iterate: it maps X (dim, P) to
+    ``(finite (P,), G (dim, P))``, where ``finite`` must equal
+    ``np.isfinite`` of the values ``value_and_grad`` gives and G must be
+    its gradients bit for bit.  ``value`` maps x (dim,) to a float and
+    X (dim, P) to f (P,); only ``harness.run`` in theory-cvx mode reads it,
+    once per block of averaged iterates.  ``gradient`` maps x (dim,) to its
+    gradient and is kept for tests and the benchmark's tracer.  All three
+    default to those of ``value_and_grad``, derived anew when
+    ``dataclasses.replace`` gives another one; give one only where
+    skipping part of it saves work.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
@@ -166,14 +176,25 @@ class Problem:
     hessian: Callable[[np.ndarray], np.ndarray] | None = None
     value: Callable[[np.ndarray], float | np.ndarray] | None = None
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
+    finite_and_grad: Callable[[np.ndarray], tuple[bool | np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         theory._check_L_mu(self.L, self.mu)
         value_and_grad = self.value_and_grad
-        if self.value is None:
-            object.__setattr__(self, "value", lambda X: value_and_grad(X)[0])
-        if self.gradient is None:
-            object.__setattr__(self, "gradient", lambda x: value_and_grad(x)[1])
+
+        def finite_and_grad(X):
+            f, G = value_and_grad(X)
+            return np.isfinite(f), G
+
+        # A field derived from another value_and_grad, as dataclasses.replace
+        # hands over, is derived anew, so that it never reads the old one.
+        for name, derived in (("value", lambda X: value_and_grad(X)[0]),
+                              ("gradient", lambda x: value_and_grad(x)[1]),
+                              ("finite_and_grad", finite_and_grad)):
+            source = getattr(getattr(self, name), "derived_from", value_and_grad)
+            if getattr(self, name) is None or source is not value_and_grad:
+                derived.derived_from = value_and_grad
+                object.__setattr__(self, name, derived)
 
 
 def quadratic(Q: np.ndarray, b: np.ndarray) -> Problem:
@@ -307,10 +328,24 @@ def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> np.ndarray:
     return loss
 
 
+def _sigmoid(z: np.ndarray, work: tuple) -> float:
+    """Overwrite z with the sigmoid s(-z) exactly as :func:`_logistic` does,
+    without its loss, and return max|z|, NaN when some z is NaN.  It is
+    read off the -|z| scratch the exp takes anyway, so no array is
+    allocated."""
+    a, e, _ = work
+    np.negative(z, out=a)
+    top = -np.minimum(z, a, out=e).min()
+    np.exp(e, out=e)
+    np.maximum(e, np.less(z, 0.0, out=a), out=a)
+    np.divide(a, np.add(e, 1.0, out=e), out=z)
+    return top
+
+
 def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
-    """``value`` and ``value_and_grad`` of the mean logistic loss plus
-    ``penalty``, which maps x (n,) or X (n, P) to its value (one per column)
-    and its gradient.
+    """``value``, ``value_and_grad`` and ``finite_and_grad`` of the mean
+    logistic loss plus ``penalty``, which maps x (n,) or X (n, P) to its
+    value (one per column) and its gradient.
 
     ``value_and_grad`` forms the margins Z = B @ X once, one exp(-|z|) per
     entry (see :func:`_logistic`) and one product with B.T, over all columns
@@ -321,8 +356,23 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
     a block in groups of ``_GROUP_BYTES // (8 M)`` columns, each group's
     margins formed and summed in row chunks as above.
 
-    Both objectives reuse one flat scratch buffer for :func:`_logistic`,
-    handed out as three views of each chunk shape.  The views are cached per
+    ``finite_and_grad`` runs ``value_and_grad`` without the loss (see
+    :func:`_sigmoid`), so its gradients are bitwise those, and decides
+    finiteness with a certificate.  Each loss term log(1 + exp(-z)) =
+    max(-z, 0) + log1p(exp(-|z|)) lies in [0, |z| + log 2], and is computed
+    within (|z| + 1)(1 + eps).  With every z finite and
+    M (max|z| + 1) <= ``_FINITE_CAP`` = 1e300, the computed sum of the M
+    terms, in any order, is below 2e300 (eps M is far below 1), so the
+    loss over M is finite and below that, and adding it to a penalty p
+    (P,) gives a finite value where |p| <= 1e300 and a non-finite one where
+    p is inf or NaN: the penalty then decides alone.  A NaN or infinite
+    margin, margins past the cap, or a finite penalty above it fall back to
+    ``value_and_grad``, whose values are then tested.  The bound reads
+    max|z| off the -|z| scratch of each chunk; ``np.abs(Z).max()`` would
+    allocate an M x P temporary.
+
+    All three reuse one flat scratch buffer for :func:`_logistic` and
+    :func:`_sigmoid`, handed out as three views of each chunk shape.  The views are cached per
     shape, since slicing them anew takes about 3 us a call, most of what the
     kernel saves on a single x at M = 690.  The buffer is regrown only when
     a larger chunk arrives, so ``harness.tune`` may drop columns between
@@ -373,7 +423,23 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
         Z = matvec(X)
         return f + loss(Z, grad=True) / M, G - rmatvec(Z) / M
 
-    return value, value_and_grad
+    def finite_and_grad(X: np.ndarray) -> tuple[bool | np.ndarray, np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        f, G = penalty(X)
+        Z = matvec(X)
+        rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1])) if Z.ndim == 2 else M
+        certified = True
+        for lo in range(0, M, rows):
+            chunk = Z[lo:lo + rows]
+            # a NaN margin fails the comparison
+            certified &= M * (1.0 + _sigmoid(chunk, work(chunk.shape))) <= _FINITE_CAP
+        finite = np.isfinite(f)
+        if certified and not (np.abs(f[finite]) > _FINITE_CAP).any():
+            return finite, G - rmatvec(Z) / M
+        f, G = value_and_grad(X)
+        return np.isfinite(f), G
+
+    return value, value_and_grad, finite_and_grad
 
 
 def _check_strength(name: str, value: float, data: Dataset) -> None:
@@ -395,7 +461,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     """
     _check_strength("l2", l2, data)
     matvec, rmatvec, weighted_gram = _feature_operator(data)
-    value, value_and_grad = _logistic_objectives(
+    value, value_and_grad, finite_and_grad = _logistic_objectives(
         data, matvec, rmatvec,
         lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
     )
@@ -409,7 +475,8 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
 
     return Problem(
         name="logreg-l2", dim=data.n, value_and_grad=value_and_grad, value=value,
-        L=data.logistic_L + l2, mu=l2, convex=True, f_lower=0.0, hessian=hessian,
+        finite_and_grad=finite_and_grad, L=data.logistic_L + l2, mu=l2, convex=True,
+        f_lower=0.0, hessian=hessian,
     )
 
 
@@ -426,10 +493,12 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
     matvec, rmatvec, _ = _feature_operator(data)
-    value, value_and_grad = _logistic_objectives(data, matvec, rmatvec, penalty)
+    value, value_and_grad, finite_and_grad = _logistic_objectives(
+        data, matvec, rmatvec, penalty)
     return Problem(
         name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad, value=value,
-        L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False, f_lower=0.0,
+        finite_and_grad=finite_and_grad, L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False,
+        f_lower=0.0,
     )
 
 

@@ -900,6 +900,20 @@ class TestTuneCommand:
         assert len(sweep) == 15 and all(" gamma=" in line for line in sweep)
         assert parse_kv(out_run)["sweep"] == sweep
 
+    def test_sweep_lines_end_with_the_divergence_iterate(self, capsys):
+        code, out, _ = run_cli(capsys, "tune", "--problem", "quadratic", "--betas", "0.9,0.5",
+                               "--iters", "200")
+        assert code == EXIT_OK
+        h = agghb.harness
+        _, sweep = h.tune(h.RunConfig(problem="quadratic", betas=(0.9, 0.5), stepsize_mode="tune",
+                                      iters=200), h.build_problem("quadratic", {}))
+        assert any(e.diverged for e in sweep) and not all(e.diverged for e in sweep)
+        assert parse_kv(out)["sweep"] == [
+            f"a={e.a!r} gamma={e.gamma!r} final_f={e.final_f!r} "
+            f"diverged={str(e.diverged).lower()} "
+            f"diverged_at={'none' if e.diverged_at is None else e.diverged_at}"
+            for e in sweep]
+
 
 class TestModuleEntryPoint:
     @staticmethod

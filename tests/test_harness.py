@@ -617,8 +617,9 @@ class TestConstantsComputedOnce:
 
 
 class TestTuneObjectiveCalls:
-    """One ``value_and_grad`` call per iterate on the block of live grid
-    points; no ``value`` or ``gradient`` calls."""
+    """One ``finite_and_grad`` call per iterate but the last, on the block of
+    live grid points, then one ``value_and_grad`` call on it at k = K; no
+    ``value`` or ``gradient`` calls."""
 
     @pytest.mark.parametrize("build, iters", [
         (lambda request: quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)), 200),
@@ -626,13 +627,15 @@ class TestTuneObjectiveCalls:
     ], ids=["quadratic", "logreg-l2"])
     def test_calls_per_iterate(self, request, build, iters):
         problem = build(request)
-        widths, calls = [], dict.fromkeys(("value", "gradient"), 0)
-        fused = problem.value_and_grad
+        widths = {"finite_and_grad": [], "value_and_grad": []}
+        calls = dict.fromkeys(("value", "gradient"), 0)
 
-        def counted_fused(X):
-            assert X.ndim == 2 and X.shape[0] == problem.dim
-            widths.append(X.shape[1])
-            return fused(X)
+        def counted_block(name):
+            def fn(X):
+                assert X.ndim == 2 and X.shape[0] == problem.dim
+                widths[name].append(X.shape[1])
+                return getattr(problem, name)(X)
+            return fn
 
         def counted(name):
             def fn(x):
@@ -641,7 +644,8 @@ class TestTuneObjectiveCalls:
             return fn
 
         counted_problem = dataclasses.replace(
-            problem, value_and_grad=counted_fused,
+            problem, finite_and_grad=counted_block("finite_and_grad"),
+            value_and_grad=counted_block("value_and_grad"),
             value=counted("value"), gradient=counted("gradient"),
         )
         cfg = RunConfig(
@@ -650,9 +654,11 @@ class TestTuneObjectiveCalls:
         )
         _, sweep = tune(cfg, counted_problem)
         live = sum(not e.diverged for e in sweep)
-        assert len(widths) == iters + 1
-        assert widths[0] == len(TUNING_GRID) and widths[-1] == live
-        assert widths == sorted(widths, reverse=True)
+        # iterate k holds the points not dropped at an earlier one
+        held = [sum(e.diverged_at is None or e.diverged_at >= k for e in sweep)
+                for k in range(iters + 1)]
+        assert held[0] == len(TUNING_GRID)
+        assert widths == {"finite_and_grad": held[:-1], "value_and_grad": held[-1:]}
         assert calls == {"value": 0, "gradient": 0}
         if problem.name == "quadratic":
             assert 0 < live < len(TUNING_GRID)  # columns were dropped mid-sweep
@@ -755,7 +761,8 @@ def serial_sweep(base, problem):
         trace = plain_run(cfg, problem)
         final_f = float(trace.f[-1]) if not trace.diverged else float("inf")
         sweep.append(SweepEntry(
-            a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged
+            a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged,
+            diverged_at=len(trace.f) - 1 if trace.diverged else None,
         ))
     return sweep
 
@@ -802,6 +809,11 @@ class TestTuneMatchesSerialRuns:
         assert [(e.a, e.gamma) for e in sweep] == [(o.a, o.gamma) for o in oracle]
         assert [e.diverged for e in sweep] == [o.diverged for o in oracle]
         assert sum(e.diverged for e in sweep) == n_diverged
+        assert [e.diverged_at is not None for e in sweep] == [e.diverged for e in sweep]
+        if problem.name == "quadratic":
+            # its block columns are bitwise single points, so each drops at
+            # the serial run's last row
+            assert [e.diverged_at for e in sweep] == [o.diverged_at for o in oracle]
         finite = [o for o in oracle if not o.diverged]
         f_min = min(o.final_f for o in finite)
         for e, o in zip(sweep, oracle):
@@ -1117,11 +1129,12 @@ class TestTraceExport:
         assert m1.read_bytes() == m2.read_bytes()
 
     def test_read_peak_memory(self, tmp_path):
-        # read_trace splits the rows into cells a chunk at a time and writes
-        # each chunk's values into float64 arrays: 2.55 MiB on this trace,
-        # mostly its lines of text.  Splitting all rows at once, as one list
-        # of cells, peaked at 6.24 MiB, and keeping every value as a Python
-        # float until the end at 3.23 MiB.
+        # read_trace reads 16 K characters at a time and turns each block's
+        # rows into float64 arrays before it reads the next: 0.57 MiB on this
+        # 0.8 MB trace, mostly the four columns' arrays, each held twice
+        # while it is joined.  Holding the whole text and all its lines
+        # peaked at 2.55 MiB, and splitting all rows at once, as one list
+        # of cells, at 6.24 MiB.
         csv_path, _ = export_trace(self._trace(10_000), tmp_path / "t.csv")
         tracemalloc.start()
         try:
@@ -1129,7 +1142,53 @@ class TestTraceExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.8 * 2**20
+        assert peak <= 0.7 * 2**20
+
+    @pytest.mark.parametrize("chars", [1, 2, 5, 64])
+    def test_blocks_cut_lines_as_splitlines(self, tmp_path, monkeypatch, chars):
+        # every break str.splitlines knows, at every offset from a block's
+        # end; universal newlines turn "\r" and "\r\n" into "\n" first
+        monkeypatch.setattr(agghb.harness, "_READ_CHARS", chars)
+        text = "a\nbc\r\nd\re\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029\n\n,x\r"
+        for cut in range(len(text) + 1):
+            path = tmp_path / "t.txt"
+            path.write_text(text[:cut], newline="")
+            with path.open() as fh:
+                lines = [line for block in agghb.harness._line_chunks(fh) for line in block]
+            assert lines == path.read_text().splitlines(), cut
+
+    @pytest.mark.parametrize("chars", [7, 100])
+    def test_small_blocks_read_back_and_refuse_alike(self, tmp_path, monkeypatch, chars):
+        csv_path, _ = export_trace(self._trace(40), tmp_path / "t.csv")
+        want = read_trace(csv_path)
+        text = csv_path.read_text()
+        monkeypatch.setattr(agghb.harness, "_READ_CHARS", chars)
+        got = read_trace(csv_path)
+        assert all(np.array_equal(getattr(got, c), getattr(want, c))
+                   for c in agghb.harness.TRACE_COLUMNS)
+        lines = text.splitlines()
+        lines[30] = lines[30].rsplit(",", 1)[0] + ","  # f_avg blank at line 31
+        for i in (35, 36):  # dist_opt blank at lines 36 and 37
+            lines[i] = ",".join(lines[i].split(",")[:3] + ["", lines[i].split(",")[4]])
+        csv_path.write_text("\n".join(lines) + "\n")
+        # both columns turn blank; dist_opt comes first in the table
+        with pytest.raises(ValueError, match=r"^line 36: dist_opt is empty on some rows"):
+            read_trace(csv_path)
+        lines[38] = "37,1.0,2.0"
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"^line 39: expected 5 fields, got 3$"):
+            read_trace(csv_path)
+
+    def test_undecodable_bytes_refused_before_a_bad_row(self, tmp_path, monkeypatch):
+        # as reading the whole text refuses them: at their offset in the file,
+        # though a malformed row comes first, and the file is long enough
+        # that the reader's buffer meets them only after that row
+        csv_path, _ = export_trace(self._trace(1000), tmp_path / "t.csv")
+        raw = csv_path.read_bytes().replace(b"\n1,", b"\n1,x", 1) + b"\xff\n"
+        csv_path.write_bytes(raw)
+        monkeypatch.setattr(agghb.harness, "_READ_CHARS", 16)
+        with pytest.raises(UnicodeDecodeError, match=f"in position {len(raw) - 2}:"):
+            read_trace(csv_path)
 
     def test_empty_trace_header_only(self, tmp_path):
         cfg = RunConfig(

@@ -112,6 +112,22 @@ class TestProblem:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             dataclasses.replace(p, **{field: value})
 
+    def test_replace_derives_anew_from_a_new_value_and_grad(self):
+        p = quadratic(np.diag([1.0, 2.0]), np.zeros(2))
+
+        def halved(X):
+            f, G = p.value_and_grad(X)
+            return f, 0.5 * G
+
+        kept = lambda x: np.zeros(2)
+        h = dataclasses.replace(p, value_and_grad=halved, value=p.value, gradient=kept)
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert same_bits(h.finite_and_grad(X)[1], 0.5 * p.value_and_grad(X)[1])
+        assert same_bits(h.value(X), p.value(X)) and h.gradient is kept
+        # an unchanged value_and_grad keeps the derived fields as they are
+        again = dataclasses.replace(h, L=3.0)
+        assert (again.value, again.finite_and_grad) == (h.value, h.finite_and_grad)
+
     @pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx"])
     def test_derived_objectives_are_value_and_grads(self, small_dataset, name):
         p = shipped_problem(name, small_dataset)
@@ -754,6 +770,114 @@ class TestLogisticScratch:
             finally:
                 tracemalloc.stop()
             assert peak <= 1.25 * 8 * M
+
+
+class TestFiniteAndGrad:
+    """``finite_and_grad`` against ``value_and_grad``: the same gradient bit
+    for bit and a ``finite`` mask equal to ``np.isfinite`` of its values, on
+    blocks whose entries reach 1e308, +-inf and NaN.  The logistic pass skips
+    the loss where its certificate holds and falls back to ``value_and_grad``
+    where not; ``_logistic`` runs only in the fallback."""
+
+    SCALES = (1.0, 1e3, 1e150, 1e152, 1e160, 1e300, 1e308, np.inf, -np.inf, np.nan)
+
+    @staticmethod
+    def _logistic_calls(monkeypatch):
+        calls = []
+
+        def counted(*args, _fn=agghb.problems._logistic):
+            calls.append(1)
+            return _fn(*args)
+        monkeypatch.setattr(agghb.problems, "_logistic", counted)
+        return calls
+
+    @staticmethod
+    def _assert_exact(p, X):
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite, G = p.finite_and_grad(X)
+            f, G_ref = p.value_and_grad(X)
+        assert same_bits(finite, np.isfinite(f))
+        assert same_bits(G, G_ref)
+        return finite
+
+    @classmethod
+    def _blocks(cls, dim, seed):
+        """Single points and blocks: one column per scale, each a random
+        direction times it, and columns with one entry set to each scale."""
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dense = rng.standard_normal((dim, len(cls.SCALES))) * np.array(cls.SCALES)
+        spiked = rng.standard_normal((dim, len(cls.SCALES)))
+        spiked[rng.integers(dim, size=len(cls.SCALES)), np.arange(len(cls.SCALES))] = cls.SCALES
+        blocks = [dense, spiked, dense[:, :3], np.hstack([dense, spiked])]
+        return blocks + [X[:, j].copy() for X in (dense, spiked) for j in range(X.shape[1])]
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-12, 1.0])
+    @pytest.mark.parametrize("kind", ["l2", "ncvx"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_logistic_matches_value_and_grad(self, request, dataset, kind, reg, monkeypatch):
+        data = request.getfixturevalue(dataset)
+        p = logreg_l2(data, reg) if kind == "l2" else logreg_nonconvex(data, reg)
+        calls = self._logistic_calls(monkeypatch)
+        fell_back = []
+        for X in self._blocks(p.dim, seed=61):
+            before = len(calls)
+            with np.errstate(over="ignore", invalid="ignore"):
+                p.finite_and_grad(X)
+            fell_back.append(len(calls) > before)
+            self._assert_exact(p, X)
+        assert any(fell_back) and not all(fell_back)
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True], ids=["default", "rows-1"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_certified_block_skips_the_loss(self, request, dataset, one_row_chunks,
+                                            monkeypatch):
+        if one_row_chunks:
+            monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8)  # rows = 1
+        p = logreg_l2(request.getfixturevalue(dataset), 1.0)
+        calls = self._logistic_calls(monkeypatch)
+        X = np.random.default_rng(62).standard_normal((p.dim, 15))
+        X[:, 1::2] *= 1e3
+        assert p.finite_and_grad(X)[0].all() and not calls
+        self._assert_exact(p, X)
+
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_only_the_penalty_overflows(self, request, dataset, monkeypatch):
+        # margins near 1e160 keep the certificate; the l2 penalty of 1e160 is
+        # inf, so that column is not finite, and the loss is never computed
+        p = logreg_l2(request.getfixturevalue(dataset), 1.0)
+        calls = self._logistic_calls(monkeypatch)
+        X = np.random.default_rng(63).standard_normal((p.dim, 4))
+        X[:, 2] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite, _ = p.finite_and_grad(X)
+        assert finite.tolist() == [True, True, False, True] and not calls
+        self._assert_exact(p, X)
+
+    @pytest.mark.parametrize("scale", [1e151, 1e300, np.nan], ids=["penalty", "margins", "nan"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_fallback(self, request, dataset, scale, monkeypatch):
+        # a finite penalty near overflow (1e302 here), margins too large to
+        # bound the loss sum, or a NaN margin: the loss is computed
+        p = logreg_l2(request.getfixturevalue(dataset), 1.0)
+        calls = self._logistic_calls(monkeypatch)
+        X = np.random.default_rng(64).standard_normal((p.dim, 4))
+        X[:, 1] *= scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            p.finite_and_grad(X)
+        assert calls
+        finite = self._assert_exact(p, X)
+        assert finite.tolist() == [True, scale == 1e151, True, True]
+
+    @pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "logreg-l2", "logreg-ncvx"])
+    def test_who_supplies_the_pass(self, small_dataset, name):
+        # the logistic problems give their own; the others take the one
+        # Problem derives from value_and_grad, which matches it trivially
+        p = shipped_problem(name, small_dataset)
+        owner = p.finite_and_grad.__qualname__.split(".")[0]
+        assert owner == ("_logistic_objectives" if name.startswith("logreg") else "Problem")
+        for X in self._blocks(p.dim, seed=65):
+            self._assert_exact(p, X)
 
 
 class TestValueAndGrad:
