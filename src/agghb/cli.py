@@ -120,7 +120,8 @@ def _emit_sweep(sweep) -> None:
     for entry in sweep:
         _emit("sweep", f"a={entry.a!r} gamma={entry.gamma!r} final_f={entry.final_f!r} "
                        f"diverged={'true' if entry.diverged else 'false'} "
-                       f"diverged_at={'none' if entry.diverged_at is None else entry.diverged_at}")
+                       f"diverged_at={'none' if entry.diverged_at is None else entry.diverged_at} "
+                       f"above_start={'true' if entry.above_start else 'false'}")
 
 
 def cmd_run(args) -> int:

@@ -44,7 +44,8 @@ class VerificationRefused(RuntimeError):
 
 
 class TuningError(RuntimeError):
-    """Every stepsize in the tuning grid diverged; ``sweep`` holds the table."""
+    """No stepsize in the tuning grid ended at or below f(x0) without
+    diverging; ``sweep`` holds the table."""
 
     def __init__(self, message: str, sweep):
         super().__init__(message)
@@ -330,13 +331,15 @@ def run(config: RunConfig, problem: Problem) -> Trace:
 class SweepEntry:
     """One grid point of :func:`tune`: its ``final_f`` is +inf when it
     ``diverged``, and ``diverged_at`` is then the iterate k at which its
-    column was dropped, else None."""
+    column was dropped, else None.  ``above_start`` marks a point that did
+    not diverge but ended above f(x0); it is never picked as best."""
 
     a: float
     gamma: float
     final_f: float
     diverged: bool
     diverged_at: int | None
+    above_start: bool
 
 
 def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]]:
@@ -352,13 +355,17 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     non-finite, or a step makes its iterate or buffers non-finite; its
     column is then dropped at that k, its ``diverged_at``, and its
     ``final_f`` stays +inf, which no point that reaches the last iterate
-    has.  Only non-finite values count: a point that ends far above f(x0)
-    without overflowing is not ``diverged``, and its ``final_f`` is then
-    chaotic, so a change of rounding anywhere in the objective can move it
-    far more than it moves a converging point's.  Best is the lowest final
-    objective among non-diverged points, ties broken toward the smaller
-    stepsize.  Returns the resolved config (mode "tuned") and the full sweep
-    table.
+    has.  Only non-finite values count: a point that ends above f(x0)
+    without overflowing is not ``diverged`` but ``above_start``, f(x0) being
+    one ``problem.value`` call; its ``final_f`` is chaotic, so a change of
+    rounding anywhere in the objective can move it far more than it moves a
+    converging point's.  A chaotic point can also end at or below f(x0),
+    and is then not flagged.  Best is the lowest final objective among points
+    neither diverged nor above start, ties broken toward the smaller
+    stepsize; with none left, :class:`TuningError`.  Since any such point
+    ends at or below f(x0), below every above-start point, this is the
+    lowest among all non-diverged points whenever one exists.  Returns the
+    resolved config (mode "tuned") and the full sweep table.
     """
     if base.stepsize_mode != "tune":
         raise ValueError("tune() expects a config with stepsize mode 'tune'")
@@ -376,6 +383,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     final_f = np.full(P, np.inf)
     diverged_at = [None] * P
     with np.errstate(over="ignore", invalid="ignore"):
+        f0 = float(problem.value(x0))
         for k in range(base.iters + 1):
             last = k == base.iters
             # A non-finite gradient entry makes its buffers, and through them
@@ -402,12 +410,15 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
             if live.size == 0:
                 break
 
-    sweep = [SweepEntry(a=a, gamma=g, final_f=fv, diverged=k is not None, diverged_at=k)
+    sweep = [SweepEntry(a=a, gamma=g, final_f=fv, diverged=k is not None, diverged_at=k,
+                        above_start=k is None and fv > f0)
              for a, g, fv, k in zip(TUNING_GRID, gammas, final_f.tolist(), diverged_at)]
     # min keeps the first of equal values, and the grid ascends: ties keep the smaller a
-    best = min((e for e in sweep if not e.diverged), key=lambda e: e.final_f, default=None)
+    best = min((e for e in sweep if not (e.diverged or e.above_start)),
+               key=lambda e: e.final_f, default=None)
     if best is None:
-        raise TuningError("every stepsize in the tuning grid diverged", sweep)
+        raise TuningError("every stepsize in the tuning grid diverged or ended above "
+                          f"f(x0) = {f0!r}", sweep)
     return replace(base, stepsize_mode="tuned", gammas=(best.gamma,) * m), sweep
 
 
@@ -484,16 +495,19 @@ def reference_solution(problem: Problem, grad_tol: float = 1e-10) -> Reference:
         raise ValueError(
             f"problem {problem.name!r} is not convex; use its known optimum directly"
         )
-    if problem.reference_opt is not None:
-        x, f = problem.reference_opt
-        x, g = np.asarray(x, dtype=float), problem.value_and_grad(x)[1]
-    elif problem.hessian is not None:
-        x, f, g = _newton(problem, np.zeros(problem.dim), grad_tol)
-    else:
-        raise ValueError(
-            f"problem {problem.name!r} has neither a closed-form optimum nor a "
-            "Hessian for Newton's method"
-        )
+    # The logistic sigmoid's exp overflows to inf on margins past 709.78,
+    # which gives its exact limit 0; that flag is not a fault here.
+    with np.errstate(over="ignore"):
+        if problem.reference_opt is not None:
+            x, f = problem.reference_opt
+            x, g = np.asarray(x, dtype=float), problem.value_and_grad(x)[1]
+        elif problem.hessian is not None:
+            x, f, g = _newton(problem, np.zeros(problem.dim), grad_tol)
+        else:
+            raise ValueError(
+                f"problem {problem.name!r} has neither a closed-form optimum nor a "
+                "Hessian for Newton's method"
+            )
     gnorm = float(np.linalg.norm(g))
     return Reference(x=x, f=float(f), grad_norm=gnorm, certified=gnorm <= grad_tol)
 

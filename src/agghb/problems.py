@@ -40,9 +40,10 @@ _BLOCK_BYTES = 256 * 1024
 # array than the tuning sweep does.
 _GROUP_BYTES = 16 * _BLOCK_BYTES
 
-# The logistic ``finite_and_grad`` certifies a column's value finite without
-# computing it while the loss sum M (max|z| + 1) and the penalty stay within
-# this size, 1e8 below overflow (see :func:`_logistic_objectives`).
+# The logistic ``finite_and_grad`` certifies a block's values finite without
+# computing them while M (r_B max|X| + 1), which bounds the loss sum, and the
+# penalty stay within this size, 1e8 below overflow (see
+# :func:`_logistic_objectives`).
 _FINITE_CAP = 1e300
 
 # Power iteration in :func:`spectral_norm`: relative change of the Rayleigh
@@ -146,12 +147,13 @@ class Problem:
     ``(finite (P,), G (dim, P))``, where ``finite`` must equal
     ``np.isfinite`` of the values ``value_and_grad`` gives and G must be
     its gradients bit for bit.  ``value`` maps x (dim,) to a float and
-    X (dim, P) to f (P,); only ``harness.run`` in theory-cvx mode reads it,
-    once per block of averaged iterates.  ``gradient`` maps x (dim,) to its
-    gradient and is kept for tests and the benchmark's tracer.  All three
-    default to those of ``value_and_grad``, derived anew when
-    ``dataclasses.replace`` gives another one; give one only where
-    skipping part of it saves work.
+    X (dim, P) to f (P,); ``harness.run`` in theory-cvx mode reads it once
+    per block of averaged iterates, and ``harness.tune`` once on x0, for the
+    f(x0) above which a grid point is ``above_start`` and never picked as
+    best.  ``gradient`` maps x (dim,) to its gradient and is kept for tests
+    and the benchmark's tracer.  All three default to those of
+    ``value_and_grad``, derived anew when ``dataclasses.replace`` gives
+    another one; give one only where skipping part of it saves work.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when
     one exists; ``f_lower`` is any valid lower bound on the objective (used
     for suboptimality gaps).  ``L_is_local_estimate`` marks an ``L`` that
@@ -279,107 +281,134 @@ def rosenbrock() -> Problem:
 
 def _feature_operator(data: Dataset):
     """Products with the label-signed features B = diag(y) A:
-    (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix),
+    (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix,
+    and the largest row 1-norm r_B = max_i sum_k |B_ik| when called),
     dense on the narrow features a Dataset holds dense.  The labels are +-1,
     so B @ x equals y * (A @ x) exactly.
 
     On the sparse path a CSR copy of B.T serves single vectors, where it is
     the faster kernel; a block R (M, P) goes through the CSC view ``B.T``,
-    whose one pass over B beats both that copy and P separate products."""
+    whose one pass over B beats both that copy and P separate products.
+    r_B is left to its caller's first need for it, since on wide data it
+    takes a copy of B and about 2 ms that only ``harness.tune`` uses."""
     if data.n <= _DENSE_FALLBACK_COLS:
         B = data.labels[:, None] * data.features
-        return (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
-    import scipy.sparse as sp
+        ops = (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
+    else:
+        import scipy.sparse as sp
 
-    B = data.features.copy()
-    B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
-    BT = B.T.tocsr()
-    return (
-        (lambda x: B @ x),
-        (lambda r: (BT if r.ndim == 1 else B.T) @ r),
-        (lambda w: (BT @ sp.diags(w) @ B).toarray()),
-    )
+        B = data.features.copy()
+        B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
+        BT = B.T.tocsr()
+        ops = (
+            (lambda x: B @ x),
+            (lambda r: (BT if r.ndim == 1 else B.T) @ r),
+            (lambda w: (BT @ sp.diags(w) @ B).toarray()),
+        )
+    return *ops, (lambda: float(np.max(abs(B) @ np.ones(B.shape[1]), initial=0.0)))
 
 
-def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> np.ndarray:
-    """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is overwritten
-    with the sigmoid s(-z) = 1 / (1 + exp(z)).
+def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> float | np.ndarray:
+    """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is then
+    overwritten with the sigmoid s(-z) by :func:`_sigmoid`.
 
-    Both come from one exp(-|z|) = exp(min(z, -z)) per entry:
-    log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and
-    s(-z) = exp(-|z|) / (1 + exp(-|z|)) for z >= 0, 1 / (1 + exp(-|z|))
-    otherwise; both forms stay finite for any finite z.  The numerator is
-    max(e, [z < 0]) with e = exp(-|z|) in [0, 1]: e for z >= 0, 1 for z < 0
-    and NaN for NaN z, as ``np.where`` would give.
+    The loss is log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), with
+    exp(-|z|) = exp(min(z, -z)) in [0, 1], so it stays finite for any
+    finite z: six elementwise passes (negate, min, exp, max, log1p, add)
+    and one BLAS product with a vector of ones for the sum: on a (690, 15)
+    chunk it takes 3.5 us where ``sum(axis=0)``, which adds row by row,
+    takes 25 us, and on a single point 1.0 us against 1.4 us for ``sum()``.
+    The gradient adds the sigmoid's three passes.
 
-    ``work`` is three scratch arrays of z's shape, owned by the caller and
-    overwritten here: every step writes into them or into z, so the only
-    array allocated is the returned sum, and one scratch serves one call at
-    a time.
+    ``work`` is two scratch arrays of z's shape, owned by the caller and
+    overwritten here, and a vector of ones of z's length: every step
+    writes into the scratch or into z, so the only array allocated is the
+    returned sum, and one scratch serves one call at a time.
     """
-    a, e, t = work
+    a, e, ones = work
     np.negative(z, out=a)
     np.exp(np.minimum(z, a, out=e), out=e)
     np.maximum(a, 0.0, out=a)
-    loss = np.add(a, np.log1p(e, out=t), out=a).sum(axis=0)
+    loss = ones @ np.add(a, np.log1p(e, out=e), out=a)
     if grad:
-        np.maximum(e, np.less(z, 0.0, out=a), out=a)
-        np.divide(a, np.add(e, 1.0, out=e), out=z)
+        _sigmoid(z)
     return loss
 
 
-def _sigmoid(z: np.ndarray, work: tuple) -> float:
-    """Overwrite z with the sigmoid s(-z) exactly as :func:`_logistic` does,
-    without its loss, and return max|z|, NaN when some z is NaN.  It is
-    read off the -|z| scratch the exp takes anyway, so no array is
-    allocated."""
-    a, e, _ = work
-    np.negative(z, out=a)
-    top = -np.minimum(z, a, out=e).min()
-    np.exp(e, out=e)
-    np.maximum(e, np.less(z, 0.0, out=a), out=a)
-    np.divide(a, np.add(e, 1.0, out=e), out=z)
-    return top
+def _sigmoid(z: np.ndarray) -> None:
+    """Overwrite z with the sigmoid s(-z) = 1 / (1 + exp(z)) in three
+    elementwise passes: exp, add 1, then 1 divided by the result.
+
+    For z above log(DBL_MAX) ~ 709.78 the exp overflows to inf and the
+    result is 0, within the smallest normal double of the true value
+    exp(-z) / (1 + exp(-z)) < 5.6e-309; the overflow raises numpy's
+    floating-point flag, which the package's callers ignore under
+    ``np.errstate``.  -inf gives 1, +inf 0 and NaN stays NaN.  Where s(-z)
+    is a normal double its relative error is a few ulp: exp's, the add's
+    and the divide's.  It needs no scratch, and both :func:`_logistic` and
+    the logistic ``finite_and_grad`` call it, so their gradients agree bit
+    for bit.
+    """
+    np.exp(z, out=z)
+    np.add(z, 1.0, out=z)
+    np.divide(1.0, z, out=z)
 
 
-def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
+def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
     """``value``, ``value_and_grad`` and ``finite_and_grad`` of the mean
-    logistic loss plus ``penalty``, which maps x (n,) or X (n, P) to its
-    value (one per column) and its gradient.
+    logistic loss, with the products and r_B of :func:`_feature_operator`,
+    plus ``penalty``, which maps x (n,) or X (n, P) to its value (one per
+    column) and its gradient.
 
-    ``value_and_grad`` forms the margins Z = B @ X once, one exp(-|z|) per
-    entry (see :func:`_logistic`) and one product with B.T, over all columns
-    of X at once.  On a block it runs the logistic over row chunks of
-    ``_BLOCK_BYTES // (8 P)`` rows, writing s(-z) back into the margins,
+    ``value_and_grad`` forms the margins Z = B @ X once, the loss and the
+    sigmoid of each entry (see :func:`_logistic`: six passes and a BLAS sum
+    for the loss, three for the sigmoid) and one product with B.T, over all
+    columns of X at once.  On a block it runs the logistic over row chunks
+    of ``_BLOCK_BYTES // (8 P)`` rows, writing s(-z) back into the margins,
     so the margins are its only M x P array; a single x is one chunk.
-    ``value`` skips the gradient and with it the product with B.T; it takes
-    a block in groups of ``_GROUP_BYTES // (8 M)`` columns, each group's
-    margins formed and summed in row chunks as above.
+    ``value`` skips the gradient and with it the sigmoid and the product
+    with B.T; it takes a block in groups of ``_GROUP_BYTES // (8 M)``
+    columns, each group's margins formed and summed in row chunks as above.
 
-    ``finite_and_grad`` runs ``value_and_grad`` without the loss (see
-    :func:`_sigmoid`), so its gradients are bitwise those, and decides
-    finiteness with a certificate.  Each loss term log(1 + exp(-z)) =
-    max(-z, 0) + log1p(exp(-|z|)) lies in [0, |z| + log 2], and is computed
-    within (|z| + 1)(1 + eps).  With every z finite and
-    M (max|z| + 1) <= ``_FINITE_CAP`` = 1e300, the computed sum of the M
-    terms, in any order, is below 2e300 (eps M is far below 1), so the
-    loss over M is finite and below that, and adding it to a penalty p
-    (P,) gives a finite value where |p| <= 1e300 and a non-finite one where
-    p is inf or NaN: the penalty then decides alone.  A NaN or infinite
-    margin, margins past the cap, or a finite penalty above it fall back to
-    ``value_and_grad``, whose values are then tested.  The bound reads
-    max|z| off the -|z| scratch of each chunk; ``np.abs(Z).max()`` would
-    allocate an M x P temporary.
+    ``finite_and_grad`` runs ``value_and_grad`` without the loss: the
+    sigmoid's three passes over all the margins at once (see
+    :func:`_sigmoid`; it needs no scratch, so no chunks), so its gradients
+    are bitwise those.  It decides finiteness with a certificate read off
+    X alone, before the margins are formed, so no M x P array is reduced.
+    Each margin obeys |z_ij| <= sum_k |B_ik| |X_kj| <= r_B m, with
+    r_B = max_i sum_k |B_ik|, computed once per problem at the first call,
+    and m = max|X|.
 
-    All three reuse one flat scratch buffer for :func:`_logistic` and
-    :func:`_sigmoid`, handed out as three views of each chunk shape.  The views are cached per
-    shape, since slicing them anew takes about 3 us a call, most of what the
-    kernel saves on a single x at M = 690.  The buffer is regrown only when
-    a larger chunk arrives, so ``harness.tune`` may drop columns between
-    calls.  No result is a view into the scratch, but two calls must not
-    overlap: a logistic ``Problem`` serves one call at a time.
+    Rounding: a sum of n products computed in any order is within
+    gamma_n = n u / (1 - n u), u = 2^-53, of the sum of their absolute
+    values.  So the computed row sums understate r_B by at most a factor
+    1 - gamma_n, and the certificate's product, add and multiply by M each
+    round by at most 1 + u.  Where M (r_B m + 1) <= ``_FINITE_CAP`` = 1e300
+    holds as computed, every computed margin, and every partial sum that
+    forms it, is then below (1 + 3 gamma_n) 1e300 / M.  Each loss term
+    log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)) lies in
+    [0, |z| + log 2] and is computed within (|z| + 1)(1 + 2u), and the
+    computed sum of the M terms, in any order, within 1 + gamma_M of their
+    sum.  These factors stay below 2 for any n and M a machine can hold,
+    far inside the 1e8 headroom the cap leaves below overflow (1.8e308):
+    the loss over M is finite and below 5e300.  Adding it to a penalty
+    p (P,) gives a finite value where |p| <= 1e300 and a non-finite one
+    where p is inf or NaN, so the penalty then decides alone.  A NaN or
+    infinite entry of X (NaN fails the comparison, and r_B times inf is
+    inf, or NaN when r_B = 0), a bound past the cap, or a finite penalty
+    above it fall back to ``value_and_grad``, whose values are then tested.
+
+    All three reuse one flat scratch buffer for :func:`_logistic`, handed
+    out as two views of each chunk shape with a vector of ones of its
+    length.  These are cached per shape, since slicing the views anew takes
+    about 3 us a call, most of what the kernel saves on a single x at
+    M = 690.  The buffer is regrown only when a larger chunk arrives, so
+    ``harness.tune`` may drop columns between calls.  No result is a view
+    into the scratch, but two calls must not overlap: a logistic
+    ``Problem`` serves one call at a time.
     """
     M = data.M
+    r_B = None  # row_norm(), at the first finite_and_grad call
     scratch = np.empty(0)
     views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
@@ -388,11 +417,12 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
         found = views.get(shape)
         if found is None:
             size = math.prod(shape)
-            if 3 * size > scratch.size:
-                scratch = np.empty(3 * size)
+            if 2 * size > scratch.size:
+                scratch = np.empty(2 * size)
                 views.clear()
-            found = views[shape] = tuple(
-                scratch[i * size:(i + 1) * size].reshape(shape) for i in range(3)
+            found = views[shape] = (
+                *(scratch[i * size:(i + 1) * size].reshape(shape) for i in range(2)),
+                np.ones(shape[0]),
             )
         return found
 
@@ -424,17 +454,17 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, penalty):
         return f + loss(Z, grad=True) / M, G - rmatvec(Z) / M
 
     def finite_and_grad(X: np.ndarray) -> tuple[bool | np.ndarray, np.ndarray]:
+        nonlocal r_B
+        if r_B is None:
+            r_B = row_norm()
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
-        Z = matvec(X)
-        rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1])) if Z.ndim == 2 else M
-        certified = True
-        for lo in range(0, M, rows):
-            chunk = Z[lo:lo + rows]
-            # a NaN margin fails the comparison
-            certified &= M * (1.0 + _sigmoid(chunk, work(chunk.shape))) <= _FINITE_CAP
         finite = np.isfinite(f)
-        if certified and not (np.abs(f[finite]) > _FINITE_CAP).any():
+        # a NaN entry of X fails the comparison
+        if (M * (r_B * np.abs(X).max(initial=0.0) + 1.0) <= _FINITE_CAP
+                and not (np.abs(f[finite]) > _FINITE_CAP).any()):
+            Z = matvec(X)
+            _sigmoid(Z)
             return finite, G - rmatvec(Z) / M
         f, G = value_and_grad(X)
         return np.isfinite(f), G
@@ -460,9 +490,9 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     e = exp(-|Ax|): the sigmoid's s(1 - s) without its rounding to 0.
     """
     _check_strength("l2", l2, data)
-    matvec, rmatvec, weighted_gram = _feature_operator(data)
+    matvec, rmatvec, weighted_gram, row_norm = _feature_operator(data)
     value, value_and_grad, finite_and_grad = _logistic_objectives(
-        data, matvec, rmatvec,
+        data, matvec, rmatvec, row_norm,
         lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
     )
     M = data.M  # closing over data would keep its unsigned features alive beside B
@@ -492,9 +522,9 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         xsq = X * X
         return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
-    matvec, rmatvec, _ = _feature_operator(data)
+    matvec, rmatvec, _, row_norm = _feature_operator(data)
     value, value_and_grad, finite_and_grad = _logistic_objectives(
-        data, matvec, rmatvec, penalty)
+        data, matvec, rmatvec, row_norm, penalty)
     return Problem(
         name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad, value=value,
         finite_and_grad=finite_and_grad, L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False,

@@ -132,13 +132,14 @@ def gradient_descent_reference(
 
 def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:
     """The logistic kernel written with fresh temporaries: the sum over axis
-    0 of log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), and, when
-    ``grad``, z overwritten with expit(-z), selected by ``np.where``.  The
-    package's scratch-buffer kernel must match it bit for bit."""
+    0 of log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), taken as the
+    product with a vector of ones, and, when ``grad``, z overwritten with
+    the sigmoid s(-z) = 1 / (1 + exp(z)).  The package's scratch-buffer
+    kernel must match it bit for bit."""
     e = np.exp(-np.abs(z))
-    loss = (np.maximum(-z, 0.0) + np.log1p(e)).sum(axis=0)
+    loss = np.ones(z.shape[0]) @ (np.maximum(-z, 0.0) + np.log1p(e))
     if grad:
-        np.divide(np.where(z >= 0.0, e, 1.0), 1.0 + e, out=z)
+        z[...] = 1.0 / (1.0 + np.exp(z))
     return loss
 
 

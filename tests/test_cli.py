@@ -911,7 +911,8 @@ class TestTuneCommand:
         assert parse_kv(out)["sweep"] == [
             f"a={e.a!r} gamma={e.gamma!r} final_f={e.final_f!r} "
             f"diverged={str(e.diverged).lower()} "
-            f"diverged_at={'none' if e.diverged_at is None else e.diverged_at}"
+            f"diverged_at={'none' if e.diverged_at is None else e.diverged_at} "
+            f"above_start={str(e.above_start).lower()}"
             for e in sweep]
 
 

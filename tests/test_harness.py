@@ -618,8 +618,8 @@ class TestConstantsComputedOnce:
 
 class TestTuneObjectiveCalls:
     """One ``finite_and_grad`` call per iterate but the last, on the block of
-    live grid points, then one ``value_and_grad`` call on it at k = K; no
-    ``value`` or ``gradient`` calls."""
+    live grid points, then one ``value_and_grad`` call on it at k = K; one
+    ``value`` call, on x0 for f(x0), and no ``gradient`` call."""
 
     @pytest.mark.parametrize("build, iters", [
         (lambda request: quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)), 200),
@@ -659,7 +659,7 @@ class TestTuneObjectiveCalls:
                 for k in range(iters + 1)]
         assert held[0] == len(TUNING_GRID)
         assert widths == {"finite_and_grad": held[:-1], "value_and_grad": held[-1:]}
-        assert calls == {"value": 0, "gradient": 0}
+        assert calls == {"value": 1, "gradient": 0}
         if problem.name == "quadratic":
             assert 0 < live < len(TUNING_GRID)  # columns were dropped mid-sweep
 
@@ -694,7 +694,30 @@ class TestTune:
         with pytest.raises(TuningError) as exc:
             tune(self._base(iters=400), problem)
         assert len(exc.value.sweep) == 15
-        assert all(e.diverged for e in exc.value.sweep)
+        assert all(e.diverged and not e.above_start for e in exc.value.sweep)
+
+    def test_points_above_start_are_flagged_and_never_best(self):
+        # f = 1 - cos(x) is bounded, so no point overflows: the long steps
+        # bounce and end anywhere in [0, 2], several above f(x0)
+        wave = Problem(name="wave", dim=1, L=1.0,
+                       value_and_grad=lambda X: ((1.0 - np.cos(X)).sum(axis=0), np.sin(X)))
+        base = self._base(betas=(0.9,), iters=50, optimizer="hb", params={"x0": [0.5]})
+        best, sweep = tune(base, wave)
+        f0 = 1.0 - np.cos(0.5)
+        assert not any(e.diverged for e in sweep)
+        assert [e.above_start for e in sweep] == [e.final_f > f0 for e in sweep]
+        assert any(e.above_start for e in sweep) and not all(e.above_start for e in sweep)
+        below = [e for e in sweep if not e.above_start]
+        assert best.gammas == (min(below, key=lambda e: e.final_f).gamma,)
+
+    def test_every_point_above_start_raises(self):
+        # a gradient pointing uphill: each step multiplies x by 1 + gamma, so
+        # every point ends finite and above f(x0) = 0.5
+        uphill = Problem(name="uphill", dim=1, L=1.0,
+                         value_and_grad=lambda X: (0.5 * (X * X).sum(axis=0), -X))
+        with pytest.raises(TuningError, match=r"ended above f\(x0\) = 0\.5$") as exc:
+            tune(self._base(), uphill)
+        assert all(e.above_start and not e.diverged for e in exc.value.sweep)
 
     def test_wrong_dimension_x0_raises(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -763,6 +786,7 @@ def serial_sweep(base, problem):
         sweep.append(SweepEntry(
             a=a, gamma=gammas[0], final_f=final_f, diverged=trace.diverged,
             diverged_at=len(trace.f) - 1 if trace.diverged else None,
+            above_start=not trace.diverged and final_f > trace.f[0],
         ))
     return sweep
 
@@ -777,12 +801,14 @@ def _logreg(dataset, l2):
 class TestTuneMatchesSerialRuns:
     """The batched sweep against :func:`serial_sweep` as oracle.
 
-    The two paths round differently (gemm against gemv, one shared
-    exp(-|z|) against separate logaddexp and expit), and large-stepsize
-    logistic points amplify that until they differ at the first digit, so
-    values are compared only at points within 1e-6 (relative) of the oracle
-    minimum.  The paths can then also break a near-tie differently; the
-    batched pick must tie the oracle minimum.
+    The two paths round differently (gemm against gemv, and the loss summed
+    as one product with ones over a block's row chunks against over a single
+    point), and large-stepsize logistic points amplify that until they
+    differ at the first digit, so values are compared only at points within
+    1e-6 (relative) of the oracle minimum; the ``diverged`` and
+    ``above_start`` flags must agree everywhere.  The paths can then also
+    break a near-tie differently; the batched pick must tie the oracle
+    minimum.
     """
 
     @pytest.mark.parametrize("case", [
@@ -810,6 +836,7 @@ class TestTuneMatchesSerialRuns:
         assert [e.diverged for e in sweep] == [o.diverged for o in oracle]
         assert sum(e.diverged for e in sweep) == n_diverged
         assert [e.diverged_at is not None for e in sweep] == [e.diverged for e in sweep]
+        assert [e.above_start for e in sweep] == [o.above_start for o in oracle]
         if problem.name == "quadratic":
             # its block columns are bitwise single points, so each drops at
             # the serial run's last row

@@ -3,10 +3,14 @@
 import dataclasses
 import tracemalloc
 import weakref
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 import agghb.problems
@@ -133,7 +137,8 @@ class TestProblem:
         p = shipped_problem(name, small_dataset)
         rng = np.random.default_rng(46)
         for x in (rng.standard_normal(p.dim), 1e3 * rng.standard_normal(p.dim)):
-            assert same_bits(p.gradient(x), p.value_and_grad(x)[1])
+            with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+                assert same_bits(p.gradient(x), p.value_and_grad(x)[1])
             if name in ("quadratic", "rosenbrock"):  # the logistic ones give their own value
                 X = rng.standard_normal((p.dim, 7))
                 assert same_bits(p.value(x), p.value_and_grad(x)[0])
@@ -569,10 +574,12 @@ class TestBatchObjective:
 
     @staticmethod
     def _assert_matches_columns(p, X):
-        f, G = p.value_and_grad(X)
+        with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+            f, G = p.value_and_grad(X)
+            gs = [p.gradient(X[:, j]) for j in range(X.shape[1])]
         assert f.shape == (X.shape[1],) and G.shape == X.shape
-        for j in range(X.shape[1]):
-            fj, gj = p.value(X[:, j]), p.gradient(X[:, j])
+        for j, gj in enumerate(gs):
+            fj = p.value(X[:, j])
             assert abs(f[j] - fj) <= 1e-12 * abs(fj)
             assert np.linalg.norm(G[:, j] - gj) <= 1e-12 * np.linalg.norm(gj)
 
@@ -708,8 +715,9 @@ class TestLogisticScratch:
         size = int(np.prod(shape))
         # views into one flat buffer at an odd offset, as the objectives cut
         # them, filled with NaN so that no step can lean on stale contents
-        flat = np.full(3 * size + 1, np.nan)
-        work = tuple(flat[1 + i * size:1 + (i + 1) * size].reshape(shape) for i in range(3))
+        flat = np.full(2 * size + 1, np.nan)
+        work = (*(flat[1 + i * size:1 + (i + 1) * size].reshape(shape) for i in range(2)),
+                np.ones(shape[0]))
         for seed in (51, 52):  # the second pass reuses the dirtied scratch
             z = self._margins(shape, kind, seed)
             z_ref = z.copy()
@@ -838,7 +846,8 @@ class TestFiniteAndGrad:
         calls = self._logistic_calls(monkeypatch)
         X = np.random.default_rng(62).standard_normal((p.dim, 15))
         X[:, 1::2] *= 1e3
-        assert p.finite_and_grad(X)[0].all() and not calls
+        with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+            assert p.finite_and_grad(X)[0].all() and not calls
         self._assert_exact(p, X)
 
     @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
@@ -880,6 +889,135 @@ class TestFiniteAndGrad:
             self._assert_exact(p, X)
 
 
+class TestSigmoidAccuracy:
+    """The shared sigmoid s(-z) = 1 / (1 + exp(z)) against mpmath at 50
+    digits, on z in [-745, 745] and 0, -0, +-inf and NaN: within 4 ulp
+    where s(-z) is a normal double, within the smallest normal where it is
+    not, exactly 0 and 1 at +inf and -inf, NaN for NaN.  The formula it
+    replaced, e / (1 + e) for z >= 0 and 1 / (1 + e) otherwise with
+    e = exp(-|z|), passes the same test."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+    @staticmethod
+    def _shared(z):
+        z = z.copy()
+        with np.errstate(over="ignore"):  # exp(z) past 709.78 is inf, s(-z) 0
+            agghb.problems._sigmoid(z)
+        return z
+
+    @staticmethod
+    def _replaced(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0.0, e, 1.0) / (1.0 + e)
+
+    @staticmethod
+    def _finite_inputs():
+        rng = np.random.default_rng(71)
+        overflow = np.log(np.finfo(float).max)  # 709.78..., where exp(z) overflows
+        return np.concatenate([
+            np.linspace(-745.0, 745.0, 2981),
+            rng.uniform(-745.0, 745.0, 1000),
+            rng.uniform(-40.0, 40.0, 500),  # where 1 + exp(z) rounds most
+            rng.standard_normal(200) * 10.0 ** rng.uniform(-300.0, 0.0, 200),
+            overflow + np.linspace(-2.0, 2.0, 81),
+            np.nextafter(overflow, [-np.inf, np.inf]),
+        ])
+
+    @pytest.mark.parametrize("formula", ["_shared", "_replaced"])
+    def test_against_mpmath(self, formula):
+        sigmoid = getattr(self, formula)
+        z = self._finite_inputs()
+        got = sigmoid(z)
+        tiny = np.finfo(float).tiny
+        with mpmath.workdps(50):
+            for zi, gi in zip(z.tolist(), got.tolist()):
+                exact = 1 / (1 + mpmath.exp(mpmath.mpf(zi)))
+                nearest = float(exact)
+                err = abs(mpmath.mpf(gi) - exact)
+                if nearest >= tiny:
+                    assert err <= 4 * mpmath.mpf(np.spacing(nearest)), (zi, gi, nearest)
+                else:
+                    assert err <= tiny, (zi, gi, nearest)
+        special = sigmoid(self.SPECIAL)
+        assert special[:4].tolist() == [0.5, 0.5, 0.0, 1.0]
+        assert np.isnan(special[4])
+
+
+class TestCertificate:
+    """The logistic ``finite_and_grad`` certifies a block from
+    M (r_B max|X| + 1) <= 1e300 alone.  The bound never certifies a block
+    whose loss is non-finite: wherever the loss is skipped, the kernel's
+    loss of the same margins is finite, and the mask and gradients are
+    those of ``value_and_grad``; on dense and CSR data, with X's entries at
+    scales from 1 to 1e308, +-inf and NaN, and with columns aligned to a
+    row's signs, where the bound is attained."""
+
+    SCALES = (1.0, 1e3, 1e100, 1e150, 1e200, 1e290, 1e295, 1e297, 1e298, 1e299, 1e300,
+              1e302, 1e305, 1e308, np.inf, -np.inf, np.nan)
+
+    @staticmethod
+    def _data(rng, sparse, M, feature_scale):
+        n = _DENSE_FALLBACK_COLS + 6 if sparse else 5
+        A = rng.standard_normal((M, n)) * feature_scale
+        A *= rng.random((M, n)) < (0.1 if sparse else 0.7)
+        A[0, 0] = feature_scale  # some nonzero, so l2 = 0 has a positive L
+        labels = np.where(rng.random(M) < 0.5, -1.0, 1.0)
+        return Dataset(features=sp.csr_matrix(A) if sparse else A, labels=labels)
+
+    @staticmethod
+    def _check(p, data, X):
+        """Whether the loss was skipped; the property holds either way."""
+        with mock.patch.object(agghb.problems, "_logistic",
+                               wraps=agghb.problems._logistic) as kernel:
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite, G = p.finite_and_grad(X)
+        certified = not kernel.called
+        with np.errstate(over="ignore", invalid="ignore"):
+            f, G_ref = p.value_and_grad(X)
+            if certified:
+                matvec = agghb.problems._feature_operator(data)[0]
+                assert np.isfinite(logistic_oracle(matvec(X), grad=False)).all()
+        assert same_bits(finite, np.isfinite(f)) and same_bits(G, G_ref)
+        return certified
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), sparse=st.booleans(), M=st.integers(1, 6),
+           feature_scale=st.sampled_from([1e-3, 1.0, 1e3, 1e50]),
+           scales=st.lists(st.sampled_from(SCALES), min_size=1, max_size=4),
+           aligned=st.booleans(), reg=st.sampled_from([("l2", 0.0), ("l2", 1.0),
+                                                       ("ncvx", 1e-12), ("ncvx", 1.0)]))
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_never_certifies_a_non_finite_loss(self, seed, sparse, M, feature_scale, scales,
+                                               aligned, reg):
+        rng = np.random.default_rng(seed)
+        data = self._data(rng, sparse, M, feature_scale)
+        p = (logreg_l2 if reg[0] == "l2" else logreg_nonconvex)(data, reg[1])
+        if aligned:  # each column the signs of the largest row, so |z| = r_B max|x|
+            A = as_dense(data.features)
+            row = np.sign(data.labels[:, None] * A)[np.abs(A).sum(axis=1).argmax()]
+            X = row[:, None] * np.ones(len(scales))
+        else:
+            X = rng.standard_normal((p.dim, len(scales)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = X * np.array(scales)
+        self._check(p, data, X)
+        self._check(p, data, X[:, 0].copy())
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_bound_is_attained_at_the_cap(self, sparse):
+        # aligned columns reach |z| = r_B s; the block is certified just
+        # below the cap, falls back just above it, and its loss stays finite
+        rng = np.random.default_rng(72)
+        data = self._data(rng, sparse, 4, 1.0)
+        p = logreg_l2(data, 0.0)
+        A = as_dense(data.features)
+        row_sums = np.abs(A).sum(axis=1)
+        row = np.sign(data.labels[:, None] * A)[row_sums.argmax()]
+        s = (agghb.problems._FINITE_CAP / data.M - 1.0) / row_sums.max()
+        assert self._check(p, data, row[:, None] * s * np.array([1.0 - 1e-12, 0.5]))
+        assert not self._check(p, data, row[:, None] * s * np.array([1.0 + 1e-9, 0.5]))
+
+
 class TestValueAndGrad:
     """``value_and_grad`` against the objectives written out here: Qx - b,
     the Rosenbrock gradient, and logaddexp/expit for the logistic ones,
@@ -887,8 +1025,9 @@ class TestValueAndGrad:
 
     @staticmethod
     def _assert_matches(p, x):
-        f, g = p.value_and_grad(x)
-        f_ref, g_ref = p.value(x), p.gradient(x)
+        with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+            f, g = p.value_and_grad(x)
+            f_ref, g_ref = p.value(x), p.gradient(x)
         assert isinstance(f, float) and g.shape == x.shape
         assert abs(f - f_ref) <= 1e-12 * abs(f_ref)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
