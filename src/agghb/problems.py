@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 _DENSE_FALLBACK_COLS = 64
 
 # The logistic ``value_and_grad`` takes its products over all P columns of
-# X (n, P) at once and runs the elementwise logistic over row chunks of the
+# X (n, P) at once and sums the logistic loss over row chunks of the
 # M x P margins whose temporaries stay near this size: the margins are then
 # the only M x P array, and each chunk stays in cache.  A single x (n,) is
 # one chunk: its temporaries are M values, and splitting them would only
@@ -61,7 +61,9 @@ class Dataset:
     n <= ``_DENSE_FALLBACK_COLS`` (M * n * 8 bytes, the size of the signed
     copy the logistic objectives keep of it) and as a ``scipy.sparse`` CSR
     matrix otherwise, whichever kind it is given as.  Only wide data imports
-    ``scipy.sparse``.
+    ``scipy.sparse``.  This is the one place that picks the layout: the
+    objectives and :func:`spectral_norm` take their products from the type
+    of ``features``.
     """
 
     features: np.ndarray | sp.csr_matrix
@@ -283,7 +285,7 @@ def _feature_operator(data: Dataset):
     """Products with the label-signed features B = diag(y) A:
     (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix,
     and the largest row 1-norm r_B = max_i sum_k |B_ik| when called),
-    dense on the narrow features a Dataset holds dense.  The labels are +-1,
+    dense or CSR as the Dataset holds its features.  The labels are +-1,
     so B @ x equals y * (A @ x) exactly.
 
     On the sparse path a CSR copy of B.T serves single vectors, where it is
@@ -291,7 +293,7 @@ def _feature_operator(data: Dataset):
     whose one pass over B beats both that copy and P separate products.
     r_B is left to its caller's first need for it, since on wide data it
     takes a copy of B and about 2 ms that only ``harness.tune`` uses."""
-    if data.n <= _DENSE_FALLBACK_COLS:
+    if isinstance(data.features, np.ndarray):
         B = data.labels[:, None] * data.features
         ops = (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
     else:
@@ -308,9 +310,8 @@ def _feature_operator(data: Dataset):
     return *ops, (lambda: float(np.max(abs(B) @ np.ones(B.shape[1]), initial=0.0)))
 
 
-def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> float | np.ndarray:
-    """Sum over axis 0 of log(1 + exp(-z)); when ``grad``, z is then
-    overwritten with the sigmoid s(-z) by :func:`_sigmoid`.
+def _logistic(z: np.ndarray, work: tuple) -> float | np.ndarray:
+    """Sum over axis 0 of log(1 + exp(-z)); z is left as it is.
 
     The loss is log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), with
     exp(-|z|) = exp(min(z, -z)) in [0, 1], so it stays finite for any
@@ -318,21 +319,17 @@ def _logistic(z: np.ndarray, work: tuple, grad: bool = True) -> float | np.ndarr
     and one BLAS product with a vector of ones for the sum: on a (690, 15)
     chunk it takes 3.5 us where ``sum(axis=0)``, which adds row by row,
     takes 25 us, and on a single point 1.0 us against 1.4 us for ``sum()``.
-    The gradient adds the sigmoid's three passes.
 
     ``work`` is two scratch arrays of z's shape, owned by the caller and
     overwritten here, and a vector of ones of z's length: every step
-    writes into the scratch or into z, so the only array allocated is the
-    returned sum, and one scratch serves one call at a time.
+    writes into the scratch, so the only array allocated is the returned
+    sum, and one scratch serves one call at a time.
     """
     a, e, ones = work
     np.negative(z, out=a)
     np.exp(np.minimum(z, a, out=e), out=e)
     np.maximum(a, 0.0, out=a)
-    loss = ones @ np.add(a, np.log1p(e, out=e), out=a)
-    if grad:
-        _sigmoid(z)
-    return loss
+    return ones @ np.add(a, np.log1p(e, out=e), out=a)
 
 
 def _sigmoid(z: np.ndarray) -> None:
@@ -345,9 +342,7 @@ def _sigmoid(z: np.ndarray) -> None:
     floating-point flag, which the package's callers ignore under
     ``np.errstate``.  -inf gives 1, +inf 0 and NaN stays NaN.  Where s(-z)
     is a normal double its relative error is a few ulp: exp's, the add's
-    and the divide's.  It needs no scratch, and both :func:`_logistic` and
-    the logistic ``finite_and_grad`` call it, so their gradients agree bit
-    for bit.
+    and the divide's.  It needs no scratch.
     """
     np.exp(z, out=z)
     np.add(z, 1.0, out=z)
@@ -360,21 +355,20 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
     plus ``penalty``, which maps x (n,) or X (n, P) to its value (one per
     column) and its gradient.
 
-    ``value_and_grad`` forms the margins Z = B @ X once, the loss and the
-    sigmoid of each entry (see :func:`_logistic`: six passes and a BLAS sum
-    for the loss, three for the sigmoid) and one product with B.T, over all
-    columns of X at once.  On a block it runs the logistic over row chunks
-    of ``_BLOCK_BYTES // (8 P)`` rows, writing s(-z) back into the margins,
-    so the margins are its only M x P array; a single x is one chunk.
-    ``value`` skips the gradient and with it the sigmoid and the product
-    with B.T; it takes a block in groups of ``_GROUP_BYTES // (8 M)``
+    ``value_and_grad`` forms the margins Z = B @ X once, over all columns
+    of X at once, and sums their loss (see :func:`_logistic`: six passes and
+    a BLAS sum) over row chunks of ``_BLOCK_BYTES // (8 P)`` rows, so the
+    margins are its only M x P array; a single x is one chunk.  Its gradient
+    step then overwrites the margins with their sigmoid (see
+    :func:`_sigmoid`: three passes over all of them at once; it needs no
+    scratch, so no chunks) and takes one product with B.T.  ``value`` skips
+    the gradient step; it takes a block in groups of ``_GROUP_BYTES // (8 M)``
     columns, each group's margins formed and summed in row chunks as above.
 
-    ``finite_and_grad`` runs ``value_and_grad`` without the loss: the
-    sigmoid's three passes over all the margins at once (see
-    :func:`_sigmoid`; it needs no scratch, so no chunks), so its gradients
-    are bitwise those.  It decides finiteness with a certificate read off
-    X alone, before the margins are formed, so no M x P array is reduced.
+    ``finite_and_grad`` runs ``value_and_grad`` without the loss: the same
+    gradient step on the same margins, so its gradients are bitwise those.
+    It decides finiteness with a certificate read off X alone, before the
+    margins are formed, so no M x P array is reduced.
     Each margin obeys |z_ij| <= sum_k |B_ik| |X_kj| <= r_B m, with
     r_B = max_i sum_k |B_ik|, computed once per problem at the first call,
     and m = max|X|.
@@ -426,24 +420,29 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
             )
         return found
 
-    def loss(Z: np.ndarray, grad: bool) -> float | np.ndarray:
+    def loss(Z: np.ndarray) -> float | np.ndarray:
         """:func:`_logistic` of the margins Z (M, P) over row chunks, or of
         z (M,) as one chunk."""
         rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1])) if Z.ndim == 2 else M
         chunk = Z[:rows]
-        total = _logistic(chunk, work(chunk.shape), grad)
+        total = _logistic(chunk, work(chunk.shape))
         for lo in range(rows, M, rows):
             chunk = Z[lo:lo + rows]
-            total += _logistic(chunk, work(chunk.shape), grad)
+            total += _logistic(chunk, work(chunk.shape))
         return total
+
+    def grad(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """The gradient G - B.T s(-Z) / M, G the penalty's; Z is overwritten."""
+        _sigmoid(Z)
+        return G - rmatvec(Z) / M
 
     def value(X: np.ndarray) -> float | np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            return float(loss(matvec(X), grad=False) / M + penalty(X)[0])
+            return float(loss(matvec(X)) / M + penalty(X)[0])
         cols = max(1, _GROUP_BYTES // (8 * M))
         return np.concatenate([
-            loss(matvec(Xg), grad=False) / M + penalty(Xg)[0]
+            loss(matvec(Xg)) / M + penalty(Xg)[0]
             for Xg in (X[:, lo:lo + cols] for lo in range(0, X.shape[1], cols))
         ])
 
@@ -451,7 +450,8 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         Z = matvec(X)
-        return f + loss(Z, grad=True) / M, G - rmatvec(Z) / M
+        f = f + loss(Z) / M  # before grad overwrites Z
+        return f, grad(Z, G)
 
     def finite_and_grad(X: np.ndarray) -> tuple[bool | np.ndarray, np.ndarray]:
         nonlocal r_B
@@ -463,9 +463,7 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
         # a NaN entry of X fails the comparison
         if (M * (r_B * np.abs(X).max(initial=0.0) + 1.0) <= _FINITE_CAP
                 and not (np.abs(f[finite]) > _FINITE_CAP).any()):
-            Z = matvec(X)
-            _sigmoid(Z)
-            return finite, G - rmatvec(Z) / M
+            return finite, grad(matvec(X), G)
         f, G = value_and_grad(X)
         return np.isfinite(f), G
 
@@ -535,29 +533,23 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
 def spectral_norm(A) -> tuple[float, bool]:
     """Largest eigenvalue of A'A by power iteration on repeated matvecs.
 
-    ``A`` is a ``scipy.sparse`` matrix, whose products are CSR matvecs, or
-    anything ``np.asarray`` reads as a matrix, whose products add the same
-    terms in the same order (see :func:`_row_sum`): dense, a matrix gives
-    bitwise the estimate of its CSR form with sorted column indices (as
-    scipy builds it), and never imports ``scipy.sparse``.  The iteration
-    starts from a seeded random direction and stops once the Rayleigh
-    quotient moves by at most ``_POWER_REL_TOL`` of itself, or after
-    ``_POWER_MAX_ITERS`` products.  Returns (estimate, converged).  The zero
-    matrix, stored entries that are all zero included, yields (0.0, True).
+    ``A`` is a ``scipy.sparse`` matrix, taken as CSR, or anything
+    ``np.asarray`` reads as a matrix; each step forms A.T @ (A @ v) with
+    the products of that form (BLAS on a dense array, which never imports
+    ``scipy.sparse``), two passes over A.  The iteration starts from a
+    seeded random direction and stops once the Rayleigh quotient moves by
+    at most ``_POWER_REL_TOL`` of itself, or after ``_POWER_MAX_ITERS``
+    products.  Returns (estimate, converged).  The zero matrix, stored
+    entries that are all zero included, yields (0.0, True).
+
+    Each product is scaled by the power of two that brings its largest
+    entry into [1/2, 1) before it is normalized, so its norm neither
+    overflows nor underflows wherever the products themselves do not.  The
+    scaling is exact, so A times a power of two 2^k gives the estimate
+    times 2^(2k), bit for bit, unless a product leaves the normal range.
     """
     sp = _sparse_module(A)
-    if sp is not None:
-        A = sp.csr_matrix(A)
-        matvec, rmatvec = (lambda v: A @ v), (lambda z: A.T @ z)
-    else:
-        # Row j of AT * v[:, None] is column j of A times v[j], so summing
-        # its rows in order adds each row of A in column order, as a CSR
-        # matvec does; the rows of A * z[:, None], in order, are what the
-        # transposed (CSC) matvec adds into each column.
-        A = _dense(A)
-        AT = np.ascontiguousarray(A.T)
-        matvec, rmatvec = ((lambda v: _row_sum(AT * v[:, None])),
-                           (lambda z: _row_sum(A * z[:, None])))
+    A = sp.csr_matrix(A) if sp is not None else _dense(A)
     if not _stored_values(A).any():
         return 0.0, True
 
@@ -567,30 +559,20 @@ def spectral_norm(A) -> tuple[float, bool]:
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(_POWER_MAX_ITERS):
-        w = rmatvec(matvec(v))
+        w = A.T @ (A @ v)
         lam_new = float(v @ w)  # Rayleigh quotient, ||v|| = 1
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
+        top = np.abs(w).max()
+        if top == 0.0:
             # v landed in the nullspace of A; restart from a new direction.
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
             continue
-        v = w / norm_w
+        w = np.ldexp(w, -np.frexp(top)[1])
+        v = w / np.linalg.norm(w)
         if abs(lam_new - lam) <= _POWER_REL_TOL * abs(lam_new):
             return lam_new, True
         lam = lam_new
     return lam, False
-
-
-def _row_sum(T: np.ndarray) -> np.ndarray:
-    """The sum of the rows of a C-ordered T (k, l), added in row order onto
-    +0.0 as scipy's sparse matvecs add their terms, so bitwise theirs.  In C
-    order reduce adds the rows in order, unless each is one value: numpy
-    then adds them pairwise, so accumulate, and + 0.0 turns a -0.0 sum into
-    the +0.0 that adding onto +0.0 gives."""
-    if T.shape[1] == 1:
-        return np.add.accumulate(T, axis=0)[-1] + 0.0
-    return np.add.reduce(T, axis=0, initial=0.0)
 
 
 def _sparse_module(A):

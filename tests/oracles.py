@@ -135,7 +135,8 @@ def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:
     0 of log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), taken as the
     product with a vector of ones, and, when ``grad``, z overwritten with
     the sigmoid s(-z) = 1 / (1 + exp(z)).  The package's scratch-buffer
-    kernel must match it bit for bit."""
+    kernel, followed by its ``_sigmoid`` for the gradient, must match it bit
+    for bit."""
     e = np.exp(-np.abs(z))
     loss = np.ones(z.shape[0]) @ (np.maximum(-z, 0.0) + np.log1p(e))
     if grad:
