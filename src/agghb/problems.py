@@ -149,11 +149,12 @@ class Problem:
     ``(finite (P,), G (dim, P))``, where ``finite`` must equal
     ``np.isfinite`` of the values ``value_and_grad`` gives and G must be
     its gradients bit for bit.  ``value`` maps x (dim,) to a float and
-    X (dim, P) to f (P,); ``harness.run`` in theory-cvx mode reads it once
-    per block of averaged iterates, and ``harness.tune`` once on x0, for the
-    f(x0) above which a grid point is ``above_start`` and never picked as
-    best.  ``gradient`` maps x (dim,) to its gradient and is kept for tests
-    and the benchmark's tracer.  All three default to those of
+    X (dim, P) to f (P,); ``harness.run`` in theory-cvx mode reads it on
+    (dim, B) groups of averaged iterates, back to back once per book of
+    them, and ``harness.tune`` once on x0, for the f(x0) above which a grid
+    point is ``above_start`` and never picked as best.  ``gradient`` maps
+    x (dim,) to its gradient and is kept for tests and the benchmark's
+    tracer.  All three default to those of
     ``value_and_grad``, derived anew when ``dataclasses.replace`` gives
     another one; give one only where skipping part of it saves work.
     ``reference_opt`` is an exactly-known minimizer ``(x_*, f(x_*))`` when

@@ -313,6 +313,37 @@ def _three_by_three():
 BOOK = agghb.harness.book_rows(3)  # rows of run's bookkeeping blocks for d = 2 and 3
 # Iterates whose rows are the first, a middle and the last of the second block.
 BLOCK_ROWS = [BOOK, BOOK + BOOK // 2, 2 * BOOK - 1]
+# Rows of run's book of averaged iterates for d = 2, 3 and 14.
+AVG_BOOK = agghb.harness.average_book_rows(3)
+
+
+def _plain_run_iterates(cfg, problem):
+    """``plain_run`` and the iterates it visits, one per gradient call."""
+    xs = []
+
+    def gradient(x):
+        xs.append(x.copy())
+        return problem.gradient(x)
+
+    return plain_run(cfg, dataclasses.replace(problem, gradient=gradient)), xs
+
+
+def _grouped_f_avg(problem, F, xs):
+    """The ``f_avg`` ``run`` must give bit for bit on iterates ``xs``: the
+    averages by the plain recurrence, then one ``value`` call per B-row
+    group of them, each on the transpose of C-contiguous rows, the last
+    group padded with its last average."""
+    rho = 1.0 / (1.0 - problem.mu * F / 2.0)
+    xbar, w, avgs = np.zeros(problem.dim), 0.0, []
+    for x in xs:
+        w = w / rho + 1.0
+        xbar = (xbar * (w - 1.0) + x) / w
+        avgs.append(xbar)
+    B, n = agghb.harness.book_rows(problem.dim), len(avgs)
+    avgs += [avgs[-1]] * (-n % B)
+    f_avg = np.concatenate([problem.value(np.array(avgs[lo:lo + B]).T)
+                            for lo in range(0, len(avgs), B)])
+    return f_avg[:n]
 
 
 class TestRunMatchesPlainLoop:
@@ -442,14 +473,60 @@ class TestRunMatchesPlainLoop:
     @pytest.mark.parametrize("dim, rows", [(70_000, 1), (50_000, 2)])
     def test_dimension_that_caps_the_block(self, dim, rows):
         assert agghb.harness.book_rows(dim) == rows
-        problem = _hand_built(lambda x: x, dim=dim)
+        # the averages book is then one block, read as soon as it fills
+        assert agghb.harness.average_book_rows(dim) == rows
+        hand = _hand_built(lambda x: x, dim=dim)
+        books = []  # the array each value call's block is a view of
+
+        def value(x):
+            books.append(x.base)
+            return hand.value(x)
+
+        problem = dataclasses.replace(hand, value=value)
         cfg = RunConfig(
             problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode="theory-cvx",
             iters=5, problem_params={"x0": np.linspace(-1.0, 1.0, dim).tolist()},
         )
         trace = run(cfg, problem)
         assert not trace.diverged and len(trace.f) == 6
-        self._assert_identical(trace, plain_run(cfg, problem))
+        assert len(books) == 6 // rows
+        assert all(b.shape == (rows, dim) for b in books)
+        assert max(b.nbytes for b in books) <= agghb.harness._BOOK_BYTES
+        self._assert_identical(trace, plain_run(cfg, hand))
+
+    @pytest.mark.parametrize("build", [
+        lambda request: _three_by_three(),
+        lambda request: logreg_l2(data := request.getfixturevalue("australian_dataset"),
+                                  data.logistic_L / 1e5),
+    ], ids=["quadratic", "logreg-l2"])
+    def test_f_avg_bit_identical_across_average_books(self, request, build):
+        # The iterates do not depend on the budget, so one oracle run at the
+        # largest serves every budget.
+        problem = build(request)
+        assert agghb.harness.average_book_rows(problem.dim) == AVG_BOOK > BOOK
+        budgets = [AVG_BOOK - 1, AVG_BOOK, AVG_BOOK + 1, 2 * AVG_BOOK + BOOK + 3]
+        base = dict(problem=problem.name, optimizer="agghb", betas=(0.9, 0.95, 0.99),
+                    stepsize_mode="theory-cvx")
+        oracle, xs = _plain_run_iterates(RunConfig(iters=budgets[-1], **base), problem)
+        assert not oracle.diverged and len(xs) == budgets[-1] + 1
+        for K in budgets:
+            trace = run(RunConfig(iters=K, **base), problem)
+            assert not trace.diverged
+            np.testing.assert_array_equal(trace.f, oracle.f[:K + 1], err_msg=str(K))
+            np.testing.assert_array_equal(
+                trace.f_avg, _grouped_f_avg(problem, trace.constants["F"], xs[:K + 1]),
+                err_msg=str(K))
+
+    def test_non_finite_gradient_in_second_average_book_truncates_identically(self):
+        k_bad = AVG_BOOK + AVG_BOOK // 2 + 5
+        cfg = RunConfig(
+            problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode="theory-cvx",
+            iters=3 * AVG_BOOK, problem_params={"x0": [1.0, -2.0]},
+        )
+        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: x, np.nan)))
+                         for loop in (run, plain_run))
+        assert trace.diverged and len(trace.f) == len(trace.f_avg) == k_bad + 1
+        self._assert_identical(trace, oracle)
 
     @pytest.mark.parametrize("dataset", ["australian_dataset", "wide_dataset"])
     @pytest.mark.parametrize("kind", ["l2-zero", "l2-auto", "ncvx"])
@@ -515,6 +592,46 @@ class TestRunObjectiveCalls:
         assert blocks == 3
         assert calls == {"value": value_calls * blocks, "gradient": 0, "value_and_grad": K + 1}
         assert widths == [(B,)] * (value_calls * blocks)
+
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    @pytest.mark.parametrize("build", [
+        lambda request: quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)),
+        lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3),
+    ], ids=["quadratic", "logreg-l2"])
+    def test_value_calls_come_once_per_average_book(self, request, build, mode):
+        # one burst of A/B calls right after the A-th and the 2A-th average
+        # are stored, and one at exit for the last 6
+        problem, log = build(request), []
+
+        def logged(name):
+            fn = getattr(problem, name)
+
+            def call(x):
+                log.append((name, x.shape[1:]))
+                return fn(x)
+            return call
+
+        problem = dataclasses.replace(
+            problem, **{n: logged(n) for n in ("value", "value_and_grad")})
+        B, A = agghb.harness.book_rows(problem.dim), agghb.harness.average_book_rows(problem.dim)
+        K = 2 * A + 5
+        cfg = RunConfig(
+            problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode=mode, iters=K,
+        )
+        assert len(run(cfg, problem).f) == K + 1
+        if mode == "theory-ncvx":
+            assert log == [("value_and_grad", ())] * (K + 1)
+            return
+        burst = [("value", (B,))] * (A // B)
+        want = []
+        for k in range(K + 1):
+            want.append(("value_and_grad", ()))
+            if k in (A - 1, 2 * A - 1):
+                want += burst
+        want += [("value", (B,))]
+        assert log == want
+        assert sum(name == "value" for name, _ in log) == -(-(K + 1) // B)
 
     def test_value_that_takes_single_points_only_refused(self):
         # written for single points, it sums a whole block into one number
