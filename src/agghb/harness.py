@@ -112,9 +112,8 @@ class Trace:
     ``max_virtual_residual`` is the largest relative defect of the
     momentum-corrected iterate recursion seen during the run, a cheap
     self-check of the update arithmetic.  :func:`run` records ``f`` and
-    ``grad_norm`` at each iterate, settles ``dist_opt`` and
-    ``max_virtual_residual`` once per block of iterates and ``f_avg`` once
-    per longer book of averages.
+    ``grad_norm`` at each iterate and settles ``dist_opt``, ``f_avg`` and
+    ``max_virtual_residual`` once per book of iterates.
     """
 
     f: np.ndarray
@@ -182,30 +181,27 @@ def _constants_snapshot(
             "f_margin": cvx.f_margin, "bf_margin": cvx.bf_margin}
 
 
-# ``run`` keeps its per-iterate arrays in blocks of this many rows and
-# computes the metrics once per block; fewer rows when one block array
-# would pass about ``_BOOK_BYTES``.  The averaged iterates get a longer
-# book of up to ``_AVERAGE_BLOCKS`` blocks within the same bytes: each
-# ``value`` call on logistic data is a dense BLAS burst after which the
-# CPU runs the next ~2 ms slower, so the calls are bunched, not spread
-# (theory-cvx logreg-l2 at d = 14 on a 2-CPU AVX-512 Xeon: 45 us per
-# iterate with a 64-row averages book, 37 us with 1,024 rows).
-_BOOK_ROWS = 64
-_AVERAGE_BLOCKS = 16
+# ``run`` keeps its per-iterate arrays in one book of up to ``_BOOK_GROUPS``
+# groups of ``_GROUP_ROWS`` rows and settles every metric once per book;
+# fewer groups, or one shorter group, when one book array would pass about
+# ``_BOOK_BYTES``.  Theory-cvx's ``value`` calls take one group each: on
+# logistic data each is a dense BLAS burst after which the CPU runs the
+# next ~2 ms slower, so the calls are bunched, not spread (theory-cvx
+# logreg-l2 at d = 14 on a 2-CPU AVX-512 Xeon: 45 us per iterate with one
+# burst per 64 iterates, 37 us with one per 1,024).
+_GROUP_ROWS = 64
+_BOOK_GROUPS = 16
 _BOOK_BYTES = 1 << 20
 
 
 def book_rows(dim: int) -> int:
-    """Rows of :func:`run`'s bookkeeping blocks for iterates of ``dim`` values."""
-    return max(1, min(_BOOK_ROWS, _BOOK_BYTES // (8 * max(dim, 1))))
-
-
-def average_book_rows(dim: int) -> int:
-    """Rows of :func:`run`'s book of averaged iterates: a whole number of
-    :func:`book_rows` blocks, at most ``_AVERAGE_BLOCKS`` and at least one,
-    no more than fit in ``_BOOK_BYTES``."""
-    B = book_rows(dim)
-    return B * max(1, min(_AVERAGE_BLOCKS, _BOOK_BYTES // (8 * max(dim, 1) * B)))
+    """Rows of :func:`run`'s book for iterates of ``dim`` values: as many
+    whole groups of ``_GROUP_ROWS`` as fit in ``_BOOK_BYTES``, at most
+    ``_BOOK_GROUPS``, else one group of as many rows as fit, at least one."""
+    fit = _BOOK_BYTES // (8 * max(dim, 1))
+    if fit < _GROUP_ROWS:
+        return max(1, fit)
+    return _GROUP_ROWS * min(_BOOK_GROUPS, fit // _GROUP_ROWS)
 
 
 def run(config: RunConfig, problem: Problem) -> Trace:
@@ -221,19 +217,17 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     ``diverged``, at the first non-finite objective or gradient, or when a
     step makes the iterate or buffers non-finite.
 
-    The other metrics are settled once per block of B = :func:`book_rows`
-    iterates, and at exit, from block arrays of the gradients, iterates and
-    step offsets: ``dist_opt`` in one vectorised pass, and the virtual
-    iterates from one :func:`optim.virtual_iterate` call, checked against
-    their pure gradient recursion; the largest relative defect is kept as
-    ``max_virtual_residual``.  Theory-cvx's ``f_avg`` is settled once its
-    book of :func:`average_book_rows` averages fills, right after the
-    average it is full with is stored, and at exit: one ``problem.value``
-    call per B-row group of the book, each on a (d, B) view of the group (a
-    short last group is padded with its last average, so every call has the
-    same width and row k does not depend on the budget).  Those dense calls
-    slow the CPU for a while after them, so they run back to back, one
-    burst per long book, rather than once per block.
+    The other metrics are settled once per book of :func:`book_rows`
+    iterates, and at exit, from the book's arrays of the gradients, step
+    offsets, iterates and (theory-cvx) averages: ``dist_opt`` in one
+    vectorised pass; the virtual iterates from one
+    :func:`optim.virtual_iterate` call, checked against their pure gradient
+    recursion, the largest relative defect kept as
+    ``max_virtual_residual``; and ``f_avg`` from one ``problem.value`` call
+    per group of B = min(book, 64) rows, back to back, each on a (d, B)
+    view of the group (a short last group is padded with its last average,
+    so every call has the same width and row k does not depend on the
+    budget).
     """
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
@@ -256,16 +250,15 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     vstep = snapshot["F"]
     # Row 0 moves x; row 1 gives the virtual iterate's offset from the same product.
     weights = np.array([gammas, virtual_coefficients(acfg)])[:, :, None]
-    # Row r of a block belongs to the block's r-th iterate: its gradient and
-    # the offset of the step it takes, and in ``xs`` and ``tildes`` one row
-    # down, the iterate and virtual iterate that step leads to.  Row 0 of those two carries the last block's final ones.
-    B = book_rows(problem.dim)
-    xs, tildes = np.empty((B + 1, problem.dim)), np.empty((B + 1, problem.dim))
-    grads, offsets = np.empty((B, problem.dim)), np.empty((B, problem.dim))
-    if track_avg:
-        # Row a holds the average of the book's a-th iterate.
-        A = average_book_rows(problem.dim)
-        avgs, a = np.empty((A, problem.dim)), 0
+    # Row r of the book belongs to its r-th iterate: its gradient, the offset
+    # of the step it takes and its average, and in ``xs`` and ``tildes`` one
+    # row down, the iterate and virtual iterate that step leads to.  Row 0 of
+    # those two carries the last book's final ones.
+    N = book_rows(problem.dim)
+    B = min(N, _GROUP_ROWS)
+    xs, tildes = np.empty((N + 1, problem.dim)), np.empty((N + 1, problem.dim))
+    grads, offsets = np.empty((N, problem.dim)), np.empty((N, problem.dim))
+    avgs = np.empty((N, problem.dim)) if track_avg else None
     xs[0] = tildes[0] = x
     max_residual = 0.0
 
@@ -275,7 +268,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     diverged = False
 
     def settle(rows: int, steps: int) -> None:
-        """Metrics of the block's first ``rows`` iterates and ``steps`` steps."""
+        """Metrics of the book's first ``rows`` iterates and ``steps`` steps."""
         nonlocal max_residual
         if dists is not None:
             e = xs[:rows] - x_star
@@ -286,19 +279,17 @@ def run(config: RunConfig, problem: Problem) -> Trace:
         defect = np.sqrt(np.einsum("ij,ij->i", resid, resid)) / (
             1.0 + np.sqrt(np.einsum("ij,ij->i", old, old)))
         max_residual = float(np.fmax.reduce(defect, initial=max_residual))
+        if favgs is not None:
+            end = -(-rows // B) * B
+            avgs[rows:end] = avgs[rows - 1]
+            for lo in range(0, end, B):
+                group = avgs[lo:lo + B].T
+                f = np.asarray(problem.value(group), dtype=float)
+                if f.shape != (B,):
+                    raise ValueError(f"value of a {group.shape} block has shape {f.shape}, not ({B},)")
+                favgs.append(f[:rows - lo])
 
-    def settle_averages(rows: int) -> None:
-        """``f_avg`` of the averages book's first ``rows`` rows."""
-        end = -(-rows // B) * B
-        avgs[rows:end] = avgs[rows - 1]
-        for lo in range(0, end, B):
-            group = avgs[lo:lo + B].T
-            f = np.asarray(problem.value(group), dtype=float)
-            if f.shape != (B,):
-                raise ValueError(f"value of a {group.shape} block has shape {f.shape}, not ({B},)")
-            favgs.append(f[:rows - lo])
-
-    r = 0  # row of iterate k in the current block
+    r = 0  # row of iterate k in the book
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iters + 1):
             f_k, g_k = objective(x)
@@ -309,11 +300,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             gsqs.append(gsq)
             if track_avg:
                 weight_sum = averaging_update(xbar, weight_sum, rho, x)
-                avgs[a] = xbar
-                a += 1
-                if a == A:
-                    settle_averages(A)
-                    a = 0
+                avgs[r] = xbar
             # One scalar clears the common case; the elementwise test runs
             # only when it is not finite, which overflow alone can cause.
             if not math.isfinite(f_k + gsq) and not (
@@ -336,13 +323,11 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 break
             r += 1
             xs[r] = x
-            if r == B:
-                settle(B, B)
-                xs[0], tildes[0] = xs[B], tildes[B]
+            if r == N:
+                settle(N, N)
+                xs[0], tildes[0] = xs[N], tildes[N]
                 r = 0
         settle(r + 1, r)
-        if track_avg and a:
-            settle_averages(a)
 
     wall = time.perf_counter() - t0
     return Trace(

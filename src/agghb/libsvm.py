@@ -301,9 +301,6 @@ def to_dataset(parsed: ParseResult, n_features: int | None = None) -> Dataset:
     count (some files omit trailing all-zero columns).
     """
     raw_labels = parsed.labels
-    if raw_labels.size == 0:
-        raise ValueError("cannot build a dataset from zero records")
-
     distinct = np.unique(raw_labels)
     if distinct.size > 2:
         raise ValueError(

@@ -86,6 +86,8 @@ class Dataset:
             raise ValueError(
                 f"feature rows {feats.shape[0]} != label count {labels.shape[0]}"
             )
+        if labels.shape[0] == 0:
+            raise ValueError("cannot build a dataset from zero records")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must all be -1 or +1")
         if not np.all(np.isfinite(_stored_values(feats))):
@@ -151,7 +153,7 @@ class Problem:
     its gradients bit for bit.  ``value`` maps x (dim,) to a float and
     X (dim, P) to f (P,); ``harness.run`` in theory-cvx mode reads it on
     (dim, B) groups of averaged iterates, back to back once per book of
-    them, and ``harness.tune`` once on x0, for the f(x0) above which a grid
+    iterates, and ``harness.tune`` once on x0, for the f(x0) above which a grid
     point is ``above_start`` and never picked as best.  ``gradient`` maps
     x (dim,) to its gradient and is kept for tests and the benchmark's
     tracer.  All three default to those of

@@ -160,11 +160,12 @@ def _tuple_virtual_iterate(cfg: AggConfig, x, buffers):
     return x - offset / cfg.m
 
 
-def plain_run(config: RunConfig, problem: Problem) -> Trace:
+def plain_run(config: RunConfig, problem: Problem, residuals: list | None = None) -> Trace:
     """The run loop written plainly: tuple buffers rebuilt every step,
     separate ``value`` and ``gradient`` calls, elementwise finiteness checks
     and a freshly allocated weighted average.  Same recurrence, metrics,
-    truncation rule and virtual-iterate check as ``harness.run``."""
+    truncation rule and virtual-iterate check as ``harness.run``; each
+    step's relative defect is appended to ``residuals`` when it is given."""
     gammas = resolve_gammas(config, problem)
     acfg = AggConfig(betas=config.betas, gammas=gammas)
     x0 = start_point(config, problem)
@@ -211,6 +212,8 @@ def plain_run(config: RunConfig, problem: Problem) -> Trace:
             x_tilde = _tuple_virtual_iterate(acfg, x, buffers)
             residual = float(np.linalg.norm(x_tilde - predicted)) / (1.0 + prev_norm)
             max_residual = max(max_residual, residual)
+            if residuals is not None:
+                residuals.append(residual)
 
     return Trace(
         f=np.asarray(fs, dtype=float),

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -177,20 +178,20 @@ class TestRun:
         np.testing.assert_array_equal(t1.f_avg, t2.f_avg)
 
     def test_prefix_property(self, request):
-        # Every column of the shorter run, bit for bit, where its last block
-        # of bookkeeping is padded and the longer run's is filled.
+        # Every column of the shorter run, bit for bit, where its book and its
+        # last group of averages are padded and the longer run's are filled.
         data = request.getfixturevalue("australian_dataset")
         quad = dict(problem="quadratic", betas=(0.8, 0.3), seed=1)
         cases = [
-            (quadratic(np.diag([1.0, 2.0]), np.zeros(2)), 50, 100,
+            (quadratic(np.diag([1.0, 2.0]), np.zeros(2)), BOOK - 14, BOOK + 36,
              dict(quad, stepsize_mode="explicit", gammas=(0.05, 0.02))),
-            (quadratic(np.diag([1.0, 2.0]), np.ones(2)), 60, 140,
+            (quadratic(np.diag([1.0, 2.0]), np.ones(2)), BOOK - 4, BOOK + 76,
              dict(quad, stepsize_mode="theory-cvx")),
-            (logreg_l2(data, data.logistic_L / 1e5), 60, 140,
+            (logreg_l2(data, data.logistic_L / 1e5), BOOK - 4, BOOK + 76,
              dict(problem="logreg-l2", betas=(0.9, 0.95, 0.99), stepsize_mode="theory-cvx")),
         ]
         for problem, short_K, long_K, base in cases:
-            assert short_K < agghb.harness.book_rows(problem.dim) <= long_K
+            assert agghb.harness.book_rows(problem.dim) == BOOK
             short = run(RunConfig(optimizer="agghb", iters=short_K, **base), problem)
             long = run(RunConfig(optimizer="agghb", iters=long_K, **base), problem)
             assert (long.f_avg is None) == (base["stepsize_mode"] == "explicit")
@@ -310,11 +311,38 @@ def _three_by_three():
                      np.array([1.0, -1.0, 0.5]))
 
 
-BOOK = agghb.harness.book_rows(3)  # rows of run's bookkeeping blocks for d = 2 and 3
-# Iterates whose rows are the first, a middle and the last of the second block.
-BLOCK_ROWS = [BOOK, BOOK + BOOK // 2, 2 * BOOK - 1]
-# Rows of run's book of averaged iterates for d = 2, 3 and 14.
-AVG_BOOK = agghb.harness.average_book_rows(3)
+BOOK = agghb.harness.book_rows(3)  # rows of run's book for d = 2, 3 and 14
+GROUP = 64  # columns of each value call on the averages, for d up to 2,048
+# Hand-built runs that stop in their second book take this many values, so
+# that the book is two groups and a few hundred iterates reach its end.
+SHORT_DIM = 1024
+SHORT_BOOK = agghb.harness.book_rows(SHORT_DIM)
+SHORT_X0 = [1.0, -2.0] * (SHORT_DIM // 2)
+# Iterates whose rows are the first, a middle and the last of the second book.
+BLOCK_ROWS = [SHORT_BOOK, SHORT_BOOK + SHORT_BOOK // 2, 2 * SHORT_BOOK - 1]
+
+
+def _budgets(problem):
+    """Budgets on both sides of the end of the first book, and into the third."""
+    book = agghb.harness.book_rows(problem.dim)
+    return [book - 2, book - 1, book, book + 1, 2 * book + 3]
+
+
+def _boundary_config(problem, mode, K):
+    return RunConfig(
+        problem=problem.name, optimizer="agghb", betas=(0.9, 0.5), stepsize_mode=mode,
+        iters=K, problem_params={"x0": ([1.0, -2.0, 0.5] * problem.dim)[:problem.dim]},
+    )
+
+
+@functools.cache
+def _boundary_oracle(build, mode):
+    """``plain_run`` at the largest of the :func:`_budgets` and its steps'
+    defects.  No row depends on the budget, as neither the stepsizes nor F
+    do, so its first K + 1 rows and K defects are ``plain_run`` at budget K."""
+    problem, residuals = build(), []
+    cfg = _boundary_config(problem, mode, _budgets(problem)[-1])
+    return plain_run(cfg, problem, residuals), residuals
 
 
 def _plain_run_iterates(cfg, problem):
@@ -330,16 +358,16 @@ def _plain_run_iterates(cfg, problem):
 
 def _grouped_f_avg(problem, F, xs):
     """The ``f_avg`` ``run`` must give bit for bit on iterates ``xs``: the
-    averages by the plain recurrence, then one ``value`` call per B-row
-    group of them, each on the transpose of C-contiguous rows, the last
-    group padded with its last average."""
+    averages by the plain recurrence, then one ``value`` call per
+    ``GROUP``-row group of them, each on the transpose of C-contiguous
+    rows, the last group padded with its last average."""
     rho = 1.0 / (1.0 - problem.mu * F / 2.0)
     xbar, w, avgs = np.zeros(problem.dim), 0.0, []
     for x in xs:
         w = w / rho + 1.0
         xbar = (xbar * (w - 1.0) + x) / w
         avgs.append(xbar)
-    B, n = agghb.harness.book_rows(problem.dim), len(avgs)
+    B, n = GROUP, len(avgs)
     avgs += [avgs[-1]] * (-n % B)
     f_avg = np.concatenate([problem.value(np.array(avgs[lo:lo + B]).T)
                             for lo in range(0, len(avgs), B)])
@@ -428,29 +456,34 @@ class TestRunMatchesPlainLoop:
         assert trace.diverged and len(trace.f) == length
         self._assert_identical(trace, plain_run(cfg, problem))
 
-    @pytest.mark.parametrize("K", [BOOK - 2, BOOK - 1, BOOK, BOOK + 1, 2 * BOOK + 3])
+    @pytest.mark.parametrize("i", range(5), ids=["N-2", "N-1", "N", "N+1", "2N+3"])
     @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
-    @pytest.mark.parametrize("build", [_three_by_three, lambda: _hand_built(lambda x: x)],
-                             ids=["quadratic", "hand-built"])
-    def test_budgets_around_block_boundaries(self, build, mode, K):
+    @pytest.mark.parametrize("build", [
+        _three_by_three, lambda: _hand_built(lambda x: x, dim=SHORT_DIM),
+    ], ids=["quadratic", "hand-built"])
+    def test_budgets_around_block_boundaries(self, build, mode, i):
+        # budget i of _budgets, around the book of N = 1,024 and 128 rows
         problem = build()
-        assert agghb.harness.book_rows(problem.dim) == BOOK
-        cfg = RunConfig(
-            problem=problem.name, optimizer="agghb", betas=(0.9, 0.5), stepsize_mode=mode,
-            iters=K, problem_params={"x0": [1.0, -2.0, 0.5][:problem.dim]},
-        )
-        trace = run(cfg, problem)
+        assert agghb.harness.book_rows(problem.dim) in (BOOK, SHORT_BOOK)
+        K = _budgets(problem)[i]
+        trace = run(_boundary_config(problem, mode, K), problem)
         assert not trace.diverged and len(trace.f) == K + 1
-        self._assert_identical(trace, plain_run(cfg, problem))
+        oracle, residuals = _boundary_oracle(build, mode)
+        cut = {name: None if (c := getattr(oracle, name)) is None else c[:K + 1]
+               for name in ("f", "grad_norm", "dist_opt", "f_avg")}
+        self._assert_identical(trace, dataclasses.replace(
+            oracle, **cut, max_virtual_residual=max([0.0, *residuals[:K]])))
 
     @pytest.mark.parametrize("k_bad", BLOCK_ROWS, ids=["first-row", "middle-row", "last-row"])
     @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
     def test_non_finite_gradient_in_any_block_row_truncates_identically(self, mode, k_bad):
+        assert SHORT_BOOK == 2 * GROUP
         cfg = RunConfig(
             problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode=mode,
-            iters=3 * BOOK, problem_params={"x0": [1.0, -2.0]},
+            iters=3 * SHORT_BOOK, problem_params={"x0": SHORT_X0},
         )
-        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: x, np.nan)))
+        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: x, np.nan),
+                                               dim=SHORT_DIM))
                          for loop in (run, plain_run))
         assert trace.diverged and len(trace.f) == k_bad + 1
         assert np.isnan(trace.grad_norm[-1])
@@ -462,9 +495,10 @@ class TestRunMatchesPlainLoop:
         # while f and the gradient at that iterate are finite.
         cfg = RunConfig(
             problem="hand", optimizer="gd", betas=(0.0,), stepsize_mode="explicit",
-            gammas=(2.0,), iters=3 * BOOK, problem_params={"x0": [1.0, -2.0]},
+            gammas=(2.0,), iters=3 * SHORT_BOOK, problem_params={"x0": SHORT_X0},
         )
-        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: 0.25 * x, 1e308)))
+        trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: 0.25 * x, 1e308),
+                                               dim=SHORT_DIM))
                          for loop in (run, plain_run))
         assert trace.diverged and len(trace.f) == k_bad + 1
         assert np.isfinite(trace.f[-1])
@@ -472,9 +506,8 @@ class TestRunMatchesPlainLoop:
 
     @pytest.mark.parametrize("dim, rows", [(70_000, 1), (50_000, 2)])
     def test_dimension_that_caps_the_block(self, dim, rows):
+        # the book is then one short group, read as soon as it fills
         assert agghb.harness.book_rows(dim) == rows
-        # the averages book is then one block, read as soon as it fills
-        assert agghb.harness.average_book_rows(dim) == rows
         hand = _hand_built(lambda x: x, dim=dim)
         books = []  # the array each value call's block is a view of
 
@@ -494,19 +527,22 @@ class TestRunMatchesPlainLoop:
         assert max(b.nbytes for b in books) <= agghb.harness._BOOK_BYTES
         self._assert_identical(trace, plain_run(cfg, hand))
 
-    @pytest.mark.parametrize("build", [
-        lambda request: _three_by_three(),
-        lambda request: logreg_l2(data := request.getfixturevalue("australian_dataset"),
-                                  data.logistic_L / 1e5),
-    ], ids=["quadratic", "logreg-l2"])
-    def test_f_avg_bit_identical_across_average_books(self, request, build):
+    @pytest.mark.parametrize("build, rows", [
+        (lambda request: _three_by_three(), BOOK),
+        (lambda request: logreg_l2(data := request.getfixturevalue("australian_dataset"),
+                                   data.logistic_L / 1e5), BOOK),
+        # a book of two groups; it starts at 0, its optimum, unless given x0
+        (lambda request: _hand_built(lambda x: x, dim=SHORT_DIM), SHORT_BOOK),
+    ], ids=["quadratic", "logreg-l2", "hand-built"])
+    def test_f_avg_bit_identical_across_average_books(self, request, build, rows):
         # The iterates do not depend on the budget, so one oracle run at the
         # largest serves every budget.
         problem = build(request)
-        assert agghb.harness.average_book_rows(problem.dim) == AVG_BOOK > BOOK
-        budgets = [AVG_BOOK - 1, AVG_BOOK, AVG_BOOK + 1, 2 * AVG_BOOK + BOOK + 3]
+        assert agghb.harness.book_rows(problem.dim) == rows
+        budgets = [rows - 1, rows, rows + 1, 2 * rows + GROUP + 3]
         base = dict(problem=problem.name, optimizer="agghb", betas=(0.9, 0.95, 0.99),
-                    stepsize_mode="theory-cvx")
+                    stepsize_mode="theory-cvx",
+                    problem_params={"x0": SHORT_X0} if problem.name == "hand" else {})
         oracle, xs = _plain_run_iterates(RunConfig(iters=budgets[-1], **base), problem)
         assert not oracle.diverged and len(xs) == budgets[-1] + 1
         for K in budgets:
@@ -518,10 +554,10 @@ class TestRunMatchesPlainLoop:
                 err_msg=str(K))
 
     def test_non_finite_gradient_in_second_average_book_truncates_identically(self):
-        k_bad = AVG_BOOK + AVG_BOOK // 2 + 5
+        k_bad = BOOK + BOOK // 2 + 5
         cfg = RunConfig(
             problem="hand", optimizer="agghb", betas=(0.9, 0.5), stepsize_mode="theory-cvx",
-            iters=3 * AVG_BOOK, problem_params={"x0": [1.0, -2.0]},
+            iters=3 * BOOK, problem_params={"x0": [1.0, -2.0]},
         )
         trace, oracle = (loop(cfg, _hand_built(_turning_bad(k_bad, lambda x: x, np.nan)))
                          for loop in (run, plain_run))
@@ -556,7 +592,7 @@ class TestRunMatchesPlainLoop:
 
 class TestRunObjectiveCalls:
     """One ``value_and_grad`` call per iterate; in theory-cvx one ``value``
-    call per block of averages, each as wide as a block."""
+    call per ``GROUP`` averages, back to back once per book."""
 
     @staticmethod
     def _counted(problem, calls, widths):
@@ -579,19 +615,19 @@ class TestRunObjectiveCalls:
         lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3),
     ], ids=["quadratic", "logreg-l2"])
     def test_calls_per_iterate(self, request, build, mode, value_calls):
-        # value_calls is per block: 151 iterates fill two blocks and start a third
+        # value_calls is per group: 151 iterates fill two groups and start a third
         calls, widths = dict.fromkeys(("value", "gradient", "value_and_grad"), 0), []
         problem = self._counted(build(request), calls, widths)
-        B, K = agghb.harness.book_rows(problem.dim), 150
+        K = 150
         cfg = RunConfig(
             problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
             stepsize_mode=mode, iters=K,
         )
         assert len(run(cfg, problem).f) == K + 1
-        blocks = -(-(K + 1) // B)
-        assert blocks == 3
-        assert calls == {"value": value_calls * blocks, "gradient": 0, "value_and_grad": K + 1}
-        assert widths == [(B,)] * (value_calls * blocks)
+        groups = -(-(K + 1) // GROUP)
+        assert groups == 3
+        assert calls == {"value": value_calls * groups, "gradient": 0, "value_and_grad": K + 1}
+        assert widths == [(GROUP,)] * (value_calls * groups)
 
     @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
     @pytest.mark.parametrize("build", [
@@ -599,8 +635,8 @@ class TestRunObjectiveCalls:
         lambda request: logreg_l2(request.getfixturevalue("small_dataset"), 1e-3),
     ], ids=["quadratic", "logreg-l2"])
     def test_value_calls_come_once_per_average_book(self, request, build, mode):
-        # one burst of A/B calls right after the A-th and the 2A-th average
-        # are stored, and one at exit for the last 6
+        # one burst of A/B calls once the book of A iterates fills, after the
+        # A-th and the 2A-th step, and one at exit for the last 6
         problem, log = build(request), []
 
         def logged(name):
@@ -613,7 +649,8 @@ class TestRunObjectiveCalls:
 
         problem = dataclasses.replace(
             problem, **{n: logged(n) for n in ("value", "value_and_grad")})
-        B, A = agghb.harness.book_rows(problem.dim), agghb.harness.average_book_rows(problem.dim)
+        B, A = GROUP, agghb.harness.book_rows(problem.dim)
+        assert A == BOOK
         K = 2 * A + 5
         cfg = RunConfig(
             problem=problem.name, optimizer="agghb", betas=(0.9, 0.5),
@@ -641,8 +678,7 @@ class TestRunObjectiveCalls:
             problem="hand", optimizer="hb", betas=(0.5,), stepsize_mode="theory-cvx",
             iters=5, problem_params={"x0": [1.0, 1.0]},
         )
-        B = agghb.harness.book_rows(2)
-        with pytest.raises(ValueError, match=rf"^value of a \(2, {B}\) block has shape \(\), "):
+        with pytest.raises(ValueError, match=rf"^value of a \(2, {GROUP}\) block has shape \(\), "):
             run(cfg, problem)
 
     def test_hand_built_gradient_shape_checked(self):
@@ -674,18 +710,17 @@ class TestLoopsCallTracedNames:
         return calls, step_ndims
 
     def test_run_counts(self, monkeypatch):
-        # one step per iterate but the last, one virtual_iterate per block
+        # one step per iterate but the last, one virtual_iterate per book
         calls, step_ndims = self._count(monkeypatch)
+        K = BOOK + 150
         cfg = RunConfig(
             problem="quadratic", optimizer="agghb", betas=(0.9, 0.5),
-            stepsize_mode="theory-cvx", iters=150, seed=2,
+            stepsize_mode="theory-cvx", iters=K, seed=2,
         )
         trace = run(cfg, quadratic(np.diag([1.0, 2.0, 5.0]), np.ones(3)))
-        assert len(trace.f) == 151 and not trace.diverged
-        blocks = -(-151 // agghb.harness.book_rows(3))
-        assert blocks == 3
-        assert calls == {"init": 1, "step": 150, "virtual_iterate": blocks,
-                         "averaging_update": 151}
+        assert len(trace.f) == K + 1 and not trace.diverged
+        assert calls == {"init": 1, "step": K, "virtual_iterate": 2,
+                         "averaging_update": K + 1}
         assert set(step_ndims) == {1}
 
     def test_tune_steps_the_block_once_per_iterate(self, monkeypatch):

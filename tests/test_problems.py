@@ -214,6 +214,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="rows"):
             Dataset(features=sp.eye(3, format="csr"), labels=np.array([1.0, -1.0]))
 
+    @pytest.mark.parametrize("n", [3, _DENSE_FALLBACK_COLS + 1], ids=["dense", "csr"])
+    def test_zero_samples_rejected(self, n):
+        # refused when built, not later as a division by M = 0 in logistic_L
+        with pytest.raises(ValueError, match="^cannot build a dataset from zero records$"):
+            Dataset(features=np.zeros((0, n)), labels=np.zeros(0))
+
     @pytest.mark.parametrize("n", [0, 1, _DENSE_FALLBACK_COLS, _DENSE_FALLBACK_COLS + 1])
     @pytest.mark.parametrize("kind", ["dense", "csr"])
     def test_held_dense_up_to_the_cutoff(self, kind, n):
