@@ -293,8 +293,11 @@ def run(config: RunConfig, problem: Problem) -> Trace:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.iters + 1):
             f_k, g_k = objective(x)
-            if k == 0 and g_k.shape != x.shape:
-                raise ValueError(f"gradient shape {g_k.shape} != iterate shape {x.shape}")
+            if k == 0:
+                if np.shape(f_k) != ():
+                    raise ValueError(f"value at a single point has shape {np.shape(f_k)}, not ()")
+                if g_k.shape != x.shape:
+                    raise ValueError(f"gradient shape {g_k.shape} != iterate shape {x.shape}")
             gsq = g_k @ g_k
             fs.append(f_k)
             gsqs.append(gsq)
@@ -401,7 +404,10 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     final_f = np.full(P, np.inf)
     diverged_at = [None] * P
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = float(problem.value(x0))
+        f0 = problem.value(x0)
+        if np.shape(f0) != ():
+            raise ValueError(f"value at a single point has shape {np.shape(f0)}, not ()")
+        f0 = float(f0)
         for k in range(base.iters + 1):
             last = k == base.iters
             # A non-finite gradient entry makes its buffers, and through them

@@ -43,7 +43,7 @@ _GROUP_BYTES = 16 * _BLOCK_BYTES
 # The logistic ``finite_and_grad`` certifies a block's values finite without
 # computing them while M (r_B max|X| + 1), which bounds the loss sum, and the
 # penalty stay within this size, 1e8 below overflow (see
-# :func:`_logistic_objectives`).
+# :func:`_logistic_problem`).
 _FINITE_CAP = 1e300
 
 # Power iteration in :func:`spectral_norm`: relative change of the Rayleigh
@@ -167,7 +167,7 @@ class Problem:
     ``hessian``, the dense Hessian at a point.  ``L`` and ``mu`` are
     checked as every entry point of :mod:`agghb.theory` checks them.
     The logistic objectives reuse one scratch buffer across calls (see
-    :func:`_logistic_objectives`), so a logistic ``Problem`` serves one call
+    :func:`_logistic_problem`), so a logistic ``Problem`` serves one call
     at a time; nothing in the package calls one concurrently.
     """
 
@@ -284,35 +284,6 @@ def rosenbrock() -> Problem:
     )
 
 
-def _feature_operator(data: Dataset):
-    """Products with the label-signed features B = diag(y) A:
-    (B @ x, B.T @ r, B.T diag(w) B = A.T diag(w) A as a dense n x n matrix,
-    and the largest row 1-norm r_B = max_i sum_k |B_ik| when called),
-    dense or CSR as the Dataset holds its features.  The labels are +-1,
-    so B @ x equals y * (A @ x) exactly.
-
-    On the sparse path a CSR copy of B.T serves single vectors, where it is
-    the faster kernel; a block R (M, P) goes through the CSC view ``B.T``,
-    whose one pass over B beats both that copy and P separate products.
-    r_B is left to its caller's first need for it, since on wide data it
-    takes a copy of B and about 2 ms that only ``harness.tune`` uses."""
-    if isinstance(data.features, np.ndarray):
-        B = data.labels[:, None] * data.features
-        ops = (lambda x: B @ x), (lambda r: B.T @ r), (lambda w: (B.T * w) @ B)
-    else:
-        import scipy.sparse as sp
-
-        B = data.features.copy()
-        B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
-        BT = B.T.tocsr()
-        ops = (
-            (lambda x: B @ x),
-            (lambda r: (BT if r.ndim == 1 else B.T) @ r),
-            (lambda w: (BT @ sp.diags(w) @ B).toarray()),
-        )
-    return *ops, (lambda: float(np.max(abs(B) @ np.ones(B.shape[1]), initial=0.0)))
-
-
 def _logistic(z: np.ndarray, work: tuple) -> float | np.ndarray:
     """Sum over axis 0 of log(1 + exp(-z)); z is left as it is.
 
@@ -352,11 +323,20 @@ def _sigmoid(z: np.ndarray) -> None:
     np.divide(1.0, z, out=z)
 
 
-def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
-    """``value``, ``value_and_grad`` and ``finite_and_grad`` of the mean
-    logistic loss, with the products and r_B of :func:`_feature_operator`,
-    plus ``penalty``, which maps x (n,) or X (n, P) to its value (one per
-    column) and its gradient.
+def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
+                      l2: float | None = None) -> Problem:
+    """The ``Problem`` ``name`` of the mean logistic loss on ``data`` plus
+    ``penalty``, which maps x (n,) or X (n, P) to its value (one per column)
+    and its gradient, and whose curvature is at most ``L_penalty``.  Given
+    ``l2``, the penalty is (l2/2) ||x||^2: the problem is convex with
+    mu = l2 and a ``hessian``.
+
+    The products are those of the label-signed features B = diag(y) A,
+    dense or CSR as the Dataset holds its features.  The labels are +-1,
+    so B @ x equals y * (A @ x) exactly.  On the sparse path a CSR copy of
+    B.T serves single vectors, where it is the faster kernel; a block
+    R (M, P) goes through the CSC view ``B.T``, whose one pass over B beats
+    both that copy and P separate products.
 
     ``value_and_grad`` forms the margins Z = B @ X once, over all columns
     of X at once, and sums their loss (see :func:`_logistic`: six passes and
@@ -373,8 +353,9 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
     It decides finiteness with a certificate read off X alone, before the
     margins are formed, so no M x P array is reduced.
     Each margin obeys |z_ij| <= sum_k |B_ik| |X_kj| <= r_B m, with
-    r_B = max_i sum_k |B_ik|, computed once per problem at the first call,
-    and m = max|X|.
+    r_B = max_i sum_k |B_ik| and m = max|X|.  r_B is computed once per
+    problem, at the first call: on wide data it takes a copy of B and
+    about 2 ms that only ``harness.tune`` uses.
 
     Rounding: a sum of n products computed in any order is within
     gamma_n = n u / (1 - n u), u = 2^-53, of the sum of their absolute
@@ -404,8 +385,16 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
     into the scratch, but two calls must not overlap: a logistic
     ``Problem`` serves one call at a time.
     """
-    M = data.M
-    r_B = None  # row_norm(), at the first finite_and_grad call
+    M = data.M  # closing over data would keep its unsigned features alive beside B
+    sparse = _sparse_module(data.features)
+    if sparse is None:
+        B = data.labels[:, None] * data.features
+        BT = B.T
+    else:
+        B = data.features.copy()
+        B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
+        BT = B.T.tocsr()
+    r_B = None  # at the first finite_and_grad call
     scratch = np.empty(0)
     views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
@@ -437,40 +426,53 @@ def _logistic_objectives(data: Dataset, matvec, rmatvec, row_norm, penalty):
     def grad(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
         """The gradient G - B.T s(-Z) / M, G the penalty's; Z is overwritten."""
         _sigmoid(Z)
-        return G - rmatvec(Z) / M
+        return G - ((BT if Z.ndim == 1 else B.T) @ Z) / M
 
     def value(X: np.ndarray) -> float | np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            return float(loss(matvec(X)) / M + penalty(X)[0])
+            return float(loss(B @ X) / M + penalty(X)[0])
         cols = max(1, _GROUP_BYTES // (8 * M))
         return np.concatenate([
-            loss(matvec(Xg)) / M + penalty(Xg)[0]
+            loss(B @ Xg) / M + penalty(Xg)[0]
             for Xg in (X[:, lo:lo + cols] for lo in range(0, X.shape[1], cols))
         ])
 
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
-        Z = matvec(X)
+        Z = B @ X
         f = f + loss(Z) / M  # before grad overwrites Z
         return f, grad(Z, G)
 
     def finite_and_grad(X: np.ndarray) -> tuple[bool | np.ndarray, np.ndarray]:
         nonlocal r_B
         if r_B is None:
-            r_B = row_norm()
+            r_B = float(np.max(abs(B) @ np.ones(B.shape[1]), initial=0.0))
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         finite = np.isfinite(f)
         # a NaN entry of X fails the comparison
         if (M * (r_B * np.abs(X).max(initial=0.0) + 1.0) <= _FINITE_CAP
                 and not (np.abs(f[finite]) > _FINITE_CAP).any()):
-            return finite, grad(matvec(X), G)
+            return finite, grad(B @ X, G)
         f, G = value_and_grad(X)
         return np.isfinite(f), G
 
-    return value, value_and_grad, finite_and_grad
+    def hessian(x: np.ndarray) -> np.ndarray:
+        e = np.exp(-np.abs(B @ np.asarray(x, dtype=float)))
+        w = e / (1.0 + e) ** 2
+        H = (BT * w) @ B if sparse is None else (BT @ sparse.diags(w) @ B).toarray()
+        H /= M
+        H[np.diag_indices_from(H)] += l2
+        return H
+
+    return Problem(
+        name=name, dim=data.n, value_and_grad=value_and_grad, value=value,
+        finite_and_grad=finite_and_grad, L=data.logistic_L + L_penalty,
+        mu=0.0 if l2 is None else l2, convex=l2 is not None, f_lower=0.0,
+        hessian=None if l2 is None else hessian,
+    )
 
 
 def _check_strength(name: str, value: float, data: Dataset) -> None:
@@ -491,24 +493,8 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     e = exp(-|Ax|): the sigmoid's s(1 - s) without its rounding to 0.
     """
     _check_strength("l2", l2, data)
-    matvec, rmatvec, weighted_gram, row_norm = _feature_operator(data)
-    value, value_and_grad, finite_and_grad = _logistic_objectives(
-        data, matvec, rmatvec, row_norm,
-        lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X),
-    )
-    M = data.M  # closing over data would keep its unsigned features alive beside B
-
-    def hessian(x: np.ndarray) -> np.ndarray:
-        e = np.exp(-np.abs(matvec(np.asarray(x, dtype=float))))
-        H = weighted_gram(e / (1.0 + e) ** 2) / M
-        H[np.diag_indices_from(H)] += l2
-        return H
-
-    return Problem(
-        name="logreg-l2", dim=data.n, value_and_grad=value_and_grad, value=value,
-        finite_and_grad=finite_and_grad, L=data.logistic_L + l2, mu=l2, convex=True,
-        f_lower=0.0, hessian=hessian,
-    )
+    return _logistic_problem(data, "logreg-l2",
+                             lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X), l2, l2=l2)
 
 
 def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
@@ -523,14 +509,7 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
         xsq = X * X
         return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
 
-    matvec, rmatvec, _, row_norm = _feature_operator(data)
-    value, value_and_grad, finite_and_grad = _logistic_objectives(
-        data, matvec, rmatvec, row_norm, penalty)
-    return Problem(
-        name="logreg-ncvx", dim=data.n, value_and_grad=value_and_grad, value=value,
-        finite_and_grad=finite_and_grad, L=data.logistic_L + 2.0 * lam, mu=0.0, convex=False,
-        f_lower=0.0,
-    )
+    return _logistic_problem(data, "logreg-ncvx", penalty, 2.0 * lam)
 
 
 def spectral_norm(A) -> tuple[float, bool]:

@@ -690,6 +690,20 @@ class TestRunObjectiveCalls:
         with pytest.raises(ValueError, match="gradient shape"):
             run(cfg, problem)
 
+    @pytest.mark.parametrize("entry, mode, gammas", [(run, "explicit", (0.1,)),
+                                                     (tune, "tune", None)], ids=["run", "tune"])
+    def test_hand_built_value_shape_checked(self, entry, mode, gammas):
+        # f(x) = ||x||^2 / 2 as a one-entry array, as a (1, dim) row's product gives
+        problem = dataclasses.replace(
+            _hand_built(lambda x: x), value_and_grad=lambda x: (0.5 * np.atleast_1d(x @ x), x),
+            value=lambda x: 0.5 * np.sum(x * x, axis=0, keepdims=True))
+        cfg = RunConfig(
+            problem="hand", optimizer="hb", betas=(0.5,), stepsize_mode=mode,
+            gammas=gammas, iters=5, problem_params={"x0": [1.0, 1.0]},
+        )
+        with pytest.raises(ValueError, match=r"^value at a single point has shape \(1,\), not \(\)$"):
+            entry(cfg, problem)
+
 
 class TestLoopsCallTracedNames:
     """The benchmark's tracer times the optimizer by replacing
