@@ -319,7 +319,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
             offsets[r] = step(x, V, g_k, betas, weights)[0]
             # A non-finite buffer entry always reaches x through the averaged
             # update, so x alone decides in the common case.
-            if not math.isfinite(x.sum()) and not (
+            if not math.isfinite(np.add.reduce(x)) and not (
                 np.isfinite(x).all() and np.isfinite(V).all()
             ):
                 diverged = True

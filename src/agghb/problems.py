@@ -31,7 +31,7 @@ _DENSE_FALLBACK_COLS = 64
 # X (n, P) at once and sums the logistic loss over row chunks of the
 # M x P margins whose temporaries stay near this size: the margins are then
 # the only M x P array, and each chunk stays in cache.  A single x (n,) is
-# one chunk: its temporaries are M values, and splitting them would only
+# not chunked: its temporaries are M values, and splitting them would only
 # add interpreter overhead to every iterate of ``harness.run``.
 _BLOCK_BYTES = 256 * 1024
 # The logistic ``value`` takes a block X (n, P) in groups of columns whose
@@ -166,7 +166,8 @@ class Problem:
     a reference solution: ``reference_opt`` or Newton's method on
     ``hessian``, the dense Hessian at a point.  ``L`` and ``mu`` are
     checked as every entry point of :mod:`agghb.theory` checks them.
-    The logistic objectives reuse one scratch buffer across calls (see
+    The logistic objectives reuse one scratch buffer across calls, a single
+    x its (M,) views and a block its row chunks (see
     :func:`_logistic_problem`), so a logistic ``Problem`` serves one call
     at a time; nothing in the package calls one concurrently.
     """
@@ -333,20 +334,37 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
 
     The products are those of the label-signed features B = diag(y) A,
     dense or CSR as the Dataset holds its features.  The labels are +-1,
-    so B @ x equals y * (A @ x) exactly.  On the sparse path a CSR copy of
-    B.T serves single vectors, where it is the faster kernel; a block
-    R (M, P) goes through the CSC view ``B.T``, whose one pass over B beats
-    both that copy and P separate products.
+    so B @ x equals y * (A @ x) exactly.  Blocks X (n, P) go through B and
+    ``B.T``, single vectors x (n,) through ``B1`` and ``B1T``, so that
+    ``value``, ``value_and_grad`` and ``finite_and_grad`` of one x take the
+    same products and agree bit for bit:
+
+    - Dense: blocks, the Hessian and r_B use B in C order, and single
+      vectors an F-ordered copy, whose matrix-vector kernels are the faster
+      ones in both directions (690 x 14 on a 2-CPU Xeon, OpenBLAS 0.3.31:
+      ``B1 @ x`` 2.4 us against 3.4 us in C order, ``B1.T @ s`` 2.1 us
+      against 3.2 us).  Blocks stay in C order: there ``B.T @ R`` rounds
+      differently in F order at some widths P (2-4 and 9-12 among
+      P <= 16), which would move ``harness.tune``'s picks, and the
+      (690 x 14) @ (14 x 64) product of theory-cvx's f_avg groups takes
+      25 us in C order against 34 us in F order.  The copy adds M n 8
+      bytes, at most M * 512 bytes, since dense data has n <= 64.
+    - Sparse: ``B1`` is B itself and ``B1T`` a CSR copy of B.T, the faster
+      kernel for single vectors; a block R (M, P) goes through the CSC
+      view ``B.T``, whose one pass over B beats both that copy and P
+      separate products.
 
     ``value_and_grad`` forms the margins Z = B @ X once, over all columns
     of X at once, and sums their loss (see :func:`_logistic`: six passes and
     a BLAS sum) over row chunks of ``_BLOCK_BYTES // (8 P)`` rows, so the
-    margins are its only M x P array; a single x is one chunk.  Its gradient
-    step then overwrites the margins with their sigmoid (see
-    :func:`_sigmoid`: three passes over all of them at once; it needs no
-    scratch, so no chunks) and takes one product with B.T.  ``value`` skips
-    the gradient step; it takes a block in groups of ``_GROUP_BYTES // (8 M)``
-    columns, each group's margins formed and summed in row chunks as above.
+    margins are its only M x P array; a single x goes to :func:`_logistic`
+    in one call.  Its gradient step then overwrites the margins with their
+    sigmoid (see :func:`_sigmoid`: three passes over all of them at once; it
+    needs no scratch, so no chunks), takes one product with B.T, and
+    subtracts it, over M, from the penalty's gradient in place.  ``value``
+    skips the gradient step; it takes a block in groups of
+    ``_GROUP_BYTES // (8 M)`` columns, each group's margins formed and summed
+    in row chunks as above.
 
     ``finite_and_grad`` runs ``value_and_grad`` without the loss: the same
     gradient step on the same margins, so its gradients are bitwise those.
@@ -378,22 +396,23 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
 
     All three reuse one flat scratch buffer for :func:`_logistic`, handed
     out as two views of each chunk shape with a vector of ones of its
-    length.  These are cached per shape, since slicing the views anew takes
-    about 3 us a call, most of what the kernel saves on a single x at
-    M = 690.  The buffer is regrown only when a larger chunk arrives, so
-    ``harness.tune`` may drop columns between calls.  No result is a view
-    into the scratch, but two calls must not overlap: a logistic
-    ``Problem`` serves one call at a time.
+    length; a single x takes the (M,) views.  These are cached per shape,
+    since slicing the views anew takes about 3 us a call, most of what the
+    kernel saves on a single x at M = 690.  The buffer is regrown only when
+    a larger chunk arrives, so ``harness.tune`` may drop columns between
+    calls.  No result is a view into the scratch, but two calls must not
+    overlap: a logistic ``Problem`` serves one call at a time.
     """
     M = data.M  # closing over data would keep its unsigned features alive beside B
     sparse = _sparse_module(data.features)
     if sparse is None:
         B = data.labels[:, None] * data.features
-        BT = B.T
+        B1 = np.asfortranarray(B)
+        B1T = B1.T
     else:
         B = data.features.copy()
         B.data *= np.repeat(data.labels, np.diff(B.indptr))  # row i times y_i, O(nnz)
-        BT = B.T.tocsr()
+        B1, B1T = B, B.T.tocsr()
     r_B = None  # at the first finite_and_grad call
     scratch = np.empty(0)
     views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
@@ -412,10 +431,15 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
             )
         return found
 
+    def margins(X: np.ndarray) -> np.ndarray:
+        return (B1 if X.ndim == 1 else B) @ X
+
     def loss(Z: np.ndarray) -> float | np.ndarray:
-        """:func:`_logistic` of the margins Z (M, P) over row chunks, or of
-        z (M,) as one chunk."""
-        rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1])) if Z.ndim == 2 else M
+        """:func:`_logistic` of the margins z (M,) in one call, or of Z (M, P)
+        over row chunks."""
+        if Z.ndim == 1:
+            return _logistic(Z, work(Z.shape))
+        rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1]))
         chunk = Z[:rows]
         total = _logistic(chunk, work(chunk.shape))
         for lo in range(rows, M, rows):
@@ -424,14 +448,17 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
         return total
 
     def grad(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """The gradient G - B.T s(-Z) / M, G the penalty's; Z is overwritten."""
+        """The gradient G - B.T s(-Z) / M, written into G, the penalty's own
+        fresh array; Z is overwritten."""
         _sigmoid(Z)
-        return G - ((BT if Z.ndim == 1 else B.T) @ Z) / M
+        r = (B1T if Z.ndim == 1 else B.T) @ Z
+        r /= M
+        return np.subtract(G, r, out=G)
 
     def value(X: np.ndarray) -> float | np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
-            return float(loss(B @ X) / M + penalty(X)[0])
+            return float(loss(B1 @ X) / M + penalty(X)[0])
         cols = max(1, _GROUP_BYTES // (8 * M))
         return np.concatenate([
             loss(B @ Xg) / M + penalty(Xg)[0]
@@ -441,7 +468,7 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
     def value_and_grad(X: np.ndarray) -> tuple[float | np.ndarray, np.ndarray]:
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
-        Z = B @ X
+        Z = margins(X)
         f = f + loss(Z) / M  # before grad overwrites Z
         return f, grad(Z, G)
 
@@ -455,14 +482,14 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
         # a NaN entry of X fails the comparison
         if (M * (r_B * np.abs(X).max(initial=0.0) + 1.0) <= _FINITE_CAP
                 and not (np.abs(f[finite]) > _FINITE_CAP).any()):
-            return finite, grad(B @ X, G)
+            return finite, grad(margins(X), G)
         f, G = value_and_grad(X)
         return np.isfinite(f), G
 
     def hessian(x: np.ndarray) -> np.ndarray:
         e = np.exp(-np.abs(B @ np.asarray(x, dtype=float)))
         w = e / (1.0 + e) ** 2
-        H = (BT * w) @ B if sparse is None else (BT @ sparse.diags(w) @ B).toarray()
+        H = (B.T * w) @ B if sparse is None else (B1T @ sparse.diags(w) @ B).toarray()
         H /= M
         H[np.diag_indices_from(H)] += l2
         return H
@@ -494,7 +521,7 @@ def logreg_l2(data: Dataset, l2: float) -> Problem:
     """
     _check_strength("l2", l2, data)
     return _logistic_problem(data, "logreg-l2",
-                             lambda X: (0.5 * l2 * (X * X).sum(axis=0), l2 * X), l2, l2=l2)
+                             lambda X: (0.5 * l2 * np.add.reduce(X * X), l2 * X), l2, l2=l2)
 
 
 def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
@@ -507,7 +534,7 @@ def logreg_nonconvex(data: Dataset, lam: float) -> Problem:
 
     def penalty(X: np.ndarray):
         xsq = X * X
-        return lam * (xsq / (1.0 + xsq)).sum(axis=0), 2.0 * lam * X / (1.0 + xsq) ** 2
+        return lam * np.add.reduce(xsq / (1.0 + xsq)), 2.0 * lam * X / (1.0 + xsq) ** 2
 
     return _logistic_problem(data, "logreg-ncvx", penalty, 2.0 * lam)
 

@@ -935,6 +935,90 @@ class TestFiniteAndGrad:
             self._assert_exact(p, X)
 
 
+class TestDenseLayouts:
+    """The dense logistic B = diag(y) A in its two layouts: every block
+    product on a C-ordered B, so ``harness.tune``'s sweep and theory-cvx's
+    f_avg groups keep their rounding, and every single-vector product on an
+    F-ordered copy, whose matrix-vector kernels are the faster ones.  The
+    oracles form their products from a fresh B of the stated layout."""
+
+    L2 = 1e-3
+
+    @staticmethod
+    def _matrices(p):
+        """The block and single-vector matrices that ``p.value`` reads."""
+        fn = p.value
+        cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+        return cells["B"], cells["B1"]
+
+    @classmethod
+    def _oracle(cls, data, X, order):
+        """f and G of ``logreg_l2(data, L2)`` at x or X from B in ``order``,
+        the loss of a block summed over the objective's row chunks."""
+        B = np.asarray(data.labels[:, None] * data.features, order=order)
+        M = B.shape[0]
+        Z = B @ X
+        rows = M if X.ndim == 1 else max(1, agghb.problems._BLOCK_BYTES // (8 * X.shape[1]))
+        loss = logistic_oracle(Z[:rows])  # Z becomes the sigmoid
+        for lo in range(rows, M, rows):
+            loss += logistic_oracle(Z[lo:lo + rows])
+        return 0.5 * cls.L2 * np.add.reduce(X * X) + loss / M, cls.L2 * X - (B.T @ Z) / M
+
+    @pytest.mark.parametrize("P", range(2, 17))
+    def test_blocks_match_a_c_ordered_oracle(self, australian_dataset, P, monkeypatch):
+        p = logreg_l2(australian_dataset, self.L2)
+        calls = TestFiniteAndGrad._logistic_calls(monkeypatch)
+        X = np.random.default_rng(70 + P).standard_normal((p.dim, P))
+        f_ref, G_ref = self._oracle(australian_dataset, X, "C")
+        f, G = p.value_and_grad(X)
+        assert same_bits(f, f_ref) and same_bits(G, G_ref)
+        before = len(calls)
+        finite, G = p.finite_and_grad(X)
+        assert len(calls) == before  # certified: no loss taken
+        assert finite.all() and same_bits(G, G_ref)
+
+    def test_value_of_a_book_view_matches_a_c_ordered_oracle(self, australian_dataset):
+        # harness.run hands theory-cvx's averages to value as the transpose
+        # of 64 C-contiguous rows of its book: an F-ordered (n, 64) view
+        p = logreg_l2(australian_dataset, self.L2)
+        X = np.random.default_rng(69).standard_normal((128, p.dim))[64:].T
+        assert X.flags.f_contiguous and not X.flags.owndata
+        assert same_bits(p.value(X), self._oracle(australian_dataset, X, "C")[0])
+
+    def test_single_vectors_take_an_f_ordered_copy(self, australian_dataset):
+        p = logreg_l2(australian_dataset, self.L2)
+        B, B1 = self._matrices(p)
+        assert B.flags.c_contiguous and not B.flags.f_contiguous
+        assert B1.flags.f_contiguous and not B1.flags.c_contiguous
+        assert np.array_equal(B, B1)
+        rng = np.random.default_rng(68)
+        for _ in range(10):
+            x = rng.standard_normal(p.dim)
+            f_ref, g_ref = self._oracle(australian_dataset, x, "F")
+            f, g = p.value_and_grad(x)
+            assert same_bits(f, f_ref) and same_bits(g, g_ref)
+
+    @pytest.mark.parametrize("build", [lambda d: logreg_l2(d, 1e-3),
+                                       lambda d: logreg_nonconvex(d, 1e-2)],
+                             ids=["l2", "ncvx"])
+    @pytest.mark.parametrize("dataset", ["australian_dataset", "wide_dataset"],
+                             ids=["dense", "csr"])
+    def test_single_point_paths_agree_bit_for_bit(self, request, dataset, build, monkeypatch):
+        p = build(request.getfixturevalue(dataset))
+        calls = TestFiniteAndGrad._logistic_calls(monkeypatch)
+        rng = np.random.default_rng(67)
+        for scale in (1e-2, 1.0, 1e2, 1e4):
+            for _ in range(5):
+                x = scale * rng.standard_normal(p.dim)
+                with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+                    f, g = p.value_and_grad(x)
+                    before = len(calls)
+                    finite, g_certified = p.finite_and_grad(x)
+                assert len(calls) == before  # certified: no loss taken
+                assert same_bits(np.float64(p.value(x)), f)
+                assert finite and same_bits(g_certified, g)
+
+
 class TestSigmoidAccuracy:
     """The shared sigmoid s(-z) = 1 / (1 + exp(z)) against mpmath at 50
     digits, on z in [-745, 745] and 0, -0, +-inf and NaN: within 4 ulp
