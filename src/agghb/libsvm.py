@@ -8,10 +8,21 @@ Files ending in ``.gz`` are transparently decompressed.
 A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
 ``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
 feature matrix without another pass over the samples.  The input is text or
-UTF-8 bytes; one leading byte-order mark is skipped.  Text is parsed in
-blocks of :data:`BLOCK_LINES` lines.  An ASCII block without ``#`` takes the byte
-path: it is encoded as one byte array, split into tokens at the bytes
-``str.split()`` splits on, and checked on whole arrays: a label first on
+UTF-8 bytes; one leading byte-order mark is skipped.  It is parsed in blocks
+of :data:`BLOCK_LINES` lines, on one of two paths:
+
+* ASCII input without ``#`` whose lines all end in ``\\n`` or ``\\r\\n`` (text
+  is encoded first; :func:`load_libsvm` passes the file's bytes) is parsed
+  straight from its bytes.  Its ``\\n`` positions are found once, each block
+  is cut from it as one byte slice, and the blocks' columns are written into
+  arrays sized up front: one sample per line at most, one entry per ``:``.
+* Any other input (not ASCII, a ``#`` comment, or a line break such as a
+  lone ``\\r``, ``\\x0b``, ``\\x0c`` or ``\\x1c`` to ``\\x1e``) is decoded to
+  text and split into lines, and each block of lines that is ASCII without
+  ``#`` is joined and encoded into one byte array.
+
+Either way a block's bytes are split into tokens at the bytes
+``str.split()`` splits on and checked on whole arrays: a label first on
 each line, one ``:`` per entry with an index before it and a value after
 it, index >= 1, finite labels and values, and indices strictly increasing
 within a line.  Indices of at most 18 digits are converted in numpy, and
@@ -22,12 +33,12 @@ other number (an exponent, ``_``, ``inf``, a ``+``-signed index, a longer
 mantissa such as most 17-digit ``repr`` output) goes through Python's
 ``int``/``float`` one by one.  A block that is not ASCII, holds a ``#``,
 breaks a rule or has a token that does not convert (including an index
-beyond int64) is parsed again by the line-by-line parser.  That parser
-alone reports errors with their line number and re-sorts lines whose
-indices arrive out of order; the tests use it as the oracle for the byte
-path.  Parsing by blocks keeps only one block's byte arrays alive, and each
-block's lines are released once it is parsed: read by :func:`load_libsvm`,
-the ``tracemalloc`` peak is 2.1 to 2.5 times the size of the result's arrays.
+beyond int64) is parsed again, as text lines, by the line-by-line parser.
+That parser alone reports errors with their file line number and re-sorts
+lines whose indices arrive out of order; the tests use it as the oracle for
+both paths.  Parsing by blocks keeps only one block's byte arrays alive:
+read by :func:`load_libsvm`, the ``tracemalloc`` peak is 2.0 to 2.4 times
+the size of the result's arrays.
 
 All failure modes raise :class:`LibsvmFormatError` carrying the offending
 line number; the parser never raises anything else on malformed input.
@@ -35,7 +46,9 @@ line number; the parser never raises anything else on malformed input.
 
 from __future__ import annotations
 
+import codecs
 import gzip
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -53,7 +66,9 @@ MAX_INDEX = np.iinfo(np.int64).max
 _FAST_DIGITS = 18
 _POW10 = 10.0 ** np.arange(_FAST_DIGITS + 1)
 # Spaces after a block: the longest field _fields reads by columns.
-_PAD = " " * (_FAST_DIGITS + 2)
+_PAD = b" " * (_FAST_DIGITS + 2)
+# The ASCII bytes besides "\n" and "\r" that end a line for str.splitlines().
+_OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 
 
 class LibsvmFormatError(ValueError):
@@ -102,28 +117,45 @@ def _parse_columnar(lines: Sequence[str]) -> ParseResult | None:
     text = "\n".join(lines)
     if not text.isascii() or "#" in text:
         return None
-    # Spaces around the block bound its first and last token, and let
-    # _fields read columns past the end of the last field.
-    buf = (" " + text + _PAD).encode("ascii")
+    breaks = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+    columns = _columns(b"".join((b" ", text.encode("ascii"), _PAD)), breaks)
+    return None if columns is None else _result(*columns, reordered=0)
+
+
+def _columns(buf: bytes, breaks: np.ndarray) -> tuple | None:
+    """Labels, entry counts, 0-based indices and values of ASCII lines
+    without ``#``, or None when one of them needs the line parser.
+
+    ``buf`` is the lines with a space before them and :data:`_PAD` after
+    them; ``breaks`` are the positions in ``buf`` of the breaks after them
+    (the last may lie past the lines).  The spaces bound the first and last
+    token, and let :func:`_fields` read columns past the end of the last field.
+    """
     b = np.frombuffer(buf, dtype=np.uint8)
     solid = (b > 32) | ((b - 14) < 14) | (b < 9)  # not an ASCII space of str.split()
-    edges = np.flatnonzero(solid[1:] != solid[:-1]) + 1
+    edges = np.flatnonzero(solid[1:] != solid[:-1])
+    del solid
+    edges += 1
     start, stop = edges[0::2], edges[1::2]  # tokens: runs of solid bytes
     # A line's first token is its label; the others are its entries.
-    breaks = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
     label = np.zeros(start.size + 1, dtype=bool)
     label[0] = True
     label[np.searchsorted(start, breaks)] = True
     label = label[:-1]
     entry = ~label
+    l_start, l_stop = start[label], stop[label]
+    e_start, e_stop = start[entry], stop[entry]
+    # Position arrays are the block's largest; each is dropped once read.
+    del edges, start, stop
     # One ':' per entry and none in a label, with bytes on both sides of it.
     colon = np.flatnonzero(b == ord(":"))
-    e_start, e_stop = start[entry], stop[entry]
     if colon.size != e_start.size or np.any(colon <= e_start) or np.any(colon >= e_stop - 1):
         return None
-    labels = _fields(buf, start[label], stop[label], float)
+    labels = _fields(buf, l_start, l_stop, float)
     idx = _fields(buf, e_start, colon, int)
-    values = _fields(buf, colon + 1, e_stop, float)
+    del e_start
+    colon += 1  # now where the values start
+    values = _fields(buf, colon, e_stop, float)
     if labels is None or idx is None or values is None:
         return None
     if not (np.isfinite(labels).all() and np.isfinite(values).all()):
@@ -132,7 +164,8 @@ def _parse_columnar(lines: Sequence[str]) -> ParseResult | None:
     if idx.size and (idx.min() < 1 or not np.all(first_entry[1:] | (idx[1:] > idx[:-1]))):
         return None
     counts = np.diff(np.flatnonzero(np.append(label, True))) - 1
-    return _result(labels, counts, idx - 1, values, reordered=0)
+    idx -= 1
+    return labels, counts, idx, values
 
 
 def _fields(buf: bytes, start: np.ndarray, stop: np.ndarray, convert) -> np.ndarray | None:
@@ -142,8 +175,10 @@ def _fields(buf: bytes, start: np.ndarray, stop: np.ndarray, convert) -> np.ndar
     Plain fields of at most :data:`_FAST_DIGITS` digits are read in numpy,
     one column of bytes at a time, as mantissa / 10^k.  When the mantissa is
     at most 2^53 both operands are exact in float64, so the quotient is
-    correctly rounded, bit for bit what ``float`` gives.  Every other field
-    goes through ``convert`` one by one.  ``buf`` must end in ``_PAD``.
+    correctly rounded, bit for bit what ``float`` gives.  When no field of
+    the call has a ``.`` (k = 0) the division is skipped, and when none has a
+    sign so is the negation.  Every other field goes through ``convert`` one
+    by one.  ``buf`` must end in ``_PAD``.
     """
     b = np.frombuffer(buf, dtype=np.uint8)
     width = stop - start
@@ -152,15 +187,17 @@ def _fields(buf: bytes, start: np.ndarray, stop: np.ndarray, convert) -> np.ndar
     n_digits = np.zeros(width.size, dtype=np.uint8)
     n_dots = np.zeros(width.size, dtype=np.uint8)
     dot_col = np.zeros(width.size, dtype=np.uint8)
+    dots = convert is not int and b"." in buf
+    first = b[start]
     for col in range(min(int(width.max(initial=0)), len(_PAD))):
-        byte = b[start + col]
+        byte = b[start + col] if col else first
         inside = width > col
         digit = byte - ord("0")  # uint8: wraps round for bytes below '0'
         is_digit = (digit < 10) & inside
         n_digits += is_digit
         mantissa *= 1 + is_digit * np.uint8(9)  # a Horner step on digits only
         mantissa += digit * is_digit
-        if convert is not int:
+        if dots:
             is_dot = (byte == ord(".")) & inside
             n_dots += is_dot
             dot_col += is_dot * np.uint8(col)
@@ -168,13 +205,16 @@ def _fields(buf: bytes, start: np.ndarray, stop: np.ndarray, convert) -> np.ndar
         fast = (n_digits == width) & (width <= _FAST_DIGITS)
         out = mantissa
     else:
-        first = b[start]
         signed = (first == ord("+")) | (first == ord("-"))
         fast = ((n_digits + n_dots + signed == width) & (n_dots <= 1) & (n_digits >= 1)
                 & (n_digits <= _FAST_DIGITS) & (mantissa <= 2**53))
-        fraction = (width - 1 - dot_col) * (n_dots > 0)
-        out = mantissa / _POW10.take(fraction, mode="clip")
-        out *= 1 - 2 * (first == ord("-"))
+        if n_dots.any():
+            fraction = (width - 1 - dot_col) * (n_dots > 0)
+            out = mantissa / _POW10.take(fraction, mode="clip")
+        else:
+            out = mantissa.astype(float)  # mantissa / 10^0
+        if signed.any():
+            out *= 1 - 2 * (first == ord("-"))
     slow = np.flatnonzero(~fast)
     try:
         out[slow] = [convert(buf[a:z]) for a, z in zip(start[slow].tolist(), stop[slow].tolist())]
@@ -249,9 +289,70 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1) -> ParseResult:
     return _result(labels, counts, indices, values, reordered)
 
 
+def _fits_byte_path(data: bytes) -> bool:
+    """Whether ``data`` is ASCII without ``#`` whose lines end only in ``\\n``
+    or ``\\r\\n``, so that its ``\\n`` bytes are all its line breaks."""
+    if not data.isascii() or b"#" in data or any(brk in data for brk in _OTHER_BREAKS):
+        return False
+    if b"\r" not in data:
+        return True
+    b = np.frombuffer(data, dtype=np.uint8)
+    cr = np.flatnonzero(b == ord("\r"))
+    return bool(cr[-1] + 1 < b.size and np.all(b[cr + 1] == ord("\n")))
+
+
+def _parse_bytes(data: bytes) -> ParseResult:
+    """Parse bytes that :func:`_fits_byte_path` by blocks of
+    :data:`BLOCK_LINES` lines, each cut as one byte slice, into arrays sized
+    up front; a block :func:`_columns` refuses goes to the line parser."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    n_lines = ends.size + (not data.endswith(b"\n") and len(data) > 0)
+    labels = np.empty(n_lines)
+    counts = np.empty(n_lines, dtype=np.int64)
+    # A parse that succeeds has one ':' per entry, on either path.
+    indices = np.empty(np.count_nonzero(b == ord(":")), dtype=np.int64)
+    values = np.empty(indices.size)
+    view = memoryview(data)
+    m = nnz = reordered = 0
+    for first in range(0, n_lines, BLOCK_LINES):
+        last = min(first + BLOCK_LINES, n_lines)
+        lo = int(ends[first - 1]) + 1 if first else 0
+        hi = int(ends[last - 1]) + 1 if last <= ends.size else len(data)
+        # In the block's buffer, byte p of the file sits at p - lo + 1.
+        block = _columns(b"".join((b" ", view[lo:hi], _PAD)), ends[first:last] - (lo - 1))
+        if block is None:
+            parsed = _parse_lines(data[lo:hi].decode("ascii").splitlines(), first_line=first + 1)
+            block = parsed.labels, np.diff(parsed.indptr), parsed.indices, parsed.values
+            reordered += parsed.reordered
+        block_labels, block_counts, block_indices, block_values = block
+        labels[m:m + block_labels.size] = block_labels
+        counts[m:m + block_counts.size] = block_counts
+        indices[nnz:nnz + block_indices.size] = block_indices
+        values[nnz:nnz + block_values.size] = block_values
+        m += block_labels.size
+        nnz += block_indices.size
+    # Blank lines hold no sample, so m may fall short of n_lines.
+    return _result(labels[:m], counts[:m], indices, values, reordered)
+
+
 def parse_libsvm(source: str | bytes) -> ParseResult:
-    """Parse LIBSVM text or UTF-8 bytes into compressed-row samples."""
+    """Parse LIBSVM text or UTF-8 bytes into compressed-row samples.
+
+    ASCII input without ``#`` whose lines all end in ``\\n`` or ``\\r\\n`` is
+    parsed straight from its bytes (text is encoded first).  Any other input
+    goes through ``str``: it is decoded, split into lines, and each block of
+    lines that is ASCII without ``#`` is joined into one byte array.  On
+    either path a block the columnar checks refuse goes to the line parser,
+    which reports errors with their file line numbers.
+    """
+    if isinstance(source, str) and source.isascii():
+        source = source.encode("ascii")
     if isinstance(source, bytes):
+        data = source.removeprefix(codecs.BOM_UTF8)
+        if _fits_byte_path(data):
+            return _parse_bytes(data)
+        del data
         try:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -285,7 +386,7 @@ def load_libsvm(path: str | Path) -> ParseResult:
     try:
         with opener(path, "rb") as fh:
             return parse_libsvm(fh.read())  # the parse holds the only reference
-    except (OSError, gzip.BadGzipFile) as exc:
+    except (OSError, EOFError, zlib.error) as exc:
         raise LibsvmFormatError(f"cannot read {path}: {exc}") from None
 
 

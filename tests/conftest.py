@@ -7,6 +7,7 @@ through the full LIBSVM text path, so every parser and problem surface is
 exercised either way.
 """
 
+import gzip
 import os
 from pathlib import Path
 
@@ -18,6 +19,13 @@ from agghb.libsvm import load_libsvm, parse_libsvm, to_dataset
 from agghb.problems import _DENSE_FALLBACK_COLS, Dataset
 
 AUSTRALIAN_M, AUSTRALIAN_N = 690, 14
+
+# Damaged .gz files: gzip reads the first to EOFError and the second, a valid
+# header before a deflate block of the reserved type, to zlib.error.
+DAMAGED_GZIP = {
+    "truncated": gzip.compress(b"+1 1:1.5\n-1 2:0.25\n" * 200, mtime=0)[:30],
+    "bad_deflate": b"\x1f\x8b\x08\x00\x00\x00\x00\x00\x00\xff" + b"\xff" * 8,
+}
 
 
 def find_australian() -> Path | None:

@@ -18,7 +18,7 @@ import agghb
 from agghb.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from agghb.libsvm import load_libsvm, parse_libsvm, to_dataset
 
-from conftest import synthetic_libsvm_text
+from conftest import DAMAGED_GZIP, synthetic_libsvm_text
 
 
 def run_cli(capsys, *argv):
@@ -996,6 +996,15 @@ class TestParseCheck:
         code, _, err = run_cli(capsys, "parse-check", "--data", str(path))
         assert code == EXIT_USAGE
         assert "line 2" in err
+
+    @pytest.mark.parametrize("kind", DAMAGED_GZIP)
+    def test_damaged_gzip_is_an_error(self, capsys, tmp_path, kind):
+        path = tmp_path / "bad.libsvm.gz"
+        path.write_bytes(DAMAGED_GZIP[kind])
+        code, out, err = run_cli(capsys, "parse-check", "--data", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
     def test_n_features_override(self, capsys, tmp_path):
         path = tmp_path / "d.libsvm"

@@ -3,6 +3,7 @@ the columnar path checked against the line parser."""
 
 import gzip
 import tracemalloc
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from agghb.libsvm import (
     to_dataset,
 )
 
-from conftest import synthetic_libsvm_text
+from conftest import DAMAGED_GZIP, synthetic_libsvm_text
 from oracles import LibsvmRecord, as_dense, as_records, serialize_libsvm
 
 
@@ -232,6 +233,17 @@ class TestFiles:
         with pytest.raises(LibsvmFormatError):
             load_libsvm(path)
 
+    @pytest.mark.parametrize("kind, raised", [("truncated", EOFError), ("bad_deflate", zlib.error)])
+    def test_damaged_gzip(self, tmp_path, kind, raised):
+        path = tmp_path / "bad.libsvm.gz"
+        path.write_bytes(DAMAGED_GZIP[kind])
+        with pytest.raises(raised):  # what gzip itself raises
+            with gzip.open(path, "rb") as fh:
+                fh.read()
+        with pytest.raises(LibsvmFormatError) as exc:
+            load_libsvm(path)
+        assert str(exc.value).startswith(f"cannot read {path}: ")
+
 
 entry_lists = st.lists(
     st.tuples(
@@ -371,6 +383,11 @@ bad_lines = st.one_of(
 )
 
 
+# Every ASCII line break of str.splitlines().  Bytes whose lines all end in
+# "\n" or "\r\n" take the byte path; the other breaks send them through str.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
 @st.composite
 def libsvm_texts(draw):
     """(text, clean): clean texts hold only accepted lines without comments."""
@@ -379,7 +396,11 @@ def libsvm_texts(draw):
     if not clean:
         line = st.one_of(line, bad_lines)
     lines = draw(st.lists(line, max_size=10))
-    text = "".join(l + draw(st.sampled_from(["\n", "\r\n"])) for l in lines)
+    breaks = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], LINE_BREAKS]))
+    ends = [draw(st.sampled_from(breaks)) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""  # the last line unterminated
+    text = "".join(l + end for l, end in zip(lines, ends))
     return text, clean
 
 
@@ -403,13 +424,14 @@ class TestColumnarMatchesLineParser:
         if fast is not None:
             assert not isinstance(want, tuple), want
             assert_same_parse(fast, want)
-        for block_lines in (libsvm.BLOCK_LINES, 3):
-            with mock.patch.object(libsvm, "BLOCK_LINES", block_lines):
-                got = parse_or_error(parse_libsvm, text)
-            if isinstance(want, tuple):
-                assert got == want
-            else:
-                assert_same_parse(got, want)
+        for source in (text, text.encode()):
+            for block_lines in (libsvm.BLOCK_LINES, 3):
+                with mock.patch.object(libsvm, "BLOCK_LINES", block_lines):
+                    got = parse_or_error(parse_libsvm, source)
+                if isinstance(want, tuple):
+                    assert got == want
+                else:
+                    assert_same_parse(got, want)
 
     @pytest.mark.parametrize("text", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS)
     def test_trigger_falls_back(self, text):
@@ -428,6 +450,16 @@ class TestColumnarMatchesLineParser:
             with pytest.raises(LibsvmFormatError) as exc:
                 parse_libsvm(text)
         assert exc.value.line == 8
+
+    @pytest.mark.parametrize("brk", LINE_BREAKS[2:], ids=repr)
+    def test_other_breaks_end_lines(self, brk):
+        # Lines 1 and 2 share a "\n"-terminated line, so line 5 is the fourth.
+        text = f"+1{brk}+1\n+1\n+1\n-1 1:zap\n"
+        for source in (text, text.encode()):
+            with mock.patch.object(libsvm, "BLOCK_LINES", 3):
+                with pytest.raises(LibsvmFormatError) as exc:
+                    parse_libsvm(source)
+            assert exc.value.line == 5
 
     def test_blocks_join_into_one_matrix(self):
         text = "+1 1:1 3:2\n\n-1\n0 2:5 # c\n1 4:1 2:3\n-1 1:7\n"
@@ -469,6 +501,28 @@ class TestBytePath:
             got = parse_libsvm(text.encode())
         assert_same_parse(got, want)
 
+    def test_crlf_a9a_shaped_blocks_never_reach_line_parser(self):
+        text = a9a_shaped(3 * libsvm.BLOCK_LINES + 100).replace("\n", "\r\n")
+        want = _parse_lines(text.splitlines())
+        with mock.patch.object(libsvm, "_parse_lines", side_effect=AssertionError):
+            got = parse_libsvm(text.encode())
+        assert_same_parse(got, want)
+
+    @pytest.mark.parametrize("line", ["+1 5:1 2:1", "-1 2:zap"], ids=["out_of_order", "bad_value"])
+    def test_crlf_refused_line_keeps_file_line_number(self, line):
+        lines = a9a_shaped(3 * libsvm.BLOCK_LINES).splitlines()
+        at = 2 * libsvm.BLOCK_LINES + 11  # in the third block
+        lines[at] = line
+        want = parse_or_error(_parse_lines, lines)
+        with mock.patch.object(libsvm, "_parse_lines", wraps=_parse_lines) as spy:
+            got = parse_or_error(parse_libsvm, "\r\n".join(lines).encode())
+        assert [c.kwargs["first_line"] for c in spy.call_args_list] == [2 * libsvm.BLOCK_LINES + 1]
+        if isinstance(want, tuple):
+            assert got == want and want[1] == at + 1
+        else:
+            assert_same_parse(got, want)
+            assert got.reordered == 1
+
     @pytest.mark.parametrize("swap", [("1", _full_width("1")), (" ", "\u3000")],
                              ids=["full_width_digit", "ideographic_space"])
     def test_non_ascii_block_goes_to_line_parser(self, swap):
@@ -496,9 +550,10 @@ class TestBytePath:
         assert peak <= 1.1 * self.STRING_PATH_PEAK
 
     def test_load_peak_memory(self, tmp_path):
-        # The parse holds the only reference to the file's bytes, drops the text
-        # once split and each block's lines once parsed; a parse that kept all
-        # of them to the end peaked at 3.39 times the result.
+        # The byte path holds the file's bytes, the result's arrays sized up
+        # front and one block's arrays (2.35 times the result); a string
+        # parse that kept the text and all its lines to the end peaked at
+        # 3.39 times the result.
         path = tmp_path / "a9a.libsvm"
         path.write_text(a9a_shaped(20_000))
         tracemalloc.start()
