@@ -8,37 +8,35 @@ Files ending in ``.gz`` are transparently decompressed.
 A parse yields one columnar :class:`ParseResult` (labels plus compressed-row
 ``indptr``/``indices``/``values``), which :func:`to_dataset` turns into the
 feature matrix without another pass over the samples.  The input is text or
-UTF-8 bytes; one leading byte-order mark is skipped.  It is parsed in blocks
-of :data:`BLOCK_LINES` lines, on one of two paths:
+UTF-8 bytes; one leading byte-order mark is skipped.  Every input reaches
+the parser as UTF-8 bytes whose ``\\n`` bytes are all its line breaks: input
+whose lines all end in ``\\n`` or ``\\r\\n`` as it is (text is encoded first;
+:func:`load_libsvm` passes the file's bytes), and any other input split at
+every line break of ``str.splitlines()`` (a lone ``\\r``, ``\\x0c``,
+``\\u2028``, ...) and joined again with ``\\n``, so that line numbers stay
+the file's.  Its ``\\n`` positions are found once, it is cut into blocks of
+:data:`BLOCK_LINES` lines, one byte slice each, and the blocks' columns are
+written into arrays sized up front: one sample per line at most, one entry
+per ``:``.
 
-* ASCII input without ``#`` whose lines all end in ``\\n`` or ``\\r\\n`` (text
-  is encoded first; :func:`load_libsvm` passes the file's bytes) is parsed
-  straight from its bytes.  Its ``\\n`` positions are found once, each block
-  is cut from it as one byte slice, and the blocks' columns are written into
-  arrays sized up front: one sample per line at most, one entry per ``:``.
-* Any other input (not ASCII, a ``#`` comment, or a line break such as a
-  lone ``\\r``, ``\\x0b``, ``\\x0c`` or ``\\x1c`` to ``\\x1e``) is decoded to
-  text and split into lines, and each block of lines that is ASCII without
-  ``#`` is joined and encoded into one byte array.
-
-Either way a block's bytes are split into tokens at the bytes
-``str.split()`` splits on and checked on whole arrays: a label first on
-each line, one ``:`` per entry with an index before it and a value after
-it, index >= 1, finite labels and values, and indices strictly increasing
-within a line.  Indices of at most 18 digits are converted in numpy, and
-so are labels and values of at most 18 digits with at most a leading sign
-and one ``.``: as mantissa / 10^k, which is correctly rounded, and so bit
-for bit what ``float`` gives, when the mantissa is at most 2^53.  Every
-other number (an exponent, ``_``, ``inf``, a ``+``-signed index, a longer
-mantissa such as most 17-digit ``repr`` output) goes through Python's
-``int``/``float`` one by one.  A block that is not ASCII, holds a ``#``,
-breaks a rule or has a token that does not convert (including an index
-beyond int64) is parsed again, as text lines, by the line-by-line parser.
-That parser alone reports errors with their file line number and re-sorts
-lines whose indices arrive out of order; the tests use it as the oracle for
-both paths.  Parsing by blocks keeps only one block's byte arrays alive:
-read by :func:`load_libsvm`, the ``tracemalloc`` peak is 2.0 to 2.4 times
-the size of the result's arrays.
+A block's bytes are split into tokens at the bytes ``str.split()`` splits
+on and checked on whole arrays: a label first on each line, one ``:`` per
+entry with an index before it and a value after it, index >= 1, finite
+labels and values, and indices strictly increasing within a line.  Indices
+of at most 18 digits are converted in numpy, and so are labels and values
+of at most 18 digits with at most a leading sign and one ``.``: as
+mantissa / 10^k, which is correctly rounded, and so bit for bit what
+``float`` gives, when the mantissa is at most 2^53.  Every other number (an
+exponent, ``_``, ``inf``, a ``+``-signed index, a longer mantissa such as
+most 17-digit ``repr`` output) goes through Python's ``int``/``float`` one
+by one.  A block that is not ASCII, holds a ``#``, breaks a rule or has a
+token that does not convert (including an index beyond int64) is parsed
+again, as text lines, by the line-by-line parser.  That parser alone
+reports errors with their file line number and re-sorts lines whose indices
+arrive out of order; the tests use it as the oracle for the block checks.
+Parsing by blocks keeps only one block's byte arrays alive: read by
+:func:`load_libsvm`, the ``tracemalloc`` peak is 2.0 to 2.4 times the size
+of the result's arrays.
 
 All failure modes raise :class:`LibsvmFormatError` carrying the offending
 line number; the parser never raises anything else on malformed input.
@@ -51,7 +49,7 @@ import gzip
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -67,8 +65,10 @@ _FAST_DIGITS = 18
 _POW10 = 10.0 ** np.arange(_FAST_DIGITS + 1)
 # Spaces after a block: the longest field _fields reads by columns.
 _PAD = b" " * (_FAST_DIGITS + 2)
-# The ASCII bytes besides "\n" and "\r" that end a line for str.splitlines().
+# The bytes besides "\n" and "\r" that end a line for str.splitlines(): ASCII
+# ones, and the UTF-8 forms of U+0085, U+2028 and U+2029.
 _OTHER_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_UTF8_BREAKS = tuple(brk.encode() for brk in "\x85\u2028\u2029")
 
 
 class LibsvmFormatError(ValueError):
@@ -111,26 +111,17 @@ def _result(labels, counts, indices, values, reordered: int) -> ParseResult:
     )
 
 
-def _parse_columnar(lines: Sequence[str]) -> ParseResult | None:
-    """Parse a block of lines as one byte array, or return None when the
-    block needs the line parser."""
-    text = "\n".join(lines)
-    if not text.isascii() or "#" in text:
-        return None
-    breaks = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
-    columns = _columns(b"".join((b" ", text.encode("ascii"), _PAD)), breaks)
-    return None if columns is None else _result(*columns, reordered=0)
-
-
 def _columns(buf: bytes, breaks: np.ndarray) -> tuple | None:
-    """Labels, entry counts, 0-based indices and values of ASCII lines
-    without ``#``, or None when one of them needs the line parser.
+    """Labels, entry counts, 0-based indices and values of lines, or None
+    when they are not ASCII, hold a ``#`` or one of them needs the line parser.
 
     ``buf`` is the lines with a space before them and :data:`_PAD` after
     them; ``breaks`` are the positions in ``buf`` of the breaks after them
     (the last may lie past the lines).  The spaces bound the first and last
     token, and let :func:`_fields` read columns past the end of the last field.
     """
+    if not buf.isascii() or b"#" in buf:
+        return None
     b = np.frombuffer(buf, dtype=np.uint8)
     solid = (b > 32) | ((b - 14) < 14) | (b < 9)  # not an ASCII space of str.split()
     edges = np.flatnonzero(solid[1:] != solid[:-1])
@@ -290,9 +281,11 @@ def _parse_lines(lines: Iterable[str], first_line: int = 1) -> ParseResult:
 
 
 def _fits_byte_path(data: bytes) -> bool:
-    """Whether ``data`` is ASCII without ``#`` whose lines end only in ``\\n``
-    or ``\\r\\n``, so that its ``\\n`` bytes are all its line breaks."""
-    if not data.isascii() or b"#" in data or any(brk in data for brk in _OTHER_BREAKS):
+    """Whether the lines of UTF-8 ``data`` end only in ``\\n`` or ``\\r\\n``,
+    so that its ``\\n`` bytes are all its line breaks."""
+    # Searching for a multi-byte break is slow, and ASCII holds none.
+    breaks = _OTHER_BREAKS if data.isascii() else _OTHER_BREAKS + _UTF8_BREAKS
+    if any(brk in data for brk in breaks):
         return False
     if b"\r" not in data:
         return True
@@ -302,15 +295,17 @@ def _fits_byte_path(data: bytes) -> bool:
 
 
 def _parse_bytes(data: bytes) -> ParseResult:
-    """Parse bytes that :func:`_fits_byte_path` by blocks of
-    :data:`BLOCK_LINES` lines, each cut as one byte slice, into arrays sized
-    up front; a block :func:`_columns` refuses goes to the line parser."""
+    """Parse UTF-8 bytes whose ``\\n`` bytes are all their line breaks by
+    blocks of :data:`BLOCK_LINES` lines, each cut as one byte slice, into
+    arrays sized up front; a block :func:`_columns` refuses is decoded and
+    goes to the line parser.  ``"surrogatepass"`` lets a lone surrogate in
+    text reach that parser, which reports it."""
     b = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(b == ord("\n"))
     n_lines = ends.size + (not data.endswith(b"\n") and len(data) > 0)
     labels = np.empty(n_lines)
     counts = np.empty(n_lines, dtype=np.int64)
-    # A parse that succeeds has one ':' per entry, on either path.
+    # An entry holds one ':'; a ':' in a comment leaves the arrays' tails unwritten.
     indices = np.empty(np.count_nonzero(b == ord(":")), dtype=np.int64)
     values = np.empty(indices.size)
     view = memoryview(data)
@@ -322,7 +317,8 @@ def _parse_bytes(data: bytes) -> ParseResult:
         # In the block's buffer, byte p of the file sits at p - lo + 1.
         block = _columns(b"".join((b" ", view[lo:hi], _PAD)), ends[first:last] - (lo - 1))
         if block is None:
-            parsed = _parse_lines(data[lo:hi].decode("ascii").splitlines(), first_line=first + 1)
+            parsed = _parse_lines(data[lo:hi].decode("utf-8", "surrogatepass").splitlines(),
+                                  first_line=first + 1)
             block = parsed.labels, np.diff(parsed.indptr), parsed.indices, parsed.values
             reordered += parsed.reordered
         block_labels, block_counts, block_indices, block_values = block
@@ -333,50 +329,35 @@ def _parse_bytes(data: bytes) -> ParseResult:
         m += block_labels.size
         nnz += block_indices.size
     # Blank lines hold no sample, so m may fall short of n_lines.
-    return _result(labels[:m], counts[:m], indices, values, reordered)
+    return _result(labels[:m], counts[:m], indices[:nnz], values[:nnz], reordered)
 
 
 def parse_libsvm(source: str | bytes) -> ParseResult:
     """Parse LIBSVM text or UTF-8 bytes into compressed-row samples.
 
-    ASCII input without ``#`` whose lines all end in ``\\n`` or ``\\r\\n`` is
-    parsed straight from its bytes (text is encoded first).  Any other input
-    goes through ``str``: it is decoded, split into lines, and each block of
-    lines that is ASCII without ``#`` is joined into one byte array.  On
-    either path a block the columnar checks refuse goes to the line parser,
-    which reports errors with their file line numbers.
+    Input whose lines all end in ``\\n`` or ``\\r\\n`` goes to the byte parser
+    as it is (text is encoded first).  Any other input is split into lines
+    and joined again with ``\\n`` before it goes there.  A block the columnar
+    checks refuse goes to the line parser, which reports errors with their
+    file line numbers.
     """
-    if isinstance(source, str) and source.isascii():
-        source = source.encode("ascii")
-    if isinstance(source, bytes):
+    if isinstance(source, str):
+        data = source.removeprefix("\ufeff").encode("utf-8", "surrogatepass")
+    elif isinstance(source, bytes):
         data = source.removeprefix(codecs.BOM_UTF8)
-        if _fits_byte_path(data):
-            return _parse_bytes(data)
-        del data
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
-    if not isinstance(source, str):
+        if not data.isascii():
+            try:  # only a check; its error counts positions from the first byte
+                source.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise LibsvmFormatError(f"input is not valid UTF-8: {exc}") from None
+    else:
         raise TypeError(f"parse_libsvm takes str or bytes, not {type(source).__name__}")
-    lines = source.splitlines()
     del source
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]  # a byte-order mark
-
-    blocks = []
-    for start in range(0, len(lines) or 1, BLOCK_LINES):  # no lines: one empty block
-        block = lines[start:start + BLOCK_LINES]
-        # Release the block's lines in O(block); del would shift all the rest.
-        lines[start:start + BLOCK_LINES] = [None] * len(block)
-        blocks.append(_parse_columnar(block) or _parse_lines(block, first_line=start + 1))
-    return _result(
-        np.concatenate([b.labels for b in blocks]),
-        np.concatenate([np.diff(b.indptr) for b in blocks]),
-        np.concatenate([b.indices for b in blocks]),
-        np.concatenate([b.values for b in blocks]),
-        sum(b.reordered for b in blocks),
-    )
+    if not _fits_byte_path(data):
+        text = data.decode("utf-8", "surrogatepass")
+        data = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
+        del text
+    return _parse_bytes(data)
 
 
 def load_libsvm(path: str | Path) -> ParseResult:

@@ -1,5 +1,5 @@
 """Parser tests: format examples, error reporting, round-trips, fuzzing, and
-the columnar path checked against the line parser."""
+the columnar block checks compared with the line parser."""
 
 import gzip
 import tracemalloc
@@ -16,7 +16,6 @@ from agghb import libsvm
 from agghb.libsvm import (
     MAX_INDEX,
     LibsvmFormatError,
-    _parse_columnar,
     _parse_lines,
     load_libsvm,
     parse_libsvm,
@@ -363,6 +362,7 @@ def good_lines(draw):
 # there, the rest are errors.
 FALLBACK_TRIGGERS = {
     "comment": "+1 1:1.0 # note\n-1 2:1.0\n",
+    "comment_colon": "+1 1:1.0 # a:b\n-1 2:1.0\n",
     "out_of_order": "+1 3:1.0 1:2.0\n-1 2:1.0\n",
     "duplicate": "+1 2:1.0 2:3.0\n",
     "index_zero": "+1 0:1.0\n",
@@ -383,9 +383,13 @@ bad_lines = st.one_of(
 )
 
 
-# Every ASCII line break of str.splitlines().  Bytes whose lines all end in
-# "\n" or "\r\n" take the byte path; the other breaks send them through str.
-LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+# Every line break of str.splitlines().  Input whose lines all end in "\n" or
+# "\r\n" reaches the byte parser as it is; the other breaks make the parse
+# split it into lines and join them with "\n".
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+               "\x85", "\u2028", "\u2029"]
+# Whole-line and trailing comments, some with the ':' an entry has.
+comments = st.sampled_from(["#", "# x:1", " # see http://x:8080 a:b", "\t#:", "#1:1"])
 
 
 @st.composite
@@ -394,7 +398,8 @@ def libsvm_texts(draw):
     clean = draw(st.booleans())
     line = st.one_of(good_lines(), st.sampled_from(["", "  ", "\t"]))
     if not clean:
-        line = st.one_of(line, bad_lines)
+        line = st.one_of(line, bad_lines, comments,
+                         st.tuples(good_lines(), comments).map("".join))
     lines = draw(st.lists(line, max_size=10))
     breaks = draw(st.sampled_from([["\n"], ["\r\n"], ["\n", "\r\n"], LINE_BREAKS]))
     ends = [draw(st.sampled_from(breaks)) for _ in lines]
@@ -411,6 +416,20 @@ def parse_or_error(parse, source):
         return (str(exc), exc.line)
 
 
+class LineParserReached(Exception):
+    pass
+
+
+def columnar(lines):
+    """The parse of ``lines`` joined by "\n" when no block reaches the line
+    parser, else None."""
+    with mock.patch.object(libsvm, "_parse_lines", side_effect=LineParserReached):
+        try:
+            return parse_libsvm("\n".join(lines))
+        except LineParserReached:
+            return None
+
+
 class TestColumnarMatchesLineParser:
     @given(libsvm_texts())
     @settings(max_examples=400, deadline=None)
@@ -418,7 +437,7 @@ class TestColumnarMatchesLineParser:
         text, clean = case
         lines = text.splitlines()
         want = parse_or_error(_parse_lines, lines)
-        fast = _parse_columnar(lines)
+        fast = columnar(lines)
         if clean and text.isascii():
             assert fast is not None
         if fast is not None:
@@ -436,7 +455,7 @@ class TestColumnarMatchesLineParser:
     @pytest.mark.parametrize("text", FALLBACK_TRIGGERS.values(), ids=FALLBACK_TRIGGERS)
     def test_trigger_falls_back(self, text):
         lines = text.splitlines()
-        assert _parse_columnar(lines) is None
+        assert columnar(lines) is None
         want = parse_or_error(_parse_lines, lines)
         got = parse_or_error(parse_libsvm, text)
         if isinstance(want, tuple):
@@ -461,6 +480,12 @@ class TestColumnarMatchesLineParser:
                     parse_libsvm(source)
             assert exc.value.line == 5
 
+    def test_lone_surrogate_is_reported(self):
+        with pytest.raises(LibsvmFormatError) as exc:
+            parse_libsvm("+1 1:1\n-1 \ud800:1")
+        assert exc.value.line == 2
+        assert repr("\ud800:1") in str(exc.value)
+
     def test_blocks_join_into_one_matrix(self):
         text = "+1 1:1 3:2\n\n-1\n0 2:5 # c\n1 4:1 2:3\n-1 1:7\n"
         with mock.patch.object(libsvm, "BLOCK_LINES", 2):
@@ -471,7 +496,7 @@ class TestColumnarMatchesLineParser:
     @pytest.mark.parametrize("number", EDGE_NUMBERS)
     def test_edge_numbers_bit_for_bit(self, number):
         lines = [f"{number} 1:{number} {'0' * 17}2:1 {'0' * 18}3:{number}"]
-        fast = _parse_columnar(lines)
+        fast = columnar(lines)
         assert fast is not None
         assert_same_parse(fast, _parse_lines(lines))
 
@@ -523,8 +548,9 @@ class TestBytePath:
             assert_same_parse(got, want)
             assert got.reordered == 1
 
-    @pytest.mark.parametrize("swap", [("1", _full_width("1")), (" ", "\u3000")],
-                             ids=["full_width_digit", "ideographic_space"])
+    @pytest.mark.parametrize("swap", [("1", _full_width("1")), (" ", "\u3000"),
+                                      ("1:1", "1:1 # café a:b")],
+                             ids=["full_width_digit", "ideographic_space", "comment"])
     def test_non_ascii_block_goes_to_line_parser(self, swap):
         lines = a9a_shaped(3 * libsvm.BLOCK_LINES).splitlines()
         at = libsvm.BLOCK_LINES + 7  # in the second block
@@ -548,6 +574,21 @@ class TestBytePath:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * self.STRING_PATH_PEAK
+
+    # tracemalloc peak of the parse that decoded non-ASCII input to str lines
+    # and joined each block's lines back into bytes, on the same lines with a
+    # non-ASCII comment line first.
+    DECODED_PATH_PEAK = 10_225_977
+
+    def test_non_ascii_peak_memory(self):
+        data = ("# café\n" + a9a_shaped(20_000)).encode()
+        tracemalloc.start()
+        try:
+            parse_libsvm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * self.DECODED_PATH_PEAK
 
     def test_load_peak_memory(self, tmp_path):
         # The byte path holds the file's bytes, the result's arrays sized up
