@@ -19,9 +19,8 @@ import time
 from contextlib import suppress
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -784,8 +783,9 @@ def build_problem(name: str, params: dict) -> Problem:
 # leave it empty on every row (``dist_opt`` with no known optimum, ``f_avg``).
 TRACE_COLUMNS = {"f": False, "grad_norm": False, "dist_opt": True, "f_avg": True}
 CSV_HEADER = ",".join(["k", *TRACE_COLUMNS])
-# export_trace writes this many CSV rows at a time, and read_trace reads this
-# many characters at a time, so neither holds every row's text at once.
+# export_trace writes this many CSV rows at a time, and read_trace's block
+# reader reads this many characters and the rest of their last line at a time,
+# so neither holds every row's text at once.
 _CHUNK_ROWS = 1024
 _READ_CHARS = 1 << 14
 
@@ -839,83 +839,71 @@ _SIDECAR_VALUES = {
 }
 
 
-def _line_chunks(fh) -> Iterator[list[str]]:
-    """The lines of the text file ``fh``, cut as ``str.splitlines`` cuts its
-    whole text, in one list per :data:`_READ_CHARS` characters read that end
-    a line.  Universal newlines leave only one-character breaks (no "\\r"
-    to split from its "\\n"), so a block's breaks are those of the text; a
-    sentinel after the block makes its last piece the start of a line that
-    a later block ends, kept in pieces so that a long line is joined once."""
-    pieces = []  # the start of the line no block read so far ends
-    while block := fh.read(_READ_CHARS):
-        lines = (block + "x").splitlines()
-        last = lines.pop()[:-1]
-        if lines:
-            pieces.append(lines[0])
-            lines[0] = "".join(pieces)
-            pieces = []
-            yield lines
-        pieces.append(last)
-    if tail := "".join(pieces):
-        yield [tail]
-
-
-def _parse_rows(chunks: Iterator[list[str]]) -> dict[str, np.ndarray | None]:
-    """Each :data:`TRACE_COLUMNS` column of the CSV rows, given in lists of
-    lines, as a float64 array, None for an optional column empty on every
-    row.  The cells of each list are read a column at a time from one flat
-    list; once that fails, the rows are walked one by one to name the first
-    bad line, and when no row is bad, an optional column empty on some rows
-    and filled on others, at the first row unlike row 0 (the first such
-    column in column order)."""
+def _read_columns(csv_path: Path) -> dict[str, np.ndarray | None] | None:
+    """Each :data:`TRACE_COLUMNS` column of the CSV as a float64 array, None for
+    an optional column empty on every row; None instead at the first thing a
+    plain valid trace does not have, for :func:`_read_rows` to read or name.
+    The rows are read in blocks of :data:`_READ_CHARS` characters and the rest
+    of their last line, so each ends at a ``"\\n"``.  Universal newlines have
+    made ``"\\r\\n"`` and ``"\\r"`` into ``"\\n"``, so that is a whole break, and a
+    block splits into the lines that ``str.splitlines`` cuts from the text there."""
     width = len(TRACE_COLUMNS) + 1
-    # each column's arrays, led by an empty one so that no rows concatenate
-    columns = {name: [np.empty(0)] for name in TRACE_COLUMNS}
-    unlike = None  # once walking: each column's first row unlike row 0
-    lo = 0  # row of the list's first line
-    for lines in filter(None, chunks):
-        if lo == 0:
-            blank0 = [not c for c in lines[0].split(",")]
-        if unlike is None:
-            try:
+    columns = {name: [] for name in TRACE_COLUMNS}  # an array, or None if empty, per block
+    rows = 0
+    try:
+        with csv_path.open() as fh:
+            if fh.readline() != CSV_HEADER + "\n":
+                return None
+            while block := fh.read(_READ_CHARS) + fh.readline():
+                lines = block.splitlines()
                 cells = ",".join(lines).split(",")
                 if ({line.count(",") for line in lines} != {width - 1}
-                        or list(map(int, cells[::width])) != list(range(lo, lo + len(lines)))):
-                    raise ValueError
+                        or list(map(int, cells[::width])) != list(range(rows, rows + len(lines)))):
+                    return None
                 for j, (name, optional) in enumerate(TRACE_COLUMNS.items(), start=1):
                     cells_j = cells[j::width]
-                    if columns[name] is not None and (lo or not optional or any(cells_j)):
-                        columns[name].append(np.array(list(map(float, cells_j))))
-                    elif any(cells_j):
-                        raise ValueError  # filled after rows left empty
-                    else:
-                        columns[name] = None  # empty from row 0 on
-                lo += len(lines)
-                continue
-            except ValueError:
-                unlike, columns = {}, None
-        for lineno, line in enumerate(lines, start=lo + 2):
-            parts = line.split(",")
-            if len(parts) != width:
-                raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
-            try:
-                k_row = int(parts[0])
-                [float(c) for c, opt in zip(parts[1:], TRACE_COLUMNS.values()) if c or not opt]
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed numeric field") from None
-            if k_row != lineno - 2:
-                raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
-            for j, name in enumerate(TRACE_COLUMNS, start=1):
-                if (not parts[j]) != blank0[j]:
-                    unlike.setdefault(name, lineno)
-        lo += len(lines)
-    if unlike is not None:
-        # every row parsed, so only an optional column has empty cells
-        name = next(name for name in TRACE_COLUMNS if name in unlike)
-        raise ValueError(f"line {unlike[name]}: {name} is empty on some rows and filled on others")
+                    columns[name].append(None if optional and not any(cells_j)
+                                         else np.array(list(map(float, cells_j))))
+                rows += len(lines)
+    except ValueError:  # a malformed number, or a UnicodeDecodeError
+        return None
+    if not rows:
+        return None  # no arrays to join: _read_rows makes the empty columns
     for name, arrays in columns.items():  # each list is freed as its array is made
-        if arrays is not None:
-            columns[name] = np.concatenate(arrays)
+        blank = {a is None for a in arrays}
+        if len(blank) > 1:
+            return None  # an optional column empty in some blocks only
+        columns[name] = None if blank == {True} else np.concatenate(arrays)
+    return columns
+
+
+def _read_rows(csv_path: Path) -> dict[str, np.ndarray | None]:
+    """The columns of :func:`_read_columns`, read from the CSV's whole text one
+    row at a time; a ``ValueError`` naming the first bad line when a row is bad,
+    and when none is, an optional column empty on some rows and filled on others,
+    at its first row unlike row 0 (the first such column in column order)."""
+    lines = csv_path.read_text().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
+    width = len(TRACE_COLUMNS) + 1
+    rows = [line.split(",") for line in lines[1:]]
+    for lineno, parts in enumerate(rows, start=2):
+        if len(parts) != width:
+            raise ValueError(f"line {lineno}: expected {width} fields, got {len(parts)}")
+        try:
+            k_row = int(parts[0])
+            [float(c) for c, opt in zip(parts[1:], TRACE_COLUMNS.values()) if c or not opt]
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed numeric field") from None
+        if k_row != lineno - 2:
+            raise ValueError(f"line {lineno}: expected k={lineno - 2}, got k={k_row}")
+    columns = {}
+    for j, name in enumerate(TRACE_COLUMNS, start=1):
+        blank = [not parts[j] for parts in rows]
+        if any(blank) and not all(blank):
+            lineno = blank.index(not blank[0]) + 2
+            raise ValueError(f"line {lineno}: {name} is empty on some rows and filled on others")
+        columns[name] = None if any(blank) else np.array([float(parts[j]) for parts in rows])
     return columns
 
 
@@ -926,9 +914,12 @@ def read_trace(path: str | Path) -> Trace:
     ``RunConfig`` field, whose ``config`` ``RunConfig`` refuses, or whose top-level
     values are not what :data:`_SIDECAR_VALUES` asks, is a ``ValueError`` naming it;
     so is a row count other than the sidecar's ``iters + 1``, or above it if diverged.
-    The CSV is read :data:`_READ_CHARS` characters at a time, and each block's
-    rows are parsed before the next is read; a CSV that does not decode is
-    refused as reading it whole refuses it, before any other fault of the CSV."""
+    The CSV's lines are those ``str.splitlines`` cuts from its text.  A block
+    reader, :func:`_read_columns`, reads the columns of a plain valid CSV a block
+    of rows at a time; at anything else it gives up, and :func:`_read_rows` reads
+    the whole text and walks it row by row.  That refuses a CSV that does not
+    decode at its offset in the whole file, before any fault of a row; then the
+    first bad row, at its line; then an optional column filled on some rows only."""
     csv_path = Path(path)
     meta_path = _meta_path(csv_path)
     if not csv_path.exists():
@@ -936,24 +927,9 @@ def read_trace(path: str | Path) -> Trace:
     if not meta_path.exists():
         raise FileNotFoundError(f"metadata sidecar {meta_path} not found")
 
-    try:
-        with csv_path.open() as fh:
-            chunks = _line_chunks(fh)
-            try:
-                head = next(chunks, [])
-                if not head or head[0] != CSV_HEADER:
-                    raise ValueError(f"line 1: expected header {CSV_HEADER!r}")
-                values = _parse_rows(chain([head[1:]], chunks))
-                if len(values["f"]) == 0:  # run records iterate 0 at least
-                    raise ValueError(f"trace file {csv_path} has a header and no rows")
-            except ValueError as exc:
-                if not isinstance(exc, UnicodeDecodeError):
-                    for _ in chunks:  # the rest must decode before a row is refused
-                        pass
-                raise
-    except UnicodeDecodeError:
-        csv_path.read_text()  # raises the error with its offset in the whole file
-        raise
+    values = _read_columns(csv_path) or _read_rows(csv_path)
+    if len(values["f"]) == 0:  # run records iterate 0 at least
+        raise ValueError(f"trace file {csv_path} has a header and no rows")
     meta = json.loads(meta_path.read_text())
     try:
         if meta["schema"] != 1:

@@ -1298,13 +1298,19 @@ class TestVerifyBounds:
 
 
 class TestTraceExport:
-    def _trace(self, iters=3):
+    def _trace(self, iters=3, mode="theory-cvx"):
         problem = quadratic(np.diag([1.0, 3.0]), np.array([1.0, 3.0]))
         cfg = RunConfig(
             problem="quadratic", optimizer="hb", betas=(0.9,),
-            stepsize_mode="theory-cvx", iters=iters, seed=0,
+            stepsize_mode=mode, iters=iters, seed=0,
         )
         return run(cfg, problem)
+
+    @staticmethod
+    def _columns(values):
+        """The trace columns of a dict such as ``vars(trace)``, as lists."""
+        return [None if (c := values[name]) is None else c.tolist()
+                for name in agghb.harness.TRACE_COLUMNS]
 
     def test_row_count_and_header(self, tmp_path):
         trace = self._trace(3)
@@ -1321,14 +1327,16 @@ class TestTraceExport:
         assert p1.read_bytes() == p2.read_bytes()
         assert m1.read_bytes() == m2.read_bytes()
 
-    def test_read_peak_memory(self, tmp_path):
-        # read_trace reads 16 K characters at a time and turns each block's
-        # rows into float64 arrays before it reads the next: 0.57 MiB on this
-        # 0.8 MB trace, mostly the four columns' arrays, each held twice
-        # while it is joined.  Holding the whole text and all its lines
-        # peaked at 2.55 MiB, and splitting all rows at once, as one list
-        # of cells, at 6.24 MiB.
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_read_peak_memory(self, tmp_path, newline):
+        # read_trace's block reader reads 16 K characters at a time and turns
+        # each block's rows into float64 arrays before it reads the next:
+        # 0.54 MiB on this 0.8 MB trace with LF or CRLF newlines, mostly the
+        # four columns' arrays, each held twice while it is joined.  Holding the
+        # whole text and all its lines peaked at 2.55 MiB, and splitting all
+        # rows at once, as one list of cells, at 6.24 MiB.
         csv_path, _ = export_trace(self._trace(10_000), tmp_path / "t.csv")
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", newline.encode()))
         tracemalloc.start()
         try:
             read_trace(csv_path)
@@ -1337,18 +1345,89 @@ class TestTraceExport:
             tracemalloc.stop()
         assert peak <= 0.7 * 2**20
 
-    @pytest.mark.parametrize("chars", [1, 2, 5, 64])
-    def test_blocks_cut_lines_as_splitlines(self, tmp_path, monkeypatch, chars):
-        # every break str.splitlines knows, at every offset from a block's
-        # end; universal newlines turn "\r" and "\r\n" into "\n" first
+    @pytest.mark.parametrize("chars", [1, 7, agghb.harness._READ_CHARS])
+    @pytest.mark.parametrize("brk", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_every_splitlines_break_ends_a_row(self, tmp_path, monkeypatch, chars, brk):
+        # a CSV's lines are those str.splitlines cuts, at whatever block size
+        trace = self._trace(40)
+        csv_path, _ = export_trace(trace, tmp_path / "t.csv")
+        text = csv_path.read_text()
+        at = text.index("\n20,")  # rows 19 and 20 (lines 21 and 22)
+        csv_path.write_text(text[:at] + brk + text[at + 1:], newline="")
         monkeypatch.setattr(agghb.harness, "_READ_CHARS", chars)
-        text = "a\nbc\r\nd\re\x0bf\x0cg\x1ch\x1di\x1ej\x85k\u2028l\u2029\n\n,x\r"
-        for cut in range(len(text) + 1):
-            path = tmp_path / "t.txt"
-            path.write_text(text[:cut], newline="")
-            with path.open() as fh:
-                lines = [line for block in agghb.harness._line_chunks(fh) for line in block]
-            assert lines == path.read_text().splitlines(), cut
+        assert self._columns(vars(read_trace(csv_path))) == self._columns(vars(trace))
+
+    @pytest.mark.parametrize("chars", [1, 7, agghb.harness._READ_CHARS])
+    @pytest.mark.parametrize("mode", ["theory-cvx", "theory-ncvx"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_block_reader_reads_valid_traces(self, tmp_path, monkeypatch, chars, mode, newline):
+        # a valid trace in any newline form or column layout never falls back
+        # to the row reader, which holds every row's cells at once
+        trace = self._trace(40, mode)
+        csv_path, _ = export_trace(trace, tmp_path / "t.csv")
+        csv_path.write_bytes(csv_path.read_bytes().replace(b"\n", newline.encode()))
+        monkeypatch.setattr(agghb.harness, "_READ_CHARS", chars)
+
+        def refuse(path):
+            raise AssertionError("the row reader was asked")
+
+        monkeypatch.setattr(agghb.harness, "_read_rows", refuse)
+        assert self._columns(vars(read_trace(csv_path))) == self._columns(vars(trace))
+
+    @pytest.mark.parametrize("chars", [7, agghb.harness._READ_CHARS])
+    def test_read_matches_the_row_reader_on_corrupted_traces(self, tmp_path, monkeypatch, chars):
+        # The row reader is the oracle: on every corrupted CSV read_trace gives
+        # its columns, or its exception and message.  The sidecars take any
+        # row count from 1 to 101, so only the CSV is judged.
+        rng = np.random.default_rng(38)
+        texts = []
+        for mode in ("theory-cvx", "theory-ncvx"):
+            csv_path, meta_path = export_trace(self._trace(12, mode), tmp_path / f"{mode}.csv")
+            meta = json.loads(meta_path.read_text())
+            meta["config"]["iters"], meta["diverged"] = 100, True
+            meta_path.write_text(json.dumps(meta))
+            texts.append((csv_path, csv_path.read_text()))
+        monkeypatch.setattr(agghb.harness, "_READ_CHARS", chars)
+        outcomes = collections.Counter()
+        for _ in range(300):
+            csv_path, text = texts[rng.integers(2)]
+            lines = text.splitlines()
+            at = rng.integers(len(lines))
+            cells = lines[at].split(",")
+            match rng.integers(6):
+                case 0:  # a line break or a junk character
+                    cut = rng.integers(len(lines[at]) + 1)
+                    junk = str(rng.choice(["\r", "\x0c", "\x85", "\u2028", "x", ",", " ", "-"]))
+                    lines[at] = lines[at][:cut] + junk + lines[at][cut:]
+                case 1:  # a blank cell
+                    cells[rng.integers(len(cells))] = ""
+                    lines[at] = ",".join(cells)
+                case 2:  # a dropped line
+                    del lines[at]
+                case 3:  # a repeated line
+                    lines.insert(at, lines[rng.integers(len(lines))])
+                case 4:  # another k
+                    lines[at] = ",".join([str(rng.integers(-1, 14)), *cells[1:]])
+                case 5:  # a filled cell
+                    cells[rng.integers(len(cells))] = "0.5"
+                    lines[at] = ",".join(cells)
+            raw = "\n".join(lines).encode() + b"\n"
+            if rng.random() < 0.1:
+                at = rng.integers(len(raw) + 1)
+                raw = raw[:at] + b"\xff" + raw[at:]
+            csv_path.write_bytes(raw)
+            try:
+                want = agghb.harness._read_rows(csv_path)
+            except ValueError as exc:
+                with pytest.raises(type(exc)) as got:
+                    read_trace(csv_path)
+                assert str(got.value) == str(exc)
+                outcomes["refused"] += 1
+            else:
+                assert self._columns(vars(read_trace(csv_path))) == self._columns(want)
+                outcomes["read"] += 1
+        assert min(outcomes["refused"], outcomes["read"]) >= 20, outcomes
 
     @pytest.mark.parametrize("chars", [7, 100])
     def test_small_blocks_read_back_and_refuse_alike(self, tmp_path, monkeypatch, chars):
