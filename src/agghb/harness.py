@@ -289,7 +289,7 @@ def run(config: RunConfig, problem: Problem) -> Trace:
                 favgs.append(f[:rows - lo])
 
     r = 0  # row of iterate k in the book
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(config.iters + 1):
             f_k, g_k = objective(x)
             if k == 0:
@@ -402,7 +402,7 @@ def tune(base: RunConfig, problem: Problem) -> tuple[RunConfig, list[SweepEntry]
     X, V = init(m, np.repeat(x0.reshape(-1, 1), P, axis=1))
     final_f = np.full(P, np.inf)
     diverged_at = [None] * P
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         f0 = problem.value(x0)
         if np.shape(f0) != ():
             raise ValueError(f"value at a single point has shape {np.shape(f0)}, not ()")
@@ -518,9 +518,10 @@ def reference_solution(problem: Problem, grad_tol: float = 1e-10) -> Reference:
         raise ValueError(
             f"problem {problem.name!r} is not convex; use its known optimum directly"
         )
-    # The logistic sigmoid's exp overflows to inf on margins past 709.78,
-    # which gives its exact limit 0; that flag is not a fault here.
-    with np.errstate(over="ignore"):
+    # The logistic loss and sigmoid raise the overflow and divide-by-zero
+    # flags on margins beyond about +-709.78 (see problems._logistic), where
+    # their limits are exact or a fallback takes over; neither is a fault here.
+    with np.errstate(over="ignore", divide="ignore"):
         if problem.reference_opt is not None:
             x, f = problem.reference_opt
             x, g = np.asarray(x, dtype=float), problem.value_and_grad(x)[1]

@@ -285,26 +285,56 @@ def rosenbrock() -> Problem:
     )
 
 
-def _logistic(z: np.ndarray, work: tuple) -> float | np.ndarray:
-    """Sum over axis 0 of log(1 + exp(-z)); z is left as it is.
+def _logistic(z: np.ndarray, work: tuple, sigmoid: bool = False) -> float | np.ndarray:
+    """Sum over axis 0 of log(1 + exp(-z)), and, when ``sigmoid``, z
+    overwritten with the sigmoid s(-z) = 1 / (1 + exp(z)) of
+    :func:`_sigmoid`, bit for bit; otherwise z is left as it is.
 
-    The loss is log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), with
-    exp(-|z|) = exp(min(z, -z)) in [0, 1], so it stays finite for any
-    finite z: six elementwise passes (negate, min, exp, max, log1p, add)
-    and one BLAS product with a vector of ones for the sum: on a (690, 15)
-    chunk it takes 3.5 us where ``sum(axis=0)``, which adds row by row,
-    takes 25 us, and on a single point 1.0 us against 1.4 us for ``sum()``.
+    One w = exp(z) serves both: the loss is log1p(1/w), three elementwise
+    passes (exp, divide, log1p) and one BLAS product with a vector of ones
+    for the sum: on a (690, 15) chunk it takes 3.5 us where
+    ``sum(axis=0)``, which adds row by row, takes 25 us, and on a single
+    point 1.0 us against 1.4 us for ``sum()``.  The sigmoid is then 1 added
+    to w and 1 divided by that, as :func:`_sigmoid` does after its own exp.
+
+    Each term is finite and at most log1p(DBL_MAX) ~ 709.78 for every z
+    above -709.78.  Below it 1/w overflows to inf (w is 0 below -745.13),
+    and a NaN margin gives NaN, so a column whose sum is not finite is
+    summed again, alone and with fresh temporaries, as
+    max(-z, 0) + log1p(exp(-|z|)), which is finite for any finite z.  No
+    column's sum depends on another's.  The loss raises numpy's overflow
+    flag where exp(z) overflows (z > 709.78, where the term is 0, within
+    5.6e-309 of its value) or 1/w does (-745.13 < z < -709.78), and its
+    divide-by-zero flag where w is 0 (z < -745.13, -inf included); the
+    package's callers ignore both under ``np.errstate``.  Past
+    |z| ~ 708.40 exp(z), 1/w or the sigmoid is subnormal and raises the
+    underflow flag, which numpy ignores unless asked.
 
     ``work`` is two scratch arrays of z's shape, owned by the caller and
     overwritten here, and a vector of ones of z's length: every step
     writes into the scratch, so the only array allocated is the returned
-    sum, and one scratch serves one call at a time.
+    sum, unless a column falls back, and one scratch serves one call at a
+    time.
     """
-    a, e, ones = work
-    np.negative(z, out=a)
-    np.exp(np.minimum(z, a, out=e), out=e)
-    np.maximum(a, 0.0, out=a)
-    return ones @ np.add(a, np.log1p(e, out=e), out=a)
+    w, t, ones = work
+    np.exp(z, out=w)
+    loss = ones @ np.log1p(np.divide(1.0, w, out=t), out=t)
+    # the terms are >= 0 or NaN, so the columns' sum is finite iff each is
+    if not math.isfinite(loss if z.ndim == 1 else np.add.reduce(loss)):
+        if z.ndim == 1:
+            loss = _stable_logistic(z, ones)
+        else:
+            for j in np.flatnonzero(~np.isfinite(loss)):
+                loss[j] = _stable_logistic(z[:, j], ones)
+    if sigmoid:
+        np.divide(1.0, np.add(w, 1.0, out=z), out=z)
+    return loss
+
+
+def _stable_logistic(z: np.ndarray, ones: np.ndarray) -> float:
+    """The fallback of :func:`_logistic` for one column z (M,): the sum
+    ones @ (max(-z, 0) + log1p(exp(-|z|))), finite for any finite z."""
+    return ones @ (np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))))
 
 
 def _sigmoid(z: np.ndarray) -> None:
@@ -317,7 +347,8 @@ def _sigmoid(z: np.ndarray) -> None:
     floating-point flag, which the package's callers ignore under
     ``np.errstate``.  -inf gives 1, +inf 0 and NaN stays NaN.  Where s(-z)
     is a normal double its relative error is a few ulp: exp's, the add's
-    and the divide's.  It needs no scratch.
+    and the divide's.  It needs no scratch.  :func:`_logistic` makes the
+    same three steps from its own exp, so the two agree bit for bit.
     """
     np.exp(z, out=z)
     np.add(z, 1.0, out=z)
@@ -355,19 +386,22 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
       separate products.
 
     ``value_and_grad`` forms the margins Z = B @ X once, over all columns
-    of X at once, and sums their loss (see :func:`_logistic`: six passes and
-    a BLAS sum) over row chunks of ``_BLOCK_BYTES // (8 P)`` rows, so the
-    margins are its only M x P array; a single x goes to :func:`_logistic`
-    in one call.  Its gradient step then overwrites the margins with their
-    sigmoid (see :func:`_sigmoid`: three passes over all of them at once; it
-    needs no scratch, so no chunks), takes one product with B.T, and
-    subtracts it, over M, from the penalty's gradient in place.  ``value``
-    skips the gradient step; it takes a block in groups of
-    ``_GROUP_BYTES // (8 M)`` columns, each group's margins formed and summed
-    in row chunks as above.
+    of X at once, and hands them to :func:`_logistic` in row chunks of
+    ``_BLOCK_BYTES // (8 P)`` rows, so the margins are its only M x P
+    array; a single x goes to it in one call.  From one exp(z) per margin
+    the kernel sums the loss and overwrites the chunk with its sigmoid:
+    five elementwise passes and a BLAS sum.  Its gradient step then takes
+    one product of the sigmoid with B.T and subtracts it, over M, from the
+    penalty's gradient in place.  ``value`` asks for no sigmoid, so its
+    kernel makes three elementwise passes and the sum; it takes a block in
+    groups of ``_GROUP_BYTES // (8 M)`` columns, each group's margins
+    formed and summed in row chunks as above.
 
     ``finite_and_grad`` runs ``value_and_grad`` without the loss: the same
-    gradient step on the same margins, so its gradients are bitwise those.
+    gradient step on the same margins, whose sigmoid :func:`_sigmoid`
+    computes with the kernel's own exp, add and divide over all of them at
+    once (it needs no scratch, so no chunks), so its gradients are bitwise
+    those.
     It decides finiteness with a certificate read off X alone, before the
     margins are formed, so no M x P array is reduced.
     Each margin obeys |z_ij| <= sum_k |B_ik| |X_kj| <= r_B m, with
@@ -381,14 +415,18 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
     1 - gamma_n, and the certificate's product, add and multiply by M each
     round by at most 1 + u.  Where M (r_B m + 1) <= ``_FINITE_CAP`` = 1e300
     holds as computed, every computed margin, and every partial sum that
-    forms it, is then below (1 + 3 gamma_n) 1e300 / M.  Each loss term
-    log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)) lies in
-    [0, |z| + log 2] and is computed within (|z| + 1)(1 + 2u), and the
-    computed sum of the M terms, in any order, within 1 + gamma_M of their
-    sum.  These factors stay below 2 for any n and M a machine can hold,
-    far inside the 1e8 headroom the cap leaves below overflow (1.8e308):
-    the loss over M is finite and below 5e300.  Adding it to a penalty
-    p (P,) gives a finite value where |p| <= 1e300 and a non-finite one
+    forms it, is then below (1 + 3 gamma_n) 1e300 / M.  The kernel keeps a
+    column's fast terms log1p(1/exp(z)) only where their sum is finite, so
+    where every 1/exp(z) is at most DBL_MAX and each term in
+    [0, log1p(DBL_MAX)] ~ [0, 709.79]; a column it sums again takes
+    max(-z, 0) + log1p(exp(-|z|)), in [0, |z| + log 2] and computed within
+    (|z| + 1)(1 + 2u).  Either way each computed term is at most
+    (|z| + 710)(1 + 2u), and the computed sum of the M terms, in any
+    order, is within 1 + gamma_M of their sum.  These factors stay below 2
+    for any n and M a machine can hold, and 710 M below 1e300, far inside
+    the 1e8 headroom the cap leaves below overflow (1.8e308): the loss over
+    M is finite and below 5e300.  Adding it to a penalty p (P,) gives a
+    finite value where |p| <= 1e300 and a non-finite one
     where p is inf or NaN, so the penalty then decides alone.  A NaN or
     infinite entry of X (NaN fails the comparison, and r_B times inf is
     inf, or NaN when r_B = 0), a bound past the cap, or a finite penalty
@@ -434,24 +472,23 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
     def margins(X: np.ndarray) -> np.ndarray:
         return (B1 if X.ndim == 1 else B) @ X
 
-    def loss(Z: np.ndarray) -> float | np.ndarray:
+    def loss(Z: np.ndarray, sigmoid: bool = False) -> float | np.ndarray:
         """:func:`_logistic` of the margins z (M,) in one call, or of Z (M, P)
-        over row chunks."""
+        over row chunks; when ``sigmoid``, Z becomes its sigmoid."""
         if Z.ndim == 1:
-            return _logistic(Z, work(Z.shape))
+            return _logistic(Z, work(Z.shape), sigmoid)
         rows = max(1, _BLOCK_BYTES // (8 * Z.shape[1]))
         chunk = Z[:rows]
-        total = _logistic(chunk, work(chunk.shape))
+        total = _logistic(chunk, work(chunk.shape), sigmoid)
         for lo in range(rows, M, rows):
             chunk = Z[lo:lo + rows]
-            total += _logistic(chunk, work(chunk.shape))
+            total += _logistic(chunk, work(chunk.shape), sigmoid)
         return total
 
-    def grad(Z: np.ndarray, G: np.ndarray) -> np.ndarray:
-        """The gradient G - B.T s(-Z) / M, written into G, the penalty's own
-        fresh array; Z is overwritten."""
-        _sigmoid(Z)
-        r = (B1T if Z.ndim == 1 else B.T) @ Z
+    def grad(S: np.ndarray, G: np.ndarray) -> np.ndarray:
+        """The gradient G - B.T S / M of the margins' sigmoid S, written into
+        G, the penalty's own fresh array."""
+        r = (B1T if S.ndim == 1 else B.T) @ S
         r /= M
         return np.subtract(G, r, out=G)
 
@@ -469,7 +506,7 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
         X = np.asarray(X, dtype=float)
         f, G = penalty(X)
         Z = margins(X)
-        f = f + loss(Z) / M  # before grad overwrites Z
+        f = f + loss(Z, sigmoid=True) / M
         return f, grad(Z, G)
 
     def finite_and_grad(X: np.ndarray) -> tuple[bool | np.ndarray, np.ndarray]:
@@ -482,7 +519,9 @@ def _logistic_problem(data: Dataset, name: str, penalty, L_penalty: float,
         # a NaN entry of X fails the comparison
         if (M * (r_B * np.abs(X).max(initial=0.0) + 1.0) <= _FINITE_CAP
                 and not (np.abs(f[finite]) > _FINITE_CAP).any()):
-            return finite, grad(margins(X), G)
+            Z = margins(X)
+            _sigmoid(Z)
+            return finite, grad(Z, G)
         f, G = value_and_grad(X)
         return np.isfinite(f), G
 

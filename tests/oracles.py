@@ -132,16 +132,30 @@ def gradient_descent_reference(
 
 def logistic_oracle(z: np.ndarray, grad: bool = True) -> np.ndarray:
     """The logistic kernel written with fresh temporaries: the sum over axis
-    0 of log(1 + exp(-z)) = max(-z, 0) + log1p(exp(-|z|)), taken as the
-    product with a vector of ones, and, when ``grad``, z overwritten with
-    the sigmoid s(-z) = 1 / (1 + exp(z)).  The package's scratch-buffer
-    kernel, followed by its ``_sigmoid`` for the gradient, must match it bit
-    for bit."""
-    e = np.exp(-np.abs(z))
-    loss = np.ones(z.shape[0]) @ (np.maximum(-z, 0.0) + np.log1p(e))
+    0 of log(1 + exp(-z)) = log1p(1 / exp(z)), taken as the product with a
+    vector of ones, and, when ``grad``, z overwritten with the sigmoid
+    s(-z) = 1 / (1 + exp(z)).  A column whose sum is not finite is summed
+    again alone by :func:`_stable_logistic_sum`.  The package's
+    scratch-buffer kernel must match it bit for bit."""
+    ones = np.ones(z.shape[0])
+    w = np.exp(z)
+    loss = ones @ np.log1p(1.0 / w)
+    if z.ndim == 1:
+        if not np.isfinite(loss):
+            loss = _stable_logistic_sum(z, ones)
+    else:
+        for j in range(z.shape[1]):
+            if not np.isfinite(loss[j]):
+                loss[j] = _stable_logistic_sum(z[:, j], ones)
     if grad:
-        z[...] = 1.0 / (1.0 + np.exp(z))
+        z[...] = 1.0 / (1.0 + w)
     return loss
+
+
+def _stable_logistic_sum(z: np.ndarray, ones: np.ndarray) -> float:
+    """The sum of log(1 + exp(-z)) over z (M,) as
+    ones @ (max(-z, 0) + log1p(exp(-|z|))), finite for any finite z."""
+    return ones @ (np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))))
 
 
 def _tuple_step(cfg: AggConfig, x, buffers, grad):
@@ -186,7 +200,7 @@ def plain_run(config: RunConfig, problem: Problem, residuals: list | None = None
     dists = [] if x_star is not None else None
     favgs = [] if track_avg else None
     diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(config.iters + 1):
             f_k = problem.value(x)
             g_k = np.asarray(problem.gradient(x), dtype=float)

@@ -44,6 +44,14 @@ from conftest import synthetic_libsvm_text
 from oracles import gradient_descent_reference, plain_run
 
 
+def far_logistic_start(data):
+    """A start whose logistic margins y_i a_i'x pass both +745 and -745."""
+    x0 = 1e3 * np.random.default_rng(47).standard_normal(data.n)
+    z = data.labels * (data.features @ x0)
+    assert z.max() > 745.2 and z.min() < -745.2
+    return x0
+
+
 def identity_quadratic(dim=1):
     return quadratic(np.eye(dim), np.zeros(dim))
 
@@ -456,6 +464,20 @@ class TestRunMatchesPlainLoop:
         assert trace.diverged and len(trace.f) == length
         self._assert_identical(trace, plain_run(cfg, problem))
 
+    @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
+    def test_logistic_margins_past_745(self, small_dataset, mode):
+        # exp(z) overflows above 709.78 and 1/exp(z) divides by zero below
+        # -745.13; the suite turns any RuntimeWarning into an error
+        problem = logreg_l2(small_dataset, 1e-3)
+        x0 = far_logistic_start(small_dataset)
+        cfg = RunConfig(
+            problem="logreg-l2", optimizer="agghb", betas=(0.9, 0.5),
+            stepsize_mode=mode, iters=50, problem_params={"x0": x0.tolist()},
+        )
+        trace = run(cfg, problem)
+        assert not trace.diverged and np.isfinite(trace.f).all()
+        self._assert_identical(trace, plain_run(cfg, problem))
+
     @pytest.mark.parametrize("i", range(5), ids=["N-2", "N-1", "N", "N+1", "2N+3"])
     @pytest.mark.parametrize("mode", ["theory-ncvx", "theory-cvx"])
     @pytest.mark.parametrize("build", [
@@ -855,6 +877,16 @@ class TestTune:
         best, _ = tune(self._base(params={"x0": [0.0]}), problem)
         assert best.gammas == (TUNING_GRID[0] / problem.L,)
 
+    def test_logistic_margins_past_745(self, small_dataset):
+        # as TestRunMatchesPlainLoop's: no overflow or divide-by-zero warning
+        problem = logreg_l2(small_dataset, 1e-3)
+        base = RunConfig(
+            problem="logreg-l2", optimizer="hb", betas=(0.9,), stepsize_mode="tune",
+            iters=20, problem_params={"x0": far_logistic_start(small_dataset).tolist()},
+        )
+        best, sweep = tune(base, problem)
+        assert best.stepsize_mode == "tuned" and len(sweep) == len(TUNING_GRID)
+
     def test_all_diverged_raises_on_batched_path(self):
         problem = dataclasses.replace(identity_quadratic(), L=1e-12)
         with pytest.raises(TuningError) as exc:
@@ -1034,6 +1066,12 @@ class TestReferenceSolution:
         assert np.all(np.isfinite(ref.x))
         # no direction improves on it noticeably
         assert problem.value(ref.x) <= problem.value(ref.x + 1e-4) + 1e-12
+
+    def test_far_known_optimum(self, small_dataset):
+        # its gradient is read at margins past +-745, with no warning
+        problem = dataclasses.replace(logreg_l2(small_dataset, l2=1e-3),
+                                      reference_opt=(far_logistic_start(small_dataset), 0.0))
+        assert np.isfinite(reference_solution(problem).grad_norm)
 
     def test_nonconvex_rejected(self):
         with pytest.raises(ValueError, match="not convex"):

@@ -137,7 +137,7 @@ class TestProblem:
         p = shipped_problem(name, small_dataset)
         rng = np.random.default_rng(46)
         for x in (rng.standard_normal(p.dim), 1e3 * rng.standard_normal(p.dim)):
-            with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+            with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
                 assert same_bits(p.gradient(x), p.value_and_grad(x)[1])
             if name in ("quadratic", "rosenbrock"):  # the logistic ones give their own value
                 X = rng.standard_normal((p.dim, 7))
@@ -275,9 +275,10 @@ class TestLogregL2:
     def test_numerically_stable_for_extreme_margins(self):
         data = Dataset(features=sp.csr_matrix([[1.0]]), labels=np.array([-1.0]))
         p = logreg_l2(data, l2=0.0)
-        assert p.value(np.array([1000.0])) == pytest.approx(1000.0, rel=1e-12)
-        assert p.value(np.array([-1000.0])) == pytest.approx(0.0, abs=1e-300)
-        assert np.all(np.isfinite(p.gradient(np.array([1000.0]))))
+        with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
+            assert p.value(np.array([1000.0])) == pytest.approx(1000.0, rel=1e-12)
+            assert p.value(np.array([-1000.0])) == pytest.approx(0.0, abs=1e-300)
+            assert np.all(np.isfinite(p.gradient(np.array([1000.0]))))
 
     def test_constants(self):
         data = tiny_dataset()
@@ -376,7 +377,8 @@ class TestLogregNonconvex:
         pen = logreg_nonconvex(tiny_dataset(), lam=lam)
         plain = logreg_nonconvex(tiny_dataset(), lam=0.0)
         x = np.full(2, 1e8)
-        assert pen.value(x) - plain.value(x) <= lam * 2 + 1e-9
+        with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
+            assert pen.value(x) - plain.value(x) <= lam * 2 + 1e-9
 
     @pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf")])
     def test_negative_or_non_finite_lambda_rejected(self, lam):
@@ -618,12 +620,12 @@ class TestBatchObjective:
 
     @staticmethod
     def _assert_matches_columns(p, X):
-        with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+        with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
             f, G = p.value_and_grad(X)
             gs = [p.gradient(X[:, j]) for j in range(X.shape[1])]
+            fs = [p.value(X[:, j]) for j in range(X.shape[1])]
         assert f.shape == (X.shape[1],) and G.shape == X.shape
-        for j, gj in enumerate(gs):
-            fj = p.value(X[:, j])
+        for j, (fj, gj) in enumerate(zip(fs, gs)):
             assert abs(f[j] - fj) <= 1e-12 * abs(fj)
             assert np.linalg.norm(G[:, j] - gj) <= 1e-12 * np.linalg.norm(gj)
 
@@ -732,13 +734,16 @@ class TestBatchObjective:
 
 
 class TestLogisticScratch:
-    """The logistic kernel in its scratch buffer, followed by ``_sigmoid``
-    for the gradient: bit for bit against ``logistic_oracle``, which
-    allocates fresh temporaries; no result is a view into the scratch; and
-    a warmed single-point call allocates little beyond the margins."""
+    """The logistic kernel in its scratch buffer, with the sigmoid for the
+    gradient on request: bit for bit against ``logistic_oracle``, which
+    allocates fresh temporaries, on margins either side of -709.78, where
+    1/exp(z) overflows, of -745.13, where exp(z) is 0, and of 709.78,
+    where exp(z) overflows; no result is a view into the scratch; and a
+    warmed single-point call allocates little beyond the margins."""
 
     SPECIAL = {
-        "finite": [0.0, -0.0, 700.0, -700.0, 745.5, -745.5, 1e4, -1e4],
+        "finite": [0.0, -0.0, 700.0, -700.0, 745.5, -745.5, 1e4, -1e4,
+                   -709.7, -709.9, -745.2, 709.8],
         "nonfinite": [0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -745.5, 1e308],
     }
 
@@ -765,10 +770,8 @@ class TestLogisticScratch:
         for seed in (51, 52):  # the second pass reuses the dirtied scratch
             z = self._margins(shape, kind, seed)
             z_ref = z.copy()
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = agghb.problems._logistic(z, work)
-                if grad:
-                    agghb.problems._sigmoid(z)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                loss = agghb.problems._logistic(z, work, sigmoid=grad)
                 loss_ref = logistic_oracle(z_ref, grad)
             assert np.shape(loss) == np.shape(loss_ref) == shape[1:]
             assert np.array_equal(loss, loss_ref, equal_nan=True)
@@ -802,6 +805,30 @@ class TestLogisticScratch:
             for (f, G), (f0, G0) in zip(results, kept):
                 assert np.array_equal(f, f0)
                 assert G is None or np.array_equal(G, G0)
+
+    @pytest.mark.parametrize("shape", [(690,), (2184, 15)], ids=["x", "block"])
+    def test_fast_path_raises_no_flag(self, shape, monkeypatch):
+        # up to log(DBL_MIN) ~ 708.40 every step's result is a normal double
+        # or exact; up to 709 exp(z), 1/exp(z) and the sigmoid only underflow,
+        # a flag numpy ignores unless asked
+        def no_fallback(*args):
+            raise AssertionError("a column fell back")
+        monkeypatch.setattr(agghb.problems, "_stable_logistic", no_fallback)
+        rng = np.random.default_rng(54)
+        size = int(np.prod(shape))
+        flat = np.empty(2 * size)
+        work = (flat[:size].reshape(shape), flat[size:].reshape(shape), np.ones(shape[0]))
+        for bound, flags in ((np.log(np.finfo(float).tiny), {"all": "raise"}),
+                             (709.0, {"all": "raise", "under": "ignore"})):
+            bound = abs(bound)
+            z = rng.uniform(-bound, bound, shape)
+            z.reshape(-1)[:4] = [-bound, bound, -0.0, 0.0]
+            z_ref = z.copy()
+            with np.errstate(**flags):
+                loss = agghb.problems._logistic(z, work, sigmoid=True)
+            assert np.isfinite(loss).all()
+            assert np.array_equal(loss, logistic_oracle(z_ref))
+            assert np.array_equal(z, z_ref)
 
     def test_single_point_calls_allocate_only_the_margins(self):
         """Warmed ``value_and_grad(x)`` and ``value(x)`` on the data of
@@ -847,7 +874,7 @@ class TestFiniteAndGrad:
 
     @staticmethod
     def _assert_exact(p, X):
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             finite, G = p.finite_and_grad(X)
             f, G_ref = p.value_and_grad(X)
         assert same_bits(finite, np.isfinite(f))
@@ -876,7 +903,7 @@ class TestFiniteAndGrad:
         fell_back = []
         for X in self._blocks(p.dim, seed=61):
             before = len(calls)
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 p.finite_and_grad(X)
             fell_back.append(len(calls) > before)
             self._assert_exact(p, X)
@@ -918,7 +945,7 @@ class TestFiniteAndGrad:
         calls = self._logistic_calls(monkeypatch)
         X = np.random.default_rng(64).standard_normal((p.dim, 4))
         X[:, 1] *= scale
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             p.finite_and_grad(X)
         assert calls
         finite = self._assert_exact(p, X)
@@ -933,6 +960,59 @@ class TestFiniteAndGrad:
         assert owner == ("_logistic_problem" if name.startswith("logreg") else "Problem")
         for X in self._blocks(p.dim, seed=65):
             self._assert_exact(p, X)
+
+    # least margins either side of -709.78, below which 1/exp(z) overflows,
+    # and of -745.13, below which exp(z) is 0; the largest ones of the same
+    # columns pass 709.78, where exp(z) overflows, on both datasets
+    FAST = (-1.0, -700.0, -709.0, -709.5, -709.7)
+    FALLING = (-709.9, -745.0, -745.2, -1e4)
+
+    @staticmethod
+    def _columns(data, targets, seed):
+        """Columns x_j whose least margin min_i y_i a_i'x_j is targets[j]."""
+        D = np.random.default_rng(seed).standard_normal((data.n, len(targets)))
+        Z = data.labels[:, None] * (data.features @ D)
+        return D * (np.array(targets) / Z.min(axis=0))
+
+    @pytest.mark.parametrize("kind", ["l2", "ncvx"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_margins_across_the_thresholds(self, request, dataset, kind):
+        data = request.getfixturevalue(dataset)
+        p = logreg_l2(data, 1e-3) if kind == "l2" else logreg_nonconvex(data, 1e-2)
+        X = self._columns(data, self.FAST + self.FALLING, seed=66)
+        Z = data.labels[:, None] * (data.features @ X)
+        assert Z.max() > 709.8 and (Z.min(axis=0) < -709.78).tolist() == [
+            False] * len(self.FAST) + [True] * len(self.FALLING)
+        for block in [X, X[:, ::-1]] + [X[:, j].copy() for j in range(X.shape[1])]:
+            assert self._assert_exact(p, block).all()
+
+    @pytest.mark.parametrize("one_row_chunks", [False, True], ids=["default", "rows-1"])
+    @pytest.mark.parametrize("dataset", ["small_dataset", "wide_dataset"])
+    def test_a_falling_back_column_leaves_the_others_alone(self, request, dataset,
+                                                            one_row_chunks, monkeypatch):
+        # each falling column, swapped into a block of fast ones in place of
+        # a fast column, changes no other column's value
+        if one_row_chunks:
+            monkeypatch.setattr(agghb.problems, "_BLOCK_BYTES", 8)  # rows = 1
+        data = request.getfixturevalue(dataset)
+        p = logreg_l2(data, 1e-3)
+        fast = self._columns(data, self.FAST, seed=67)
+        falling = self._columns(data, self.FALLING, seed=68)
+        stable = []
+        monkeypatch.setattr(agghb.problems, "_stable_logistic",
+                            lambda *args, _fn=agghb.problems._stable_logistic:
+                            stable.append(1) or _fn(*args))
+        with np.errstate(over="ignore", divide="ignore"):
+            base = [p.value_and_grad(fast)[0], p.value(fast)]
+            assert not stable
+            for j in range(fast.shape[1]):
+                for k in range(falling.shape[1]):
+                    X = fast.copy()
+                    X[:, j] = falling[:, k]
+                    for got, want in zip([p.value_and_grad(X)[0], p.value(X)], base):
+                        assert np.isfinite(got[j]) and stable
+                        assert same_bits(np.delete(got, j), np.delete(want, j))
+                    stable.clear()
 
 
 class TestDenseLayouts:
@@ -1010,12 +1090,13 @@ class TestDenseLayouts:
         for scale in (1e-2, 1.0, 1e2, 1e4):
             for _ in range(5):
                 x = scale * rng.standard_normal(p.dim)
-                with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+                with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
                     f, g = p.value_and_grad(x)
+                    value = p.value(x)
                     before = len(calls)
                     finite, g_certified = p.finite_and_grad(x)
                 assert len(calls) == before  # certified: no loss taken
-                assert same_bits(np.float64(p.value(x)), f)
+                assert same_bits(np.float64(value), f)
                 assert finite and same_bits(g_certified, g)
 
 
@@ -1100,10 +1181,10 @@ class TestCertificate:
         """Whether the loss was skipped; the property holds either way."""
         with mock.patch.object(agghb.problems, "_logistic",
                                wraps=agghb.problems._logistic) as kernel:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 finite, G = p.finite_and_grad(X)
         certified = not kernel.called
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             f, G_ref = p.value_and_grad(X)
             if certified:
                 Z = data.labels[:, None] * (data.features @ X.reshape(p.dim, -1))
@@ -1155,7 +1236,7 @@ class TestValueAndGrad:
 
     @staticmethod
     def _assert_matches(p, x):
-        with np.errstate(over="ignore"):  # the sigmoid's exp(z) at z > 709.78
+        with np.errstate(over="ignore", divide="ignore"):  # exp(z), 1/exp(z) past +-709.78
             f, g = p.value_and_grad(x)
             f_ref, g_ref = p.value(x), p.gradient(x)
         assert isinstance(f, float) and g.shape == x.shape
